@@ -6,6 +6,10 @@ midpoints between consecutive distinct sorted feature values; ties in
 weighted Gini break toward the lowest feature index, then the lowest
 threshold, so given a seed the forest is fully deterministic node-by-node.
 Samples route left when ``x[feature] <= threshold``.
+
+Scoring walks every tree at once over flat parallel node arrays (the layout
+of scikit-learn's ``Tree``; Louppe 2014, *Understanding Random Forests*,
+ch. 5) built once per model; the ``TreeNode`` form stays the serialized one.
 """
 
 from __future__ import annotations
@@ -68,6 +72,12 @@ class ForestModel:
     features_per_split: int
     seed: int
     training_meta: dict = field(default_factory=dict)
+    # scoring form of ``trees``, built once here and never serialized;
+    # trees are not edited after a model is built
+    _flat: "_FlatForest" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._flat = _FlatForest.of(self.trees)
 
     def to_dict(self) -> dict:
         return {
@@ -91,6 +101,63 @@ class ForestModel:
                    features_per_split=int(payload["features_per_split"]),
                    seed=int(payload["seed"]),
                    training_meta=dict(payload.get("training_meta", {})))
+
+
+@dataclass(frozen=True)
+class _FlatForest:
+    """Every node of every tree in parallel arrays, indexed by node id.
+
+    A leaf points to itself on both sides with threshold +inf, so walking
+    ``depth`` levels parks each tree on its leaf whatever the input (a NaN
+    feature fails every ``<=`` and still stays put).
+    """
+
+    roots: np.ndarray      # node id of each tree's root, in tree order
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray      # leaf positive fraction; unused on split nodes
+    depth: int             # deepest leaf over all trees
+
+    @classmethod
+    def of(cls, trees: Sequence[TreeNode]) -> "_FlatForest":
+        feature: list[int] = []
+        threshold: list[float] = []
+        left: list[int] = []
+        right: list[int] = []
+        value: list[float] = []
+        roots: list[int] = []
+        depth = 0
+
+        def add(node: TreeNode) -> int:
+            nid = len(feature)
+            feature.append(0)
+            threshold.append(math.inf)
+            left.append(nid)
+            right.append(nid)
+            value.append(node.positive_fraction if node.is_leaf else 0.0)
+            return nid
+
+        for tree in trees:
+            roots.append(add(tree))
+            stack = [(tree, roots[-1], 0)]
+            while stack:
+                node, nid, level = stack.pop()
+                if node.is_leaf:
+                    depth = max(depth, level)
+                    continue
+                feature[nid] = node.feature
+                threshold[nid] = node.threshold
+                left[nid] = add(node.left)
+                right[nid] = add(node.right)
+                stack.append((node.left, left[nid], level + 1))
+                stack.append((node.right, right[nid], level + 1))
+        return cls(roots=np.array(roots, dtype=np.intp),
+                   feature=np.array(feature, dtype=np.intp),
+                   threshold=np.array(threshold, dtype=float),
+                   left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
+                   value=np.array(value, dtype=float), depth=depth)
 
 
 def gini(n_neg: int, n_pos: int) -> float:
@@ -206,17 +273,16 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                        training_meta=meta)
 
 
-def _leaf_for(tree: TreeNode, x: np.ndarray) -> TreeNode:
-    node = tree
-    while not node.is_leaf:
-        node = node.left if x[node.feature] <= node.threshold else node.right
-    return node
-
-
 def score_forest(model: ForestModel, x) -> float:
     """Mean over trees of the leaf-level positive-class fraction."""
     arr = np.asarray(x, dtype=float)
     if arr.shape != (model.n_features,):
         raise DimensionError(f"vector dim {arr.shape} != model dim {model.n_features}")
-    total = sum(_leaf_for(tree, arr).positive_fraction for tree in model.trees)
-    return total / len(model.trees)
+    flat = model._flat
+    idx = flat.roots
+    for _ in range(flat.depth):
+        idx = np.where(arr[flat.feature[idx]] <= flat.threshold[idx],
+                       flat.left[idx], flat.right[idx])
+    # Python's left-to-right float sum in tree order, not numpy's pairwise
+    # sum, so scores keep the bits of the per-tree accumulation.
+    return sum(flat.value[idx].tolist()) / len(model.trees)

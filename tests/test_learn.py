@@ -245,6 +245,84 @@ class TestForest:
             assert (tree.feature, tree.threshold) == (expected[0], expected[1])
 
 
+def reference_score(model, x):
+    """The recursive per-tree walk the flat arrays replace: route left on
+    ``x[feature] <= threshold``, then add leaf fractions in tree order."""
+    x = np.asarray(x, dtype=float)
+    total = 0
+    for tree in model.trees:
+        node = tree
+        while not node.is_leaf:
+            node = node.left if x[node.feature] <= node.threshold else node.right
+        total += node.positive_fraction
+    return total / len(model.trees)
+
+
+def split_nodes(model):
+    stack = list(model.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            yield node
+            stack.extend((node.left, node.right))
+
+
+HAND_BUILT = [
+    [leaf(0, 5), leaf(0, 9), leaf(7, 0), leaf(0, 2)],
+    [leaf(1, 3)],
+    [leaf(4, 0), leaf(2, 0)],
+    [leaf(0, 0)],
+    [TreeNode(counts=(2, 2), feature=1, threshold=0.5, left=leaf(0, 2), right=leaf(2, 0)),
+     leaf(1, 2)],
+]
+
+
+class TestFlatForestWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 40), d=st.integers(1, 4),
+           n_trees=st.integers(1, 12), depth=st.integers(1, 6),
+           scale=st.sampled_from([1.0, 1e-300, 1e300, 1e308]))
+    def test_trained_forest_matches_reference_walk_bit_for_bit(self, seed, n, d, n_trees,
+                                                              depth, scale):
+        rng = np.random.default_rng(seed)
+        # at 1e308 some values, and some split midpoints, overflow to +-inf on purpose
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.round(rng.normal(size=(n, d)), 1) * scale
+            y = rng.integers(0, 2, size=n)
+            y[0], y[1] = 0, 1
+            model = train_forest(X, y, n_trees=n_trees, max_depth=depth,
+                                 min_samples_leaf=1, seed=seed)
+            rows = list(X) + list(rng.normal(size=(10, d)) * scale)
+            rows += [np.full(d, v) for v in (np.inf, -np.inf, np.nan, 0.0)]
+            for node in split_nodes(model):  # exactly on each threshold: routes left
+                row = rng.normal(size=d) * scale
+                row[node.feature] = node.threshold
+                rows.append(row)
+        for row in rows:
+            assert score_forest(model, row) == reference_score(model, row)
+
+    @pytest.mark.parametrize("trees", HAND_BUILT)
+    def test_hand_built_forests_match_reference_walk(self, trees):
+        model = ForestModel(trees=trees, n_features=2, n_trees=len(trees), max_depth=1,
+                            min_samples_leaf=1, features_per_split=1, seed=0)
+        for row in ([0.0, 0.0], [0.0, 0.5], [0.0, 0.6], [np.nan, np.nan], [1e308, -1e308]):
+            assert score_forest(model, row) == reference_score(model, row)
+
+    def test_value_on_threshold_routes_left(self):
+        model = ForestModel(trees=HAND_BUILT[4][:1], n_features=2, n_trees=1, max_depth=1,
+                            min_samples_leaf=1, features_per_split=1, seed=0)
+        assert score_forest(model, [0.0, 0.5]) == 1.0
+        assert score_forest(model, [0.0, np.nextafter(0.5, 1.0)]) == 0.0
+
+    def test_flat_arrays_stay_out_of_equality_and_artifact(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(30, 2))
+        model = train_forest(X, (X[:, 0] > 0).astype(int), n_trees=3, seed=1)
+        clone = ForestModel.from_dict(model.to_dict())
+        assert clone == model
+        assert "_flat" not in repr(model) and "_flat" not in model.to_dict()
+
+
 def exhaustive_depth_one_split(X, y):
     """Enumerate every (feature, midpoint) split; return the weighted-Gini
     argmin with (cost, feature, threshold) tie-breaking, or None if no split
