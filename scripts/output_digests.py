@@ -1,0 +1,92 @@
+#!/usr/bin/env python3
+"""Print sha256 digests of fixed-seed outputs, for byte checks across commits.
+
+Runs ``run_experiment(ExperimentConfig(seed=7))`` and prints the digest of
+the saved artifact and of the three report JSON files, then runs the
+seven-command CLI chain (generate -> split -> train-log -> train-malware ->
+calibrate -> tune -> evaluate) at seed 7 and prints the digest of its
+artifact and ``report.json``.
+
+The chain runs in a fresh temporary directory, or in the directory given
+as the one positional argument. Code that stores a path given on the
+command line in its outputs gives equal digests on two checkouts only when
+both run the chain in the same directory.
+
+Only public API is used, so the script runs unchanged on any commit that
+has ``aisoc.pipeline``, ``aisoc.service`` and ``aisoc.cli``::
+
+    python3 scripts/output_digests.py [CHAIN_DIR]
+"""
+
+import argparse
+import contextlib
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+if __package__ is None:  # allow running straight from a checkout
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+from aisoc.cli import main as cli_main
+from aisoc.pipeline import ExperimentConfig, run_experiment
+from aisoc.service import save_artifact
+
+SEED = "7"
+
+
+def sha256_bytes(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def pipeline_digests(out_dir: Path) -> dict[str, str]:
+    result = run_experiment(ExperimentConfig(seed=int(SEED)))
+    artifact = out_dir / "pipeline_artifact.json"
+    save_artifact(result.artifact, artifact)
+    digests = {"pipeline.artifact": sha256_bytes(artifact.read_bytes())}
+    for name in ("logs", "malware", "fused"):
+        digests[f"pipeline.report_{name}"] = sha256_bytes(result.reports[name].to_json_bytes())
+    return digests
+
+
+def cli_digests(chain: Path) -> dict[str, str]:
+    chain.mkdir(parents=True, exist_ok=True)
+    logs, malware = chain / "logs.ndjson", chain / "malware.csv"
+    splits, artifact = chain / "splits", chain / "artifact.json"
+    commands = [
+        ["generate", "--out-logs", logs, "--out-malware", malware],
+        ["split", "--logs", logs, "--malware", malware, "--out-dir", splits],
+        ["train-log", "--train", splits / "logs_train.ndjson", "--artifact", artifact],
+        ["train-malware", "--train", splits / "malware_train.csv", "--artifact", artifact],
+        ["calibrate", "--artifact", artifact, "--val-logs", splits / "logs_validation.ndjson",
+         "--val-malware", splits / "malware_validation.csv"],
+        ["tune", "--artifact", artifact, "--manifest", splits / "manifest_validation.ndjson"],
+        ["evaluate", "--artifact", artifact, "--manifest", splits / "manifest_test.ndjson",
+         "--json-out", chain / "report.json"],
+    ]
+    for argv in commands:
+        argv = [str(a) for a in argv] + ["--seed", SEED]
+        with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the digests
+            code = cli_main(argv)
+        if code != 0:
+            raise SystemExit(f"aisoc {argv[0]} exited with {code}")
+    return {"cli.artifact": sha256_bytes(artifact.read_bytes()),
+            "cli.report": sha256_bytes((chain / "report.json").read_bytes())}
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("chain_dir", nargs="?",
+                        help="directory for the CLI chain (default: a fresh temp dir)")
+    args = parser.parse_args()
+    with tempfile.TemporaryDirectory() as tmp:
+        digests = pipeline_digests(Path(tmp))
+        chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
+        digests.update(cli_digests(chain))
+    for name, digest in digests.items():
+        print(f"{name} {digest}", flush=True)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -26,6 +26,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import CalibrationError
+from .learn.logistic import sigmoid
+from .metrics import roc_auc
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10
@@ -86,15 +88,6 @@ def platt_targets(n_pos: int, n_neg: int) -> tuple[float, float]:
     return (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     s = np.asarray(scores, dtype=float)
     y = np.asarray(labels, dtype=float)
@@ -107,23 +100,6 @@ def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
-def _rank_auc(scores: np.ndarray, labels: np.ndarray) -> float:
-    """Mann-Whitney AUC with ties counted 0.5 (orientation check only)."""
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(len(scores))
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
-    n_pos = int(labels.sum())
-    n_neg = len(labels) - n_pos
-    return float((ranks[labels == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
-
-
 def fit_platt(scores, labels) -> Calibrator:
     """Fit sigmoid(a*s + b) against Platt's smoothed targets by Newton."""
     s, y = _check_binary(scores, labels)
@@ -132,7 +108,7 @@ def fit_platt(scores, labels) -> Calibrator:
     if np.ptp(s) == 0.0:
         raise CalibrationError("all scores are equal; no information to calibrate")
 
-    flipped = _rank_auc(s, y) < 0.5
+    flipped = roc_auc(s, y) < 0.5
     if flipped:
         s = -s
 
@@ -146,7 +122,7 @@ def fit_platt(scores, labels) -> Calibrator:
     iterations = 0
     for _ in range(_NEWTON_MAX_ITER):
         z = a * s + b
-        p = _sigmoid(z)
+        p = sigmoid(z)
         grad_a = float(np.sum(s * (p - t)))
         grad_b = float(np.sum(p - t))
         if max(abs(grad_a), abs(grad_b)) < _NEWTON_TOL:
@@ -291,7 +267,7 @@ def apply(calibrator: Calibrator, score):
         out = np.clip(arr, 0.0, 1.0)
     elif calibrator.method is CalibrationMethod.PLATT:
         oriented = -arr if calibrator.flipped else arr
-        out = _sigmoid(calibrator.a * oriented + calibrator.b)
+        out = sigmoid(calibrator.a * oriented + calibrator.b)
     else:
         out = np.interp(arr, calibrator.knot_scores, calibrator.knot_values)
     return float(out[0]) if scalar else out

@@ -2,10 +2,11 @@
 
 Every subcommand reads an optional flat JSON config file (``--config``)
 whose keys mirror the long flag names; explicit flags override the file,
-which overrides built-in defaults. Artifacts are built up stage by stage:
-``train-log`` and ``train-malware`` write PARTIAL artifacts, ``calibrate``
-adds the calibrators, and ``tune`` adds the fusion thresholds, after which
-the artifact is SERVING-complete.
+which overrides built-in defaults. Artifacts are built up stage by stage,
+each subcommand running one stage function of ``pipeline`` (the same ones
+``run_experiment`` runs): ``train-log`` and ``train-malware`` write PARTIAL
+artifacts, ``calibrate`` adds the calibrators, and ``tune`` adds the fusion
+thresholds, after which the artifact is SERVING-complete.
 """
 
 from __future__ import annotations
@@ -15,9 +16,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
-from . import calibrate as calibrate_mod
 from .corpus import (
     EPOCH_MS,
     AugmentOp,
@@ -37,15 +35,18 @@ from .corpus import (
 )
 from .errors import AisocError, ConfigError
 from .evaluate import build_manifest, read_manifest, robustness_probe, run_baselines, write_manifest
-from .features import fit_standardizer, fit_vocabulary, transform_dense, transform_text
-from .fusion import CalibratedScorePair, FusionConfig, derive_truth_triage, tune_thresholds, tuning_macro_f1
-from .learn.forest import score_forest, train_forest
-from .learn.logistic import score_logistic, train_logistic
-from .pipeline import corpus_fingerprint, malware_fingerprint
+from .pipeline import (
+    calibrate_detectors,
+    corpus_fingerprint,
+    malware_fingerprint,
+    train_log_detector,
+    train_malware_detector,
+    tune_fusion,
+    validation_pairs,
+)
 from .seeding import derive_seed
 from .service import (
     ModelArtifact,
-    Scorer,
     load_artifact,
     save_artifact,
     score_batch,
@@ -53,50 +54,115 @@ from .service import (
 )
 from .service.artifact import build_artifact
 
-_DEFAULTS: dict[str, dict] = {
-    "generate": {
-        "out_logs": None, "out_malware": None, "benign_hosts": 3, "attack_sessions": 12,
-        "duration_s": 1800.0, "benign_rate": 0.25, "malware_benign": 300,
-        "malware_malicious": 300, "malware_features": 8, "malware_separation": 3.0,
-        "malware_hard_fraction": 0.0, "seed": 7,
-    },
-    "augment": {
-        "in_path": None, "out": None, "ops": "KEYWORD_OBFUSCATION,CHAR_NOISE,SYNONYM_REPLACEMENT",
-        "rate": 0.5, "replace": False, "seed": 7,
-    },
-    "split": {
-        "logs": None, "malware": None, "out_dir": None, "kind": "TIME_ORDERED",
-        "fractions": "0.6,0.2,0.2", "folds": 5, "val_supports": None,
-        "test_supports": None, "label_column": "label", "id_column": "sample_id",
-        "seed": 7,
-    },
-    "train-log": {
-        "train": None, "artifact": None, "min_df": 2, "max_features": 20000,
-        "l2": 1e-3, "epochs": 300, "class_weight": "none", "seed": 7,
-    },
-    "train-malware": {
-        "train": None, "artifact": None, "label_column": "label", "id_column": "sample_id",
-        "trees": 100, "max_depth": 12, "min_leaf": 2, "seed": 7,
-    },
-    "calibrate": {
-        "artifact": None, "val_logs": None, "val_malware": None, "method": "auto",
-        "label_column": "label", "id_column": "sample_id", "seed": 7,
-    },
-    "tune": {
-        "artifact": None, "manifest": None, "grid_step": 0.01, "version": "1",
-        "export_thresholds": None, "seed": 7,
-    },
-    "evaluate": {
-        "artifact": None, "manifest": None, "setting": "all", "json_out": None, "seed": 7,
-    },
-    "probe": {
-        "artifact": None, "manifest": None, "ops": "KEYWORD_OBFUSCATION,CHAR_NOISE",
-        "rate": 0.5, "json_out": None, "seed": 7,
-    },
-    "save": {"artifact": None, "out": None, "created_at": None, "seed": 7},
-    "serve": {"artifact": None, "bind": "127.0.0.1:8080", "seed": 7},
-    "score-batch": {"artifact": None, "in_path": None, "out": None, "seed": 7},
+_OPS_ALL = "KEYWORD_OBFUSCATION,CHAR_NOISE,SYNONYM_REPLACEMENT"
+_SEED = ("--seed", 7, {"type": int, "help": "random seed"})
+
+# Each subcommand's help text and options. One option is (flag, default,
+# argparse keywords); its config-file key is the flag without the leading
+# dashes, and ``--in`` is stored as ``in_path``.
+_COMMANDS: dict[str, tuple[str, list[tuple]]] = {
+    "generate": ("generate synthetic logs and malware features", [
+        ("--out-logs", None, {"help": "output NDJSON path for log records"}),
+        ("--out-malware", None, {"help": "output CSV path for malware samples"}),
+        ("--benign-hosts", 3, {"type": int}),
+        ("--attack-sessions", 12, {"type": int}),
+        ("--duration-s", 1800.0, {"type": float}),
+        ("--benign-rate", 0.25, {"type": float}),
+        ("--malware-benign", 300, {"type": int}),
+        ("--malware-malicious", 300, {"type": int}),
+        ("--malware-features", 8, {"type": int}),
+        ("--malware-separation", 3.0, {"type": float}),
+        ("--malware-hard-fraction", 0.0, {"type": float}),
+    ]),
+    "augment": ("emit adversarial variants of a log file", [
+        ("--in", None, {"help": "input NDJSON log file"}),
+        ("--out", None, {"help": "output NDJSON path"}),
+        ("--ops", _OPS_ALL, {"help": "comma-separated operator names"}),
+        ("--rate", 0.5, {"type": float}),
+        ("--replace", False, {"action": argparse.BooleanOptionalAction,
+                              "help": "replace mutated records instead of appending variants"}),
+    ]),
+    "split": ("split logs/malware and build evaluation manifests", [
+        ("--logs", None, {"help": "input NDJSON log file"}),
+        ("--malware", None, {"help": "input malware CSV"}),
+        ("--out-dir", None, {"help": "directory for split files"}),
+        ("--kind", "TIME_ORDERED", {"choices": [k.value for k in SplitKind]}),
+        ("--fractions", "0.6,0.2,0.2", {"help": "train,validation,test e.g. 0.6,0.2,0.2"}),
+        ("--folds", 5, {"type": int}),
+        ("--val-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
+        ("--test-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {"help": "id column name; empty string if absent"}),
+    ]),
+    "train-log": ("fit vocabulary + logistic model on training logs", [
+        ("--train", None, {"help": "training NDJSON log file"}),
+        ("--artifact", None, {"help": "artifact path to create or update"}),
+        ("--min-df", 2, {"type": int}),
+        ("--max-features", 20000, {"type": int}),
+        ("--l2", 1e-3, {"type": float}),
+        ("--epochs", 300, {"type": int}),
+        ("--class-weight", "none", {"choices": ["none", "balanced"]}),
+    ]),
+    "train-malware": ("fit standardizer + random forest on training rows", [
+        ("--train", None, {"help": "training malware CSV"}),
+        ("--artifact", None, {"help": "artifact path to create or update"}),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {}),
+        ("--trees", 100, {"type": int}),
+        ("--max-depth", 12, {"type": int}),
+        ("--min-leaf", 2, {"type": int}),
+    ]),
+    "calibrate": ("fit per-model calibrators on the validation split", [
+        ("--artifact", None, {}),
+        ("--val-logs", None, {"help": "validation NDJSON log file"}),
+        ("--val-malware", None, {"help": "validation malware CSV"}),
+        ("--method", "auto", {"choices": ["auto", "platt", "isotonic", "identity"]}),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {}),
+    ]),
+    "tune": ("grid-search fusion thresholds on a validation manifest", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {"help": "validation manifest NDJSON"}),
+        ("--grid-step", 0.01, {"type": float}),
+        ("--version", "1", {"help": "version tag recorded in the fusion config"}),
+        ("--export-thresholds", None, {"help": "also write thresholds to this JSON file"}),
+    ]),
+    "evaluate": ("run a baseline setting on a test manifest", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {}),
+        ("--setting", "all", {"choices": ["logs", "malware", "fused", "all"]}),
+        ("--json-out", None, {"help": "write the report JSON here (default: stdout)"}),
+    ]),
+    "probe": ("robustness probe: score a manifest before/after mutation", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {}),
+        ("--ops", "KEYWORD_OBFUSCATION,CHAR_NOISE", {}),
+        ("--rate", 0.5, {"type": float}),
+        ("--json-out", None, {}),
+    ]),
+    "save": ("verify and re-write an artifact canonically", [
+        ("--artifact", None, {}),
+        ("--out", None, {}),
+        ("--created-at", None, {"type": int, "help": "epoch ms stamp (defaults to original)"}),
+    ]),
+    "serve": ("serve scoring over HTTP", [
+        ("--artifact", None, {}),
+        ("--bind", "127.0.0.1:8080", {"help": "host:port"}),
+    ]),
+    "score-batch": ("score an NDJSON request file offline", [
+        ("--artifact", None, {}),
+        ("--in", None, {"help": "input request NDJSON"}),
+        ("--out", None, {"help": "output result NDJSON (default: stdout)"}),
+    ]),
 }
+
+
+def _dest(flag: str) -> str:
+    return "in_path" if flag == "--in" else flag[2:].replace("-", "_")
+
+
+def _options(command: str) -> list[tuple]:
+    return [_SEED, *_COMMANDS[command][1]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -104,110 +170,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="aisoc",
         description="Desk-scale AI-SOC toolkit: calibrated detectors fused into triage levels.")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def _cmd(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        p.add_argument("--seed", type=int, help="random seed")
-        return p
-
-    p = _cmd("generate", "generate synthetic logs and malware features")
-    p.add_argument("--out-logs", help="output NDJSON path for log records")
-    p.add_argument("--out-malware", help="output CSV path for malware samples")
-    p.add_argument("--benign-hosts", type=int)
-    p.add_argument("--attack-sessions", type=int)
-    p.add_argument("--duration-s", type=float)
-    p.add_argument("--benign-rate", type=float)
-    p.add_argument("--malware-benign", type=int)
-    p.add_argument("--malware-malicious", type=int)
-    p.add_argument("--malware-features", type=int)
-    p.add_argument("--malware-separation", type=float)
-    p.add_argument("--malware-hard-fraction", type=float)
-
-    p = _cmd("augment", "emit adversarial variants of a log file")
-    p.add_argument("--in", dest="in_path", help="input NDJSON log file")
-    p.add_argument("--out", help="output NDJSON path")
-    p.add_argument("--ops", help="comma-separated operator names")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--replace", action=argparse.BooleanOptionalAction,
-                   help="replace mutated records instead of appending variants")
-
-    p = _cmd("split", "split logs/malware and build evaluation manifests")
-    p.add_argument("--logs", help="input NDJSON log file")
-    p.add_argument("--malware", help="input malware CSV")
-    p.add_argument("--out-dir", help="directory for split files")
-    p.add_argument("--kind", choices=[k.value for k in SplitKind])
-    p.add_argument("--fractions", help="train,validation,test e.g. 0.6,0.2,0.2")
-    p.add_argument("--folds", type=int)
-    p.add_argument("--val-supports", help="NORMAL,SUSPICIOUS,HIGH manifest supports")
-    p.add_argument("--test-supports", help="NORMAL,SUSPICIOUS,HIGH manifest supports")
-    p.add_argument("--label-column")
-    p.add_argument("--id-column", help="id column name; empty string if absent")
-
-    p = _cmd("train-log", "fit vocabulary + logistic model on training logs")
-    p.add_argument("--train", help="training NDJSON log file")
-    p.add_argument("--artifact", help="artifact path to create or update")
-    p.add_argument("--min-df", type=int)
-    p.add_argument("--max-features", type=int)
-    p.add_argument("--l2", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--class-weight", choices=["none", "balanced"])
-
-    p = _cmd("train-malware", "fit standardizer + random forest on training rows")
-    p.add_argument("--train", help="training malware CSV")
-    p.add_argument("--artifact", help="artifact path to create or update")
-    p.add_argument("--label-column")
-    p.add_argument("--id-column")
-    p.add_argument("--trees", type=int)
-    p.add_argument("--max-depth", type=int)
-    p.add_argument("--min-leaf", type=int)
-
-    p = _cmd("calibrate", "fit per-model calibrators on the validation split")
-    p.add_argument("--artifact")
-    p.add_argument("--val-logs", help="validation NDJSON log file")
-    p.add_argument("--val-malware", help="validation malware CSV")
-    p.add_argument("--method", choices=["auto", "platt", "isotonic", "identity"])
-    p.add_argument("--label-column")
-    p.add_argument("--id-column")
-
-    p = _cmd("tune", "grid-search fusion thresholds on a validation manifest")
-    p.add_argument("--artifact")
-    p.add_argument("--manifest", help="validation manifest NDJSON")
-    p.add_argument("--grid-step", type=float)
-    p.add_argument("--version", help="version tag recorded in the fusion config")
-    p.add_argument("--export-thresholds", help="also write thresholds to this JSON file")
-
-    p = _cmd("evaluate", "run a baseline setting on a test manifest")
-    p.add_argument("--artifact")
-    p.add_argument("--manifest")
-    p.add_argument("--setting", choices=["logs", "malware", "fused", "all"])
-    p.add_argument("--json-out", help="write the report JSON here (default: stdout)")
-
-    p = _cmd("probe", "robustness probe: score a manifest before/after mutation")
-    p.add_argument("--artifact")
-    p.add_argument("--manifest")
-    p.add_argument("--ops")
-    p.add_argument("--rate", type=float)
-    p.add_argument("--json-out")
-
-    p = _cmd("save", "verify and re-write an artifact canonically")
-    p.add_argument("--artifact")
-    p.add_argument("--out")
-    p.add_argument("--created-at", type=int, help="epoch ms stamp (defaults to original)")
-
-    p = _cmd("serve", "serve scoring over HTTP")
-    p.add_argument("--artifact")
-    p.add_argument("--bind", help="host:port")
-
-    p = _cmd("score-batch", "score an NDJSON request file offline")
-    p.add_argument("--artifact")
-    p.add_argument("--in", dest="in_path", help="input request NDJSON")
-    p.add_argument("--out", help="output result NDJSON (default: stdout)")
+        for flag, _default, kwargs in _options(command):
+            p.add_argument(flag, dest=_dest(flag), **kwargs)
     return parser
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    defaults = dict(_DEFAULTS[args.command])
+    defaults = {_dest(flag): default for flag, default, _ in _options(args.command)}
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -216,9 +188,7 @@ def _merge_options(args: argparse.Namespace) -> dict:
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a flat JSON object")
         for key, value in file_cfg.items():
-            norm = key.replace("-", "_")
-            if norm == "in":
-                norm = "in_path"
+            norm = _dest("--" + key)
             if norm not in defaults:
                 raise ConfigError(f"{args.config}: unknown option {key!r} for {args.command}")
             defaults[norm] = value
@@ -255,14 +225,20 @@ def _ops(value) -> list[AugmentOp]:
         raise ConfigError(f"unknown augmentation op in {value!r}") from exc
 
 
+def _emit_json(obj: dict, path: str | None, what: str) -> None:
+    """Write ``obj`` as indented JSON to ``path``, or print it when no path is given."""
+    text = json.dumps(obj, sort_keys=True, indent=2)
+    if path:
+        Path(path).write_text(text + "\n", encoding="utf-8")
+        print(f"wrote {what} JSON to {path}")
+    else:
+        print(text)
+
+
 def _load_or_new_artifact(path: str) -> ModelArtifact:
     if Path(path).exists():
         return load_artifact(path)
     return build_artifact(created_at=EPOCH_MS)
-
-
-def _binary(items) -> list[int]:
-    return [1 if item.label is Label.MALICIOUS else 0 for item in items]
 
 
 def _cmd_generate(opts: dict) -> int:
@@ -352,20 +328,18 @@ def _cmd_train_log(opts: dict) -> int:
     loaded = load_log_ndjson(opts["train"])
     if loaded.rejected:
         print(f"skipped {loaded.rejected} malformed line(s)", file=sys.stderr)
-    vocab = fit_vocabulary(loaded.records, min_df=opts["min_df"],
-                           max_features=opts["max_features"])
-    X = [transform_text(r.message, vocab) for r in loaded.records]
     class_weight = None if opts["class_weight"] in (None, "none") else opts["class_weight"]
-    model = train_logistic(X, _binary(loaded.records), l2=opts["l2"],
-                           epochs=opts["epochs"], seed=opts["seed"],
-                           class_weight=class_weight)
+    vocab, model = train_log_detector(loaded.records, min_df=opts["min_df"],
+                                      max_features=opts["max_features"], l2=opts["l2"],
+                                      epochs=opts["epochs"], seed=opts["seed"],
+                                      class_weight=class_weight)
     artifact = _load_or_new_artifact(opts["artifact"])
     artifact.vocabulary = vocab
     artifact.logistic = model
     artifact.fingerprints["logs_data"] = corpus_fingerprint(loaded.records)
     artifact.fingerprints["logs_seed"] = str(opts["seed"])
     checksum = save_artifact(artifact, opts["artifact"])
-    print(f"trained log model on {len(X)} records (vocab {vocab.size}); "
+    print(f"trained log model on {len(loaded.records)} records (vocab {vocab.size}); "
           f"artifact {artifact.status} {checksum[:19]}")
     return 0
 
@@ -376,38 +350,27 @@ def _cmd_train_malware(opts: dict) -> int:
                               id_column=opts["id_column"] or None)
     if loaded.rejected:
         print(f"skipped {loaded.rejected} malformed row(s)", file=sys.stderr)
-    standardizer = fit_standardizer(loaded.samples)
-    X = np.stack([transform_dense(s, standardizer) for s in loaded.samples])
-    forest = train_forest(X, _binary(loaded.samples), n_trees=opts["trees"],
-                          max_depth=opts["max_depth"], min_samples_leaf=opts["min_leaf"],
-                          seed=opts["seed"])
+    standardizer, forest = train_malware_detector(
+        loaded.samples, n_trees=opts["trees"], max_depth=opts["max_depth"],
+        min_samples_leaf=opts["min_leaf"], seed=opts["seed"])
     artifact = _load_or_new_artifact(opts["artifact"])
     artifact.standardizer = standardizer
     artifact.forest = forest
     artifact.fingerprints["malware_data"] = malware_fingerprint(loaded.samples)
     artifact.fingerprints["malware_seed"] = str(opts["seed"])
     checksum = save_artifact(artifact, opts["artifact"])
-    print(f"trained malware model on {len(X)} samples; artifact {artifact.status} {checksum[:19]}")
+    print(f"trained malware model on {len(loaded.samples)} samples; "
+          f"artifact {artifact.status} {checksum[:19]}")
     return 0
 
 
 def _cmd_calibrate(opts: dict) -> int:
     _require(opts, "artifact", "val_logs", "val_malware")
     artifact = load_artifact(opts["artifact"])
-    for component in ("vocabulary", "logistic", "standardizer", "forest"):
-        if getattr(artifact, component) is None:
-            raise ConfigError(f"artifact is missing {component}; train both models first")
-    method = None if opts["method"] == "auto" else calibrate_mod.CalibrationMethod(
-        opts["method"].upper())
     logs = load_log_ndjson(opts["val_logs"]).records
-    raw_l = [score_logistic(artifact.logistic, transform_text(r.message, artifact.vocabulary))
-             for r in logs]
-    artifact.calibrator_logs = calibrate_mod.fit_calibrator(raw_l, _binary(logs), method)
     samples = load_malware_csv(opts["val_malware"], label_column=opts["label_column"],
                                id_column=opts["id_column"] or None).samples
-    raw_m = [score_forest(artifact.forest, transform_dense(s, artifact.standardizer))
-             for s in samples]
-    artifact.calibrator_malware = calibrate_mod.fit_calibrator(raw_m, _binary(samples), method)
+    calibrate_detectors(artifact, logs, samples, opts["method"])
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"calibrators: logs={artifact.calibrator_logs.method.value} "
           f"malware={artifact.calibrator_malware.method.value}; "
@@ -415,44 +378,18 @@ def _cmd_calibrate(opts: dict) -> int:
     return 0
 
 
-def _pre_tune_scorer(artifact: ModelArtifact) -> Scorer:
-    """Scorer over a calibrated-but-untuned artifact (placeholder thresholds)."""
-    for component in ("vocabulary", "logistic", "standardizer", "forest",
-                      "calibrator_logs", "calibrator_malware"):
-        if getattr(artifact, component) is None:
-            raise ConfigError(f"artifact is missing {component}")
-    return Scorer(vocabulary=artifact.vocabulary, logistic=artifact.logistic,
-                  calibrator_logs=artifact.calibrator_logs,
-                  standardizer=artifact.standardizer, forest=artifact.forest,
-                  calibrator_malware=artifact.calibrator_malware,
-                  fusion_config=artifact.fusion or FusionConfig(t_m=0.5, t_l=0.5),
-                  artifact_version=artifact.version)
-
-
-def _scored_pairs(artifact: ModelArtifact, items) -> list[CalibratedScorePair]:
-    scorer = _pre_tune_scorer(artifact)
-    return [CalibratedScorePair(s_m=scorer.score_malware(i.malware.features),
-                                s_l=scorer.score_log(i.log.message), entity_id=i.entity_id)
-            for i in items]
-
-
 def _cmd_tune(opts: dict) -> int:
     _require(opts, "artifact", "manifest")
     artifact = load_artifact(opts["artifact"])
-    items = read_manifest(opts["manifest"])
-    pairs = _scored_pairs(artifact, items)
-    truth = [derive_truth_triage(i.malware.label, i.log.label) for i in items]
-    config = tune_thresholds(pairs, truth, grid_step=opts["grid_step"],
-                             tuned_on=str(opts["manifest"]), version=opts["version"])
-    macro = tuning_macro_f1(pairs, truth, config)
+    pairs, truth = validation_pairs(artifact, read_manifest(opts["manifest"]))
+    config, macro = tune_fusion(pairs, truth, grid_step=opts["grid_step"],
+                                tuned_on=Path(opts["manifest"]).name, version=opts["version"])
     artifact.fusion = config
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"selected thresholds t_m={config.t_m:.2f} t_l={config.t_l:.2f} "
           f"(validation macro-F1 {macro:.4f}); artifact {artifact.status} {checksum[:19]}")
     if opts["export_thresholds"]:
-        Path(opts["export_thresholds"]).write_text(
-            json.dumps(config.to_dict(), sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        print(f"exported thresholds to {opts['export_thresholds']}")
+        _emit_json(config.to_dict(), opts["export_thresholds"], "thresholds")
     return 0
 
 
@@ -460,7 +397,7 @@ def _cmd_evaluate(opts: dict) -> int:
     _require(opts, "artifact", "manifest")
     artifact = load_artifact(opts["artifact"])
     items = read_manifest(opts["manifest"])
-    reports = run_baselines(artifact.to_scorer(), items, split=str(opts["manifest"]),
+    reports = run_baselines(artifact.to_scorer(), items, split=Path(opts["manifest"]).name,
                             fingerprints=dict(artifact.fingerprints))
     selected = {"logs": ["logs"], "malware": ["malware"], "fused": ["fused"],
                 "all": ["logs", "malware", "fused"]}[opts["setting"]]
@@ -468,13 +405,7 @@ def _cmd_evaluate(opts: dict) -> int:
     for name in selected:
         print(reports[name].render_table())
         print()
-    text = json.dumps(payload if len(selected) > 1 else payload[selected[0]],
-                      sort_keys=True, indent=2)
-    if opts["json_out"]:
-        Path(opts["json_out"]).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote report JSON to {opts['json_out']}")
-    else:
-        print(text)
+    _emit_json(payload if len(selected) > 1 else payload[selected[0]], opts["json_out"], "report")
     return 0
 
 
@@ -490,12 +421,7 @@ def _cmd_probe(opts: dict) -> int:
           f"(delta {report.fused_macro_f1_delta:+.4f})")
     print(f"HIGH items with stable malware evidence degraded to NORMAL: "
           f"{report.high_degraded_to_normal}/{report.high_with_stable_malware}")
-    text = json.dumps(report.to_json_dict(), sort_keys=True, indent=2)
-    if opts["json_out"]:
-        Path(opts["json_out"]).write_text(text + "\n", encoding="utf-8")
-        print(f"wrote probe JSON to {opts['json_out']}")
-    else:
-        print(text)
+    _emit_json(report.to_json_dict(), opts["json_out"], "probe")
     return 0
 
 

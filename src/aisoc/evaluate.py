@@ -143,9 +143,14 @@ def score_items(scorer: Scorer, items: Sequence[ManifestItem]) -> list[Calibrate
 def run_baselines(scorer: Scorer, items: Sequence[ManifestItem], split: str = "test",
                   fingerprints: dict | None = None) -> dict[str, EvalReport]:
     """Evaluate logs-only, malware-only, and fused on the same manifest."""
+    return _baseline_reports(scorer, items, score_items(scorer, items), split, fingerprints)
+
+
+def _baseline_reports(scorer: Scorer, items: Sequence[ManifestItem],
+                      pairs: Sequence[CalibratedScorePair], split: str,
+                      fingerprints: dict | None = None) -> dict[str, EvalReport]:
     if not items:
         raise MetricError("cannot evaluate an empty manifest")
-    pairs = score_items(scorer, items)
     cfg = scorer.fusion_config
     fingerprints = dict(fingerprints or {})
     fingerprints.setdefault("manifest", manifest_fingerprint(items))
@@ -232,15 +237,14 @@ def robustness_probe(scorer: Scorer, items: Sequence[ManifestItem],
     untouched, so every item's s_m is identical before and after.
     """
     ops = [AugmentOp(op) for op in ops]
-    before = run_baselines(scorer, items, split="probe")
+    pairs_before = score_items(scorer, items)
+    before = _baseline_reports(scorer, items, pairs_before, split="probe")
     mutated_logs = augment([item.log for item in items], ops, rate,
                            seed=derive_seed(seed, "robustness-probe"), replace=True)
     variants = [ManifestItem(entity_id=item.entity_id, log=log, malware=item.malware)
                 for item, log in zip(items, mutated_logs)]
-    after = run_baselines(scorer, variants, split="probe-adversarial")
-
-    pairs_before = score_items(scorer, items)
     pairs_after = score_items(scorer, variants)
+    after = _baseline_reports(scorer, variants, pairs_after, split="probe-adversarial")
     high_stable = 0
     degraded_to_normal = 0
     for p_before, p_after in zip(pairs_before, pairs_after):
@@ -312,12 +316,14 @@ def multi_seed(run_fn: Callable[[int], EvalReport], seeds: Sequence[int]) -> Mul
         median_seed=seeds[median_idx], median_report=report)
 
 
-def manifest_fingerprint(items: Sequence[ManifestItem]) -> str:
+def fingerprint(parts: Iterable[str]) -> str:
+    """``sha256:<hex>`` over the UTF-8 bytes of ``parts``, one record's string each."""
     digest = hashlib.sha256()
-    for item in items:
-        digest.update(item.entity_id.encode())
-        digest.update(item.log.message.encode())
-        digest.update(repr(item.malware.features).encode())
-        digest.update(str(item.log.label).encode())
-        digest.update(str(item.malware.label).encode())
+    for part in parts:
+        digest.update(part.encode("utf-8"))
     return f"sha256:{digest.hexdigest()}"
+
+
+def manifest_fingerprint(items: Sequence[ManifestItem]) -> str:
+    return fingerprint(f"{item.entity_id}{item.log.message}{item.malware.features!r}"
+                       f"{item.log.label!s}{item.malware.label!s}" for item in items)

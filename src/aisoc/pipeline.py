@@ -9,7 +9,6 @@ reproducibility.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -31,13 +30,13 @@ from .corpus import (
     generate_malware,
     split,
 )
-from .errors import TrainingError
-from .evaluate import ManifestItem, build_manifest, run_baselines
+from .errors import ConfigError, TrainingError
+from .evaluate import ManifestItem, build_manifest, fingerprint, run_baselines, score_items
 from .features import fit_standardizer, fit_vocabulary, transform_dense, transform_text
 from .fusion import (
     CalibratedScorePair,
     FusionConfig,
-    derive_truth_triage,
+    TriageLabel,
     tune_thresholds,
     tuning_macro_f1,
 )
@@ -107,60 +106,91 @@ class ExperimentResult:
 
 
 def corpus_fingerprint(records: list[LogRecord]) -> str:
-    digest = hashlib.sha256()
-    for r in records:
-        digest.update(f"{r.timestamp}|{r.host}|{r.channel.value}|{r.message}|"
-                      f"{r.label.value if r.label else ''}".encode("utf-8"))
-    return f"sha256:{digest.hexdigest()}"
+    return fingerprint(f"{r.timestamp}|{r.host}|{r.channel.value}|{r.message}|"
+                       f"{r.label.value if r.label else ''}" for r in records)
 
 
 def malware_fingerprint(samples: list[MalwareSample]) -> str:
-    digest = hashlib.sha256()
-    for s in samples:
-        digest.update(f"{s.sample_id}|{s.features!r}|"
-                      f"{s.label.value if s.label else ''}".encode("utf-8"))
-    return f"sha256:{digest.hexdigest()}"
+    return fingerprint(f"{s.sample_id}|{s.features!r}|{s.label.value if s.label else ''}"
+                       for s in samples)
 
 
-def _binary_labels(items, attr: str = "label") -> list[int]:
-    return [1 if getattr(x, attr) is Label.MALICIOUS else 0 for x in items]
+def _binary_labels(items) -> list[int]:
+    return [1 if x.label is Label.MALICIOUS else 0 for x in items]
 
 
-def train_log_detector(train_records: list[LogRecord], config: ExperimentConfig):
+# -- stages: each fits one component; the CLI runs them one per subcommand --
+
+def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_features: int,
+                       l2: float, epochs: int, seed: int, class_weight: str | None = None):
     """Fit vocabulary + logistic model on (possibly augmented) training logs."""
-    vocab = fit_vocabulary(train_records, min_df=config.min_df,
-                           max_features=config.max_features)
+    vocab = fit_vocabulary(train_records, min_df=min_df, max_features=max_features)
     X = [transform_text(r.message, vocab) for r in train_records]
-    y = _binary_labels(train_records)
-    model = train_logistic(X, y, l2=config.logistic_l2, epochs=config.logistic_epochs,
-                           seed=derive_seed(config.seed, "train-logistic"))
+    model = train_logistic(X, _binary_labels(train_records), l2=l2, epochs=epochs, seed=seed,
+                           class_weight=class_weight)
     return vocab, model
 
-def train_malware_detector(train_samples: list[MalwareSample], config: ExperimentConfig):
+
+def train_malware_detector(train_samples: list[MalwareSample], *, n_trees: int,
+                           max_depth: int, min_samples_leaf: int, seed: int):
     """Fit standardizer + random forest on training malware rows."""
     standardizer = fit_standardizer(train_samples)
     X = np.stack([transform_dense(s, standardizer) for s in train_samples])
-    y = _binary_labels(train_samples)
-    forest = train_forest(X, y, n_trees=config.forest_trees, max_depth=config.forest_depth,
-                          min_samples_leaf=config.forest_min_leaf,
-                          seed=derive_seed(config.seed, "train-forest"))
+    forest = train_forest(X, _binary_labels(train_samples), n_trees=n_trees,
+                          max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed)
     return standardizer, forest
 
 
-def _calibration_method(config: ExperimentConfig) -> calibrate.CalibrationMethod | None:
-    if config.calibration == "auto":
-        return None
-    return calibrate.CalibrationMethod(config.calibration.upper())
+def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
+                        val_samples: list[MalwareSample], method: str) -> None:
+    """Fit both calibrators of ``artifact``; ``method`` "auto" selects per detector."""
+    for component in ("vocabulary", "logistic", "standardizer", "forest"):
+        if getattr(artifact, component) is None:
+            raise ConfigError(f"artifact is missing {component}; train both models first")
+    chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
+    raw_log = [score_logistic(artifact.logistic, transform_text(r.message, artifact.vocabulary))
+               for r in val_logs]
+    artifact.calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
+    raw_mw = [score_forest(artifact.forest, transform_dense(s, artifact.standardizer))
+              for s in val_samples]
+    artifact.calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples),
+                                                           chosen)
+
+
+def validation_pairs(artifact: ModelArtifact, items: list[ManifestItem]
+                     ) -> tuple[list[CalibratedScorePair], list[TriageLabel]]:
+    """Calibrated score pairs and triage truth of ``items`` before thresholds exist."""
+    # Pair scores do not depend on the thresholds, so placeholders serve.
+    scorer = replace(artifact, fusion=FusionConfig(t_m=0.5, t_l=0.5)).to_scorer()
+    return score_items(scorer, items), [item.truth for item in items]
+
+
+def tune_fusion(pairs: list[CalibratedScorePair], truth: list[TriageLabel], *,
+                grid_step: float, tuned_on: str, version: str) -> tuple[FusionConfig, float]:
+    """Grid-searched thresholds and the macro-F1 they reach on ``pairs``."""
+    fusion = tune_thresholds(pairs, truth, grid_step=grid_step, tuned_on=tuned_on,
+                             version=version)
+    return fusion, tuning_macro_f1(pairs, truth, fusion)
+
+
+def _deduped_logs(config: ExperimentConfig) -> list[LogRecord]:
+    logs = generate_corpus(ScenarioConfig(
+        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
+        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
+        benign_rate_per_host=config.benign_rate_per_host))
+    return dedup_near_identical(logs, config.dedup_threshold)
+
+
+def _train_logs(records: list[LogRecord], config: ExperimentConfig):
+    return train_log_detector(records, min_df=config.min_df, max_features=config.max_features,
+                              l2=config.logistic_l2, epochs=config.logistic_epochs,
+                              seed=derive_seed(config.seed, "train-logistic"))
 
 
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run generate -> dedup -> split -> train -> calibrate -> tune -> evaluate."""
     # Telemetry.
-    logs = generate_corpus(ScenarioConfig(
-        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
-        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
-        benign_rate_per_host=config.benign_rate_per_host))
-    logs = dedup_near_identical(logs, config.dedup_threshold)
+    logs = _deduped_logs(config)
     log_split = split(logs, SplitSpec(kind=SplitKind.TIME_ORDERED,
                                       fractions=config.log_fractions))
     train_logs = log_split.train
@@ -177,51 +207,36 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     malware_split = split(malware, SplitSpec(
         kind=SplitKind.STRATIFIED_RANDOM, fractions=config.malware_fractions,
         seed=derive_seed(config.seed, "split-malware")))
-
-    # Detectors.
-    vocab, log_model = train_log_detector(train_logs, config)
-    standardizer, forest = train_malware_detector(malware_split.train, config)
-
-    # Calibration on the validation splits.
-    method = _calibration_method(config)
-    raw_log = [score_logistic(log_model, transform_text(r.message, vocab))
-               for r in log_split.validation]
-    cal_logs = calibrate.fit_calibrator(raw_log, _binary_labels(log_split.validation), method)
-    raw_mw = [score_forest(forest, transform_dense(s, standardizer))
-              for s in malware_split.validation]
-    cal_mw = calibrate.fit_calibrator(raw_mw, _binary_labels(malware_split.validation), method)
-
     fingerprints = {
         "logs_data": corpus_fingerprint(logs),
         "malware_data": malware_fingerprint(malware),
         "seed": str(config.seed),
     }
+    artifact = build_artifact(fingerprints=fingerprints, created_at=EPOCH_MS)
+
+    # Detectors, then their calibrators on the validation splits.
+    artifact.vocabulary, artifact.logistic = _train_logs(train_logs, config)
+    artifact.standardizer, artifact.forest = train_malware_detector(
+        malware_split.train, n_trees=config.forest_trees, max_depth=config.forest_depth,
+        min_samples_leaf=config.forest_min_leaf, seed=derive_seed(config.seed, "train-forest"))
+    calibrate_detectors(artifact, log_split.validation, malware_split.validation,
+                        config.calibration)
 
     # Threshold selection on a validation manifest.
-    preliminary = Scorer(vocabulary=vocab, logistic=log_model, calibrator_logs=cal_logs,
-                         standardizer=standardizer, forest=forest,
-                         calibrator_malware=cal_mw,
-                         fusion_config=FusionConfig(t_m=0.5, t_l=0.5))
     val_items = build_manifest(log_split.validation, malware_split.validation,
                                supports=config.val_supports,
                                seed=derive_seed(config.seed, "manifest-validation"))
-    val_pairs = _score_pairs(preliminary, val_items)
-    val_truth = [derive_truth_triage(i.malware.label, i.log.label) for i in val_items]
-    if config.fixed_thresholds is not None:
+    val_pairs, val_truth = validation_pairs(artifact, val_items)
+    if config.fixed_thresholds is None:
+        fusion_config, validation_macro_f1 = tune_fusion(
+            val_pairs, val_truth, grid_step=config.grid_step, tuned_on="validation",
+            version=config.artifact_version_tag)
+    else:
         t_m, t_l = config.fixed_thresholds
         fusion_config = FusionConfig(t_m=t_m, t_l=t_l, grid_step=config.grid_step,
                                      tuned_on="fixed", version=config.artifact_version_tag)
-    else:
-        fusion_config = tune_thresholds(val_pairs, val_truth, grid_step=config.grid_step,
-                                        tuned_on="validation",
-                                        version=config.artifact_version_tag)
-    validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion_config)
-
-    artifact = build_artifact(vocabulary=vocab, logistic=log_model,
-                              calibrator_logs=cal_logs, standardizer=standardizer,
-                              forest=forest, calibrator_malware=cal_mw,
-                              fusion=fusion_config, fingerprints=fingerprints,
-                              created_at=EPOCH_MS)
+        validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion_config)
+    artifact.fusion = fusion_config
     scorer = artifact.to_scorer()
 
     # Final evaluation manifest and the three baseline settings.
@@ -235,13 +250,6 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                             reports=reports, test_items=test_items,
                             log_split=log_split, malware_split=malware_split,
                             fingerprints=fingerprints)
-
-
-def _score_pairs(scorer: Scorer, items) -> list[CalibratedScorePair]:
-    return [CalibratedScorePair(s_m=scorer.score_malware(i.malware.features),
-                                s_l=scorer.score_log(i.log.message),
-                                entity_id=i.entity_id)
-            for i in items]
 
 
 @dataclass
@@ -261,7 +269,7 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
         train_records, heldout = fold_split.fold_split(k)
         if len({r.label for r in train_records}) < 2:
             raise TrainingError(f"fold {k} training data is single-class")
-        vocab, model = train_log_detector(train_records, config)
+        vocab, model = _train_logs(train_records, config)
         predictions = []
         for record in heldout:
             p = score_logistic(model, transform_text(record.message, vocab))
@@ -277,12 +285,7 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
 
 def augmented_cv_corpus(config: ExperimentConfig) -> list[LogRecord]:
     """Generate + dedup + augment (all ops) a corpus for cross-validation."""
-    logs = generate_corpus(ScenarioConfig(
-        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
-        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
-        benign_rate_per_host=config.benign_rate_per_host))
-    logs = dedup_near_identical(logs, config.dedup_threshold)
-    return augment(logs, [AugmentOp(op) for op in config.augment_ops],
+    return augment(_deduped_logs(config), [AugmentOp(op) for op in config.augment_ops],
                    rate=config.augment_rate, seed=derive_seed(config.seed, "augment-cv"))
 
 
@@ -333,13 +336,8 @@ def complementary_error_manifest(result: ExperimentResult, n_patched: int = 12,
     return patched
 
 
-def evaluation_run(config: ExperimentConfig) -> EvalReport:
-    """One fused-report pipeline run, for seed sweeps (reseeds the config)."""
-    return run_experiment(config).reports["fused"]
-
-
 def seeded_runner(config: ExperimentConfig):
     """A run function for ``multi_seed``: seed -> fused EvalReport."""
     def _run(seed: int) -> EvalReport:
-        return evaluation_run(replace(config, seed=seed))
+        return run_experiment(replace(config, seed=seed)).reports["fused"]
     return _run

@@ -16,7 +16,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..calibrate import Calibrator
+import numpy as np
+
+from ..calibrate import CalibrationMethod, Calibrator
 from ..errors import ArtifactError
 from ..features import Standardizer, Vocabulary
 from ..fusion import FusionConfig
@@ -147,36 +149,101 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    """Load and verify a container file (checksum, format, completeness)."""
+    """Load and verify a container file (checksum, format, completeness, consistency)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
         raise ArtifactError(f"cannot read artifact {path}: {exc}") from exc
     try:
         envelope = json.loads(raw)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON or bytes, or nesting too deep
         raise ArtifactError(
             f"{path}: not a valid artifact container (truncated or corrupt, "
             f"checksum cannot be verified): {exc}") from exc
-    if not isinstance(envelope, dict) or set(envelope) != {"checksum", "payload"}:
+    if (not isinstance(envelope, dict) or set(envelope) != {"checksum", "payload"}
+            or not isinstance(envelope["payload"], dict)):
         raise ArtifactError(f"{path}: not an artifact container (bad envelope keys)")
     payload = envelope["payload"]
-    if checksum_of(payload) != envelope["checksum"]:
+    try:
+        checksum = checksum_of(payload)
+    except ValueError as exc:  # NaN or Infinity: the canonical form has no such number
+        raise ArtifactError(f"{path}: payload holds a non-finite number: {exc}") from exc
+    if checksum != envelope["checksum"]:
         raise ArtifactError(f"{path}: checksum mismatch; file is corrupt")
     if payload.get("format_version") != FORMAT_VERSION:
         raise ArtifactError(
             f"{path}: unknown format_version {payload.get('format_version')!r}, "
             f"expected {FORMAT_VERSION!r}")
-    if payload.get("status") == SERVING:
-        missing = [name for name in ("vocabulary", "logistic", "standardizer",
-                                     "forest", "fusion")
-                   if payload.get(name) is None]
-        missing += [f"calibrator_{kind}" for kind in ("logs", "malware")
-                    if payload.get("calibrators", {}).get(kind) is None]
-        if missing:
-            raise ArtifactError(
-                f"{path}: SERVING artifact is missing components: {', '.join(missing)}")
     try:
-        return ModelArtifact.from_payload(payload)
-    except (KeyError, TypeError, ValueError) as exc:
+        artifact = ModelArtifact.from_payload(payload)
+    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ArtifactError(f"{path}: malformed component payload: {exc}") from exc
+    missing = artifact.missing_components()
+    if payload.get("status") == SERVING and missing:
+        raise ArtifactError(
+            f"{path}: SERVING artifact is missing components: {', '.join(missing)}")
+    problems = _inconsistencies(artifact)
+    if problems:
+        raise ArtifactError(f"{path}: inconsistent artifact: {'; '.join(problems)}")
+    return artifact
+
+
+def _split_features(forest: ForestModel):
+    stack = list(forest.trees)
+    while stack:
+        node = stack.pop()
+        if not node.is_leaf:
+            yield node.feature
+            stack.extend((node.left, node.right))
+
+
+def _inconsistencies(artifact: ModelArtifact) -> list[str]:
+    """What keeps the present components from scoring together, if anything.
+
+    Each component parses on its own; this checks that their shapes agree
+    and that their parameters are finite (a number stored as a string such
+    as ``"nan"`` passes the checksum and the parse).
+    """
+    problems = []
+    numbers: dict[str, np.ndarray] = {}
+    vocab, logistic = artifact.vocabulary, artifact.logistic
+    if vocab is not None:
+        numbers["idf"] = vocab.idf
+        if vocab.idf.shape != (vocab.size,):
+            problems.append(f"{vocab.idf.size} idf weights for {vocab.size} vocabulary terms")
+        if logistic is not None and logistic.weights.shape != (vocab.size,):
+            problems.append(f"{logistic.weights.size} logistic weights for "
+                            f"{vocab.size} vocabulary terms")
+    if logistic is not None:
+        numbers["logistic"] = np.append(logistic.weights, logistic.bias)
+    std, forest = artifact.standardizer, artifact.forest
+    if std is not None:
+        numbers["standardizer"] = np.append(std.mean, std.std)
+        if std.mean.ndim != 1 or std.std.shape != std.mean.shape:
+            problems.append(f"standardizer has {std.mean.size} means and {std.std.size} scales")
+        elif forest is not None and std.dimension != forest.n_features:
+            problems.append(f"standardizer has {std.dimension} features, "
+                            f"the forest {forest.n_features}")
+    if forest is not None:
+        bad = sorted({f for f in _split_features(forest) if not 0 <= f < forest.n_features})
+        if bad:
+            problems.append(f"forest splits on feature(s) {bad[:5]} outside "
+                            f"[0, {forest.n_features})")
+    for name in ("calibrator_logs", "calibrator_malware"):
+        cal = getattr(artifact, name)
+        if cal is None or cal.method is CalibrationMethod.IDENTITY:
+            continue
+        if cal.method is CalibrationMethod.PLATT:
+            numbers[name] = np.array([cal.a, cal.b])
+            continue
+        xs, ys = cal.knot_scores, cal.knot_values
+        numbers[name] = np.append(xs, ys)
+        if xs.ndim != 1 or xs.shape != ys.shape or len(xs) == 0:
+            problems.append(f"{name} has {xs.size} knot scores and {ys.size} knot values")
+        elif np.any(np.diff(xs) < 0):
+            problems.append(f"{name} knot scores are not sorted")
+        elif not np.all((ys >= 0.0) & (ys <= 1.0)):
+            problems.append(f"{name} knot values are not all in [0, 1]")
+    problems += [f"{name} holds a non-finite number" for name, values in numbers.items()
+                 if not np.all(np.isfinite(values))]
+    return problems

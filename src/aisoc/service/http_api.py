@@ -11,8 +11,9 @@ The loaded artifact is immutable, every request is scored independently,
 and the threaded server keeps no cross-request state.
 
 Connections are HTTP/1.1 keep-alive. A request body needs a valid
-``Content-Length`` of at most ``MAX_BODY_BYTES`` (400 or 413 otherwise), a
-client silent for ``_Handler.timeout`` seconds is disconnected, and an
+``Content-Length`` of at most ``MAX_BODY_BYTES`` (400 or 413 otherwise,
+sent in place of ``100 Continue`` when the client expects one), a client
+silent for ``_Handler.timeout`` seconds is disconnected, and an
 unexpected failure is answered with a JSON 500 instead of a dropped
 connection.
 """
@@ -25,7 +26,6 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..errors import ArtifactError
 from .artifact import ModelArtifact
 from .scorer import RequestError
 
@@ -97,18 +97,32 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             self._send(404, {"error": f"unknown path {self.path}"})
 
-    @_answer_500
-    def do_POST(self) -> None:  # noqa: N802 - stdlib handler naming
+    def _admitted_length(self) -> int | None:
+        """Body length of an acceptable ``POST``; otherwise refuse it and return None."""
         if self.path != "/v1/score":
             self._refuse(404, f"unknown path {self.path}")
-            return
+            return None
         declared = (self.headers.get("Content-Length") or "").strip()
         if not (declared.isascii() and declared.isdigit()):
             self._refuse(400, f"Content-Length must be a non-negative integer, got {declared!r}")
-            return
+            return None
         length = int(declared)
         if length > MAX_BODY_BYTES:
             self._refuse(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+            return None
+        return length
+
+    def handle_expect_100(self) -> bool:
+        # A refused request is answered instead of ``100 Continue``, so the
+        # client never starts uploading a body that would not be read.
+        if self.command == "POST" and self._admitted_length() is None:
+            return False
+        return super().handle_expect_100()
+
+    @_answer_500
+    def do_POST(self) -> None:  # noqa: N802 - stdlib handler naming
+        length = self._admitted_length()
+        if length is None:
             return
         body = self.rfile.read(length)
         if len(body) < length:  # the client closed its side mid-body
@@ -132,13 +146,10 @@ class ScoringService:
     """A running (or startable) scoring server bound to one artifact."""
 
     def __init__(self, artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 0):
-        if artifact.status != "SERVING":
-            raise ArtifactError(
-                "refusing to serve a PARTIAL artifact; missing components: "
-                + ", ".join(artifact.missing_components()))
+        scorer = artifact.to_scorer()  # refuses a PARTIAL artifact before binding
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.artifact = artifact  # type: ignore[attr-defined]
-        self._server.scorer = artifact.to_scorer()  # type: ignore[attr-defined]
+        self._server.scorer = scorer  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
 
     @property

@@ -111,6 +111,37 @@ class TestPipelineCommands:
         assert envelope["payload"]["created_at"] == 12345
 
 
+def run_chain(root: Path) -> None:
+    """generate -> split -> train-log -> train-malware -> calibrate -> tune -> evaluate."""
+    logs, malware = root / "logs.ndjson", root / "malware.csv"
+    splits, artifact = root / "splits", root / "artifact.json"
+    root.mkdir(parents=True)
+    for argv in (
+        ["generate", "--out-logs", logs, "--out-malware", malware, "--attack-sessions", "4",
+         "--duration-s", "600", "--malware-benign", "80", "--malware-malicious", "80"],
+        ["split", "--logs", logs, "--malware", malware, "--out-dir", splits],
+        ["train-log", "--train", splits / "logs_train.ndjson", "--artifact", artifact],
+        ["train-malware", "--train", splits / "malware_train.csv", "--artifact", artifact,
+         "--trees", "10"],
+        ["calibrate", "--artifact", artifact, "--val-logs", splits / "logs_validation.ndjson",
+         "--val-malware", splits / "malware_validation.csv"],
+        ["tune", "--artifact", artifact, "--manifest", splits / "manifest_validation.ndjson"],
+        ["evaluate", "--artifact", artifact, "--manifest", splits / "manifest_test.ndjson",
+         "--json-out", root / "report.json"],
+    ):
+        assert main([str(a) for a in argv] + ["--seed", "7"]) == 0
+
+
+def test_chain_outputs_do_not_depend_on_the_directory(tmp_path, capsys):
+    run_chain(tmp_path / "one")
+    run_chain(tmp_path / "elsewhere" / "two")
+    for name in ("artifact.json", "report.json"):
+        assert (tmp_path / "one" / name).read_bytes() \
+            == (tmp_path / "elsewhere" / "two" / name).read_bytes()
+    report = json.loads((tmp_path / "one" / "report.json").read_text())
+    assert report["fused"]["split"] == "manifest_test.ndjson"
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "gen.json"

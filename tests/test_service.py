@@ -187,6 +187,17 @@ class TestHttpTransport:
             assert response.status == 200
             assert json.loads(response.read())["modality"] == "logs_only"
 
+    @pytest.mark.parametrize("length,status", [("5000000", 413), (str(MAX_BODY_BYTES + 1), 413),
+                                               ("-1", 400), ("abc", 400)])
+    def test_expect_100_with_refused_length_gets_no_100(self, service, length, status):
+        with socket.create_connection(service.address, timeout=CLIENT_TIMEOUT_S) as sock:
+            sock.sendall(_post_head(length, "Expect: 100-continue\r\n"))
+            reply = b""
+            while chunk := sock.recv(4096):  # the refusal closes the connection
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert b"HTTP/1.1 100" not in reply
+
     @pytest.mark.parametrize("length", ["-1", "abc", "1_0", "", None])
     def test_bad_content_length_gets_400(self, service, length):
         # no body: the headers alone decide, and no unread bytes turn the close into a reset
