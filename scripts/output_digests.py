@@ -5,7 +5,9 @@ Runs ``run_experiment(ExperimentConfig(seed=7))`` and prints the digest of
 the saved artifact and of the three report JSON files, then runs the
 seven-command CLI chain (generate -> split -> train-log -> train-malware ->
 calibrate -> tune -> evaluate) at seed 7 and prints the digest of its
-artifact and ``report.json``.
+artifact and ``report.json``. Last, ``score-batch`` scores the chain's test
+manifest as requests, plus one logs-only, one malware-only and one
+malformed line, and the digest of its output NDJSON is printed.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -21,6 +23,7 @@ has ``aisoc.pipeline``, ``aisoc.service`` and ``aisoc.cli``::
 import argparse
 import contextlib
 import hashlib
+import json
 import sys
 import tempfile
 from pathlib import Path
@@ -49,6 +52,26 @@ def pipeline_digests(out_dir: Path) -> dict[str, str]:
     return digests
 
 
+def run_cli(argv: list) -> None:
+    argv = [str(a) for a in argv] + ["--seed", SEED]
+    with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the digests
+        code = cli_main(argv)
+    if code != 0:
+        raise SystemExit(f"aisoc {argv[0]} exited with {code}")
+
+
+def write_batch_input(manifest: Path, path: Path) -> None:
+    """The manifest's items as score requests, then three lines of other kinds."""
+    requests = [{key: item[key] for key in ("entity_id", "log_message", "malware_features")}
+                for item in map(json.loads, manifest.read_text(encoding="utf-8").splitlines())]
+    lines = [json.dumps(r, ensure_ascii=False) for r in requests]
+    lines += [json.dumps({"entity_id": "logs-only", "log_message": requests[0]["log_message"]},
+                         ensure_ascii=False),
+              json.dumps({"malware_features": requests[0]["malware_features"]}),
+              '{"log_message": ']
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
 def cli_digests(chain: Path) -> dict[str, str]:
     chain.mkdir(parents=True, exist_ok=True)
     logs, malware = chain / "logs.ndjson", chain / "malware.csv"
@@ -65,13 +88,13 @@ def cli_digests(chain: Path) -> dict[str, str]:
          "--json-out", chain / "report.json"],
     ]
     for argv in commands:
-        argv = [str(a) for a in argv] + ["--seed", SEED]
-        with contextlib.redirect_stdout(sys.stderr):  # stdout carries only the digests
-            code = cli_main(argv)
-        if code != 0:
-            raise SystemExit(f"aisoc {argv[0]} exited with {code}")
+        run_cli(argv)
+    batch_in, batch_out = chain / "batch_requests.ndjson", chain / "batch_results.ndjson"
+    write_batch_input(splits / "manifest_test.ndjson", batch_in)
+    run_cli(["score-batch", "--artifact", artifact, "--in", batch_in, "--out", batch_out])
     return {"cli.artifact": sha256_bytes(artifact.read_bytes()),
-            "cli.report": sha256_bytes((chain / "report.json").read_bytes())}
+            "cli.report": sha256_bytes((chain / "report.json").read_bytes()),
+            "cli.score_batch": sha256_bytes(batch_out.read_bytes())}
 
 
 def main() -> int:

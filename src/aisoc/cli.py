@@ -235,6 +235,18 @@ def _emit_json(obj: dict, path: str | None, what: str) -> None:
         print(text)
 
 
+def _loaded(result, what: str):
+    """``result`` of a loader, after telling stderr how many malformed ``what`` it skipped."""
+    if result.rejected:
+        print(f"skipped {result.rejected} malformed {what}", file=sys.stderr)
+    return result
+
+
+def _load_malware(opts: dict, path: str):
+    return load_malware_csv(path, label_column=opts["label_column"],
+                            id_column=opts["id_column"] or None)
+
+
 def _load_or_new_artifact(path: str) -> ModelArtifact:
     if Path(path).exists():
         return load_artifact(path)
@@ -261,9 +273,7 @@ def _cmd_generate(opts: dict) -> int:
 
 def _cmd_augment(opts: dict) -> int:
     _require(opts, "in_path", "out")
-    loaded = load_log_ndjson(opts["in_path"])
-    if loaded.rejected:
-        print(f"skipped {loaded.rejected} malformed input line(s)", file=sys.stderr)
+    loaded = _loaded(load_log_ndjson(opts["in_path"]), "input line(s)")
     out = augment(loaded.records, _ops(opts["ops"]), rate=opts["rate"],
                   seed=opts["seed"], replace=bool(opts["replace"]))
     write_log_ndjson(out, opts["out"])
@@ -284,9 +294,7 @@ def _cmd_split(opts: dict) -> int:
     _require(opts, "logs", "out_dir")
     out_dir = Path(opts["out_dir"])
     out_dir.mkdir(parents=True, exist_ok=True)
-    loaded = load_log_ndjson(opts["logs"])
-    if loaded.rejected:
-        print(f"skipped {loaded.rejected} malformed log line(s)", file=sys.stderr)
+    loaded = _loaded(load_log_ndjson(opts["logs"]), "log line(s)")
     kind = SplitKind(opts["kind"])
     spec = SplitSpec(kind=kind, fractions=_triplet(opts["fractions"]),
                      folds=opts["folds"] if kind is SplitKind.K_FOLD else 0,
@@ -302,10 +310,7 @@ def _cmd_split(opts: dict) -> int:
     print(f"wrote log splits {[len(log_split.train), len(log_split.validation), len(log_split.test)]} to {out_dir}")
     if not opts["malware"]:
         return 0
-    mal = load_malware_csv(opts["malware"], label_column=opts["label_column"],
-                           id_column=opts["id_column"] or None)
-    if mal.rejected:
-        print(f"skipped {mal.rejected} malformed malware row(s)", file=sys.stderr)
+    mal = _loaded(_load_malware(opts, opts["malware"]), "malware row(s)")
     mal_split = split(mal.samples, SplitSpec(
         kind=SplitKind.STRATIFIED_RANDOM, fractions=_triplet(opts["fractions"]),
         seed=derive_seed(opts["seed"], "split-malware")))
@@ -325,9 +330,7 @@ def _cmd_split(opts: dict) -> int:
 
 def _cmd_train_log(opts: dict) -> int:
     _require(opts, "train", "artifact")
-    loaded = load_log_ndjson(opts["train"])
-    if loaded.rejected:
-        print(f"skipped {loaded.rejected} malformed line(s)", file=sys.stderr)
+    loaded = _loaded(load_log_ndjson(opts["train"]), "line(s)")
     class_weight = None if opts["class_weight"] in (None, "none") else opts["class_weight"]
     vocab, model = train_log_detector(loaded.records, min_df=opts["min_df"],
                                       max_features=opts["max_features"], l2=opts["l2"],
@@ -346,10 +349,7 @@ def _cmd_train_log(opts: dict) -> int:
 
 def _cmd_train_malware(opts: dict) -> int:
     _require(opts, "train", "artifact")
-    loaded = load_malware_csv(opts["train"], label_column=opts["label_column"],
-                              id_column=opts["id_column"] or None)
-    if loaded.rejected:
-        print(f"skipped {loaded.rejected} malformed row(s)", file=sys.stderr)
+    loaded = _loaded(_load_malware(opts, opts["train"]), "row(s)")
     standardizer, forest = train_malware_detector(
         loaded.samples, n_trees=opts["trees"], max_depth=opts["max_depth"],
         min_samples_leaf=opts["min_leaf"], seed=opts["seed"])
@@ -367,9 +367,8 @@ def _cmd_train_malware(opts: dict) -> int:
 def _cmd_calibrate(opts: dict) -> int:
     _require(opts, "artifact", "val_logs", "val_malware")
     artifact = load_artifact(opts["artifact"])
-    logs = load_log_ndjson(opts["val_logs"]).records
-    samples = load_malware_csv(opts["val_malware"], label_column=opts["label_column"],
-                               id_column=opts["id_column"] or None).samples
+    logs = _loaded(load_log_ndjson(opts["val_logs"]), "validation log line(s)").records
+    samples = _loaded(_load_malware(opts, opts["val_malware"]), "validation malware row(s)").samples
     calibrate_detectors(artifact, logs, samples, opts["method"])
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"calibrators: logs={artifact.calibrator_logs.method.value} "
@@ -442,7 +441,7 @@ def _cmd_serve(opts: dict) -> int:
     if not host:
         raise ConfigError(f"--bind must be host:port, got {opts['bind']!r}")
     service = serve(artifact, (host, int(port)))
-    print(f"serving artifact {artifact.version} on {service.url}", flush=True)
+    print(f"serving artifact {service.artifact_version} on {service.url}", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:

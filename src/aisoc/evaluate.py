@@ -19,6 +19,7 @@ from typing import Callable, Iterable, Sequence
 from .corpus.augment import AugmentOp, augment
 from .corpus.records import Label, LogRecord, MalwareSample, Origin, Channel
 from .errors import ConfigError, LoadError, MetricError
+from .features import feature_matrix
 from .fusion import CalibratedScorePair, TriageLabel, derive_truth_triage, TRIAGE_CLASSES
 from .metrics import EvalReport, classification_report, pr_auc, roc_auc
 from .seeding import derive_seed
@@ -134,10 +135,12 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
 
 
 def score_items(scorer: Scorer, items: Sequence[ManifestItem]) -> list[CalibratedScorePair]:
-    return [CalibratedScorePair(s_m=scorer.score_malware(item.malware.features),
-                                s_l=scorer.score_log(item.log.message),
-                                entity_id=item.entity_id)
-            for item in items]
+    """Calibrated score pairs of ``items``, each modality scored as one block."""
+    s_m = scorer.score_malware(feature_matrix([item.malware for item in items],
+                                              scorer.standardizer))
+    s_l = scorer.score_log([item.log.message for item in items])
+    return [CalibratedScorePair(s_m=m, s_l=l, entity_id=item.entity_id)
+            for item, m, l in zip(items, s_m.tolist(), s_l.tolist())]
 
 
 def run_baselines(scorer: Scorer, items: Sequence[ManifestItem], split: str = "test",

@@ -6,7 +6,10 @@ kept inside tokens so IPs, paths, and command flags survive as single
 security-salient terms (trailing occurrences are trimmed; leading ones stay
 so flags like ``-i`` survive). Tokens shorter than 2 characters are dropped
 and pure integers longer than 4 digits collapse to the placeholder
-``<num>``.
+``<num>``. The split runs in C: ``str.translate`` maps every separator to a
+space through a table filled one character at a time from that rule, and
+``str.split()`` cuts at the spaces (every whitespace character is itself a
+separator, so the two agree on what a token is).
 
 IDF uses the smoothed variant ``ln((1 + N) / (1 + df)) + 1`` (always > 0),
 TF is the raw in-message count, and every non-empty vector is L2-normalized.
@@ -17,7 +20,6 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +33,6 @@ DEFAULT_MAX_FEATURES = 20_000
 _KEEP_CHARS = frozenset("./-:")
 
 
-@lru_cache(maxsize=4096)
 def _is_separator(ch: str) -> bool:
     if ch.isspace():
         return True
@@ -40,29 +41,44 @@ def _is_separator(ch: str) -> bool:
     return unicodedata.category(ch)[0] in ("P", "S")
 
 
+_TABLE_LIMIT = 4096
+
+
+class _SeparatorTable(dict):
+    """``str.translate`` table: separator code point -> space, others -> themselves.
+
+    Entries are filled on first sight from ``_is_separator``; past
+    ``_TABLE_LIMIT`` entries a character is classified without being stored,
+    so input with many distinct characters cannot grow the table unbounded.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        for code in range(128):  # ASCII keeps its entries whatever fills the rest
+            self.__missing__(code)
+
+    def __missing__(self, code: int) -> str:
+        ch = chr(code)
+        out = " " if _is_separator(ch) else ch
+        if len(self) < _TABLE_LIMIT:
+            self[code] = out
+        return out
+
+
+_SEPARATORS = _SeparatorTable()
+
+
 def tokenize(message: str) -> list[str]:
     """Split a log message into normalized tokens."""
     out: list[str] = []
-    buf: list[str] = []
-
-    def _flush() -> None:
-        tok = "".join(buf).rstrip("./-:")
-        buf.clear()
+    for raw in message.lower().translate(_SEPARATORS).split():
+        tok = raw.rstrip("./-:")
         if len(tok) < 2:
-            return
+            continue
         if len(tok) > 4 and tok.isascii() and tok.isdigit():
             out.append(NUM_TOKEN)
         else:
             out.append(tok)
-
-    for ch in message.lower():
-        if _is_separator(ch):
-            if buf:
-                _flush()
-        else:
-            buf.append(ch)
-    if buf:
-        _flush()
     return out
 
 
@@ -149,13 +165,13 @@ def fit_vocabulary(corpus: Iterable, min_df: int = DEFAULT_MIN_DF,
 
 def transform_text(message: str, vocab: Vocabulary) -> SparseVector:
     """Map a message to an L2-normalized TF-IDF vector (zero if all OOV)."""
-    counts = Counter(tokenize(message))
-    pairs = sorted((vocab.index[t], n) for t, n in counts.items() if t in vocab.index)
-    if not pairs:
+    index = vocab.index
+    counts = Counter([index[t] for t in tokenize(message) if t in index])
+    if not counts:
         return SparseVector(indices=np.empty(0, dtype=np.int64),
                             values=np.empty(0), dim=vocab.size)
-    indices = np.array([i for i, _ in pairs], dtype=np.int64)
-    values = np.array([n for _, n in pairs], dtype=float) * vocab.idf[indices]
+    indices = np.array(sorted(counts), dtype=np.int64)
+    values = np.array([counts[i] for i in indices.tolist()], dtype=float) * vocab.idf[indices]
     values /= np.sqrt(np.sum(values ** 2))
     return SparseVector(indices=indices, values=values, dim=vocab.size)
 
@@ -175,6 +191,11 @@ class Standardizer:
     def zero_variance(self) -> np.ndarray:
         return self.std == 0.0
 
+    def check_width(self, width: int) -> None:
+        if width != self.dimension:
+            raise DimensionError(
+                f"sample has {width} features, standardizer expects {self.dimension}")
+
     def to_dict(self) -> dict:
         return {"mean": [float(v) for v in self.mean], "std": [float(v) for v in self.std]}
 
@@ -184,25 +205,35 @@ class Standardizer:
                    std=np.asarray(payload["std"], dtype=float))
 
 
-def _feature_matrix(samples: Sequence) -> np.ndarray:
+def feature_matrix(samples: Sequence, params: Standardizer | None = None) -> np.ndarray:
+    """Samples (rows or objects with ``features``) as an (n, d) float matrix.
+
+    With ``params``, each row must have the standardizer's width.
+    """
     rows = [s.features if hasattr(s, "features") else s for s in samples]
-    return np.asarray(rows, dtype=float)
+    if params is None:
+        return np.asarray(rows, dtype=float)
+    for row in rows:
+        params.check_width(len(row))
+    return np.array(rows, dtype=float).reshape(len(rows), params.dimension)
 
 
 def fit_standardizer(samples: Sequence) -> Standardizer:
     if len(samples) == 0:
         raise TrainingError("cannot fit a standardizer on an empty sample set")
-    X = _feature_matrix(samples)
+    X = feature_matrix(samples)
     return Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))
 
 
 def transform_dense(sample, params: Standardizer) -> np.ndarray:
-    """Standardize one sample; zero-variance features pass through as 0."""
+    """Standardize one sample, or each row of an (n, d) matrix.
+
+    Zero-variance features pass through as 0.
+    """
     x = np.asarray(sample.features if hasattr(sample, "features") else sample, dtype=float)
-    if x.shape != params.mean.shape:
-        raise DimensionError(
-            f"sample has {x.shape[0]} features, standardizer expects {params.dimension}")
+    if x.ndim not in (1, 2):
+        raise DimensionError(f"expected one sample or a matrix of samples, got shape {x.shape}")
+    params.check_width(x.shape[-1])
     out = np.zeros_like(x)
-    ok = ~params.zero_variance
-    out[ok] = (x[ok] - params.mean[ok]) / params.std[ok]
+    np.divide(x - params.mean, params.std, out=out, where=~params.zero_variance)
     return out

@@ -7,9 +7,10 @@ weighted Gini break toward the lowest feature index, then the lowest
 threshold, so given a seed the forest is fully deterministic node-by-node.
 Samples route left when ``x[feature] <= threshold``.
 
-Scoring walks every tree at once over flat parallel node arrays (the layout
-of scikit-learn's ``Tree``; Louppe 2014, *Understanding Random Forests*,
-ch. 5) built once per model; the ``TreeNode`` form stays the serialized one.
+Scoring walks every tree at once, for one row or a whole matrix of rows,
+over flat parallel node arrays (the layout of scikit-learn's ``Tree``;
+Louppe 2014, *Understanding Random Forests*, ch. 5) built once per model;
+the ``TreeNode`` form stays the serialized one.
 """
 
 from __future__ import annotations
@@ -118,7 +119,7 @@ class _FlatForest:
     left: np.ndarray
     right: np.ndarray
     value: np.ndarray      # leaf positive fraction; unused on split nodes
-    depth: int             # deepest leaf over all trees
+    depth: int             # deepest leaf over all trees, at least 1
 
     @classmethod
     def of(cls, trees: Sequence[TreeNode]) -> "_FlatForest":
@@ -157,7 +158,10 @@ class _FlatForest:
                    feature=np.array(feature, dtype=np.intp),
                    threshold=np.array(threshold, dtype=float),
                    left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
-                   value=np.array(value, dtype=float), depth=depth)
+                   value=np.array(value, dtype=float),
+                   # one level even for single-leaf trees, so a matrix walk
+                   # always ends with one node per (row, tree)
+                   depth=max(depth, 1))
 
 
 def gini(n_neg: int, n_pos: int) -> float:
@@ -273,16 +277,25 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                        training_meta=meta)
 
 
-def score_forest(model: ForestModel, x) -> float:
-    """Mean over trees of the leaf-level positive-class fraction."""
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (model.n_features,):
-        raise DimensionError(f"vector dim {arr.shape} != model dim {model.n_features}")
+def score_forest(model: ForestModel, x):
+    """Mean over trees of the leaf-level positive-class fraction.
+
+    ``x`` is one row (returns a float) or an (n, d) matrix (returns one
+    score per row); both walk all trees at once, level by level.
+    """
+    X = np.asarray(x, dtype=float)
+    if X.ndim not in (1, 2) or X.shape[-1:] != (model.n_features,):
+        raise DimensionError(f"vector dim {X.shape} != model dim {model.n_features}")
     flat = model._flat
+    # a matrix is indexed (row, feature): rows as a column broadcast against
+    # the (rows, trees) node ids; one row is indexed by feature alone
+    rows = () if X.ndim == 1 else (np.arange(len(X))[:, None],)
     idx = flat.roots
     for _ in range(flat.depth):
-        idx = np.where(arr[flat.feature[idx]] <= flat.threshold[idx],
+        idx = np.where(X[rows + (flat.feature[idx],)] <= flat.threshold[idx],
                        flat.left[idx], flat.right[idx])
-    # Python's left-to-right float sum in tree order, not numpy's pairwise
-    # sum, so scores keep the bits of the per-tree accumulation.
-    return sum(flat.value[idx].tolist()) / len(model.trees)
+    # Leaf values added left to right in tree order (accumulate is
+    # sequential, unlike np.sum's pairwise sum), so every row keeps the bits
+    # of the per-tree accumulation.
+    scores = np.add.accumulate(flat.value[idx], axis=-1)[..., -1] / len(model.trees)
+    return float(scores) if X.ndim == 1 else scores

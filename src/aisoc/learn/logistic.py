@@ -51,15 +51,17 @@ class LogisticModel:
 
 
 def sigmoid(z):
+    """Logistic function, elementwise; a float for a scalar.
+
+    ``e = exp(-|z|)`` cannot overflow, and the result is ``1 / (1 + e)``
+    where ``z >= 0`` and ``e / (1 + e)`` elsewhere: the two stable branches,
+    computed without splitting the array. ``-|z|`` is taken as
+    ``min(z, -z)``, which keeps a NaN's sign.
+    """
     z = np.asarray(z, dtype=float)
-    scalar = z.ndim == 0
-    z = np.atleast_1d(z)
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return float(out[0]) if scalar else out
+    e = np.exp(np.minimum(z, -z))
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(out) if out.ndim == 0 else out
 
 
 def design_matrix(X: Sequence[SparseVector]) -> sp.csr_matrix:
@@ -171,15 +173,25 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
     return LogisticModel(weights=w, bias=b, regularization=l2, training_meta=meta)
 
 
-def score_logistic(model: LogisticModel, x) -> float:
-    """Raw probability sigmoid(w.x + b) for one feature vector."""
+def _margin(model: LogisticModel, x) -> float:
     if isinstance(x, SparseVector):
         if x.dim != model.dimension:
             raise DimensionError(f"vector dim {x.dim} != model dim {model.dimension}")
-        z = float(model.weights[x.indices] @ x.values) + model.bias
-    else:
-        arr = np.asarray(x, dtype=float)
-        if arr.shape != (model.dimension,):
-            raise DimensionError(f"vector dim {arr.shape} != model dim {model.dimension}")
-        z = float(model.weights @ arr) + model.bias
-    return float(sigmoid(z))
+        return float(model.weights[x.indices] @ x.values) + model.bias
+    arr = np.asarray(x, dtype=float)
+    if arr.shape != (model.dimension,):
+        raise DimensionError(f"vector dim {arr.shape} != model dim {model.dimension}")
+    return float(model.weights @ arr) + model.bias
+
+
+def score_logistic(model: LogisticModel, x):
+    """Raw probability sigmoid(w.x + b) for one feature vector, or for each of a list.
+
+    One SparseVector (or dense row) gives a float, a list of SparseVectors
+    an array. Each margin is its own row's ``weights[indices] @ values``
+    (a CSR product sums in another order), so a list scores bit for bit
+    like its vectors one at a time; the sigmoid then runs once over all.
+    """
+    single = isinstance(x, SparseVector) or (len(x) > 0 and not isinstance(x[0], SparseVector))
+    p = sigmoid(np.array([_margin(model, v) for v in ([x] if single else x)], dtype=float))
+    return float(p[0]) if single else p

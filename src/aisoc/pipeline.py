@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from . import calibrate
 from .corpus import (
     EPOCH_MS,
@@ -32,7 +30,13 @@ from .corpus import (
 )
 from .errors import ConfigError, TrainingError
 from .evaluate import ManifestItem, build_manifest, fingerprint, run_baselines, score_items
-from .features import fit_standardizer, fit_vocabulary, transform_dense, transform_text
+from .features import (
+    feature_matrix,
+    fit_standardizer,
+    fit_vocabulary,
+    transform_dense,
+    transform_text,
+)
 from .fusion import (
     CalibratedScorePair,
     FusionConfig,
@@ -135,7 +139,7 @@ def train_malware_detector(train_samples: list[MalwareSample], *, n_trees: int,
                            max_depth: int, min_samples_leaf: int, seed: int):
     """Fit standardizer + random forest on training malware rows."""
     standardizer = fit_standardizer(train_samples)
-    X = np.stack([transform_dense(s, standardizer) for s in train_samples])
+    X = transform_dense(feature_matrix(train_samples, standardizer), standardizer)
     forest = train_forest(X, _binary_labels(train_samples), n_trees=n_trees,
                           max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed)
     return standardizer, forest
@@ -148,11 +152,11 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
         if getattr(artifact, component) is None:
             raise ConfigError(f"artifact is missing {component}; train both models first")
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
-    raw_log = [score_logistic(artifact.logistic, transform_text(r.message, artifact.vocabulary))
-               for r in val_logs]
+    raw_log = score_logistic(artifact.logistic,
+                             [transform_text(r.message, artifact.vocabulary) for r in val_logs])
     artifact.calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
-    raw_mw = [score_forest(artifact.forest, transform_dense(s, artifact.standardizer))
-              for s in val_samples]
+    std = artifact.standardizer
+    raw_mw = score_forest(artifact.forest, transform_dense(feature_matrix(val_samples, std), std))
     artifact.calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples),
                                                            chosen)
 
@@ -270,10 +274,8 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
         if len({r.label for r in train_records}) < 2:
             raise TrainingError(f"fold {k} training data is single-class")
         vocab, model = _train_logs(train_records, config)
-        predictions = []
-        for record in heldout:
-            p = score_logistic(model, transform_text(record.message, vocab))
-            predictions.append(Label.MALICIOUS if p >= 0.5 else Label.BENIGN)
+        p = score_logistic(model, [transform_text(r.message, vocab) for r in heldout])
+        predictions = [Label.MALICIOUS if v >= 0.5 else Label.BENIGN for v in p]
         report = classification_report(predictions, [r.label for r in heldout],
                                        (Label.BENIGN, Label.MALICIOUS),
                                        setting="logs_cv", split=f"fold{k}")

@@ -1,8 +1,16 @@
-"""Offline NDJSON batch scoring: one output object per input line, in order."""
+"""Offline NDJSON batch scoring: one output object per input line, in order.
+
+Lines are read in blocks of ``BLOCK_LINES``. Each block's lines are decoded
+and validated one by one (a bad line becomes an error object in its place),
+and the valid requests are scored together by ``Scorer.score_many``, the
+kernel behind HTTP ``score_request``. The block size bounds the scoring
+arrays whatever the length of the file.
+"""
 
 from __future__ import annotations
 
 import json
+from itertools import islice
 from pathlib import Path
 from typing import Iterable
 
@@ -10,20 +18,32 @@ from ..errors import LoadError
 from .scorer import RequestError, Scorer
 
 _BATCH_FIELDS = ("entity_id", "s_m", "s_l", "label")
+BLOCK_LINES = 128
+
+
+def _score_block(scorer: Scorer, block: list[tuple[int, str]]) -> list[dict]:
+    results: list[dict] = []
+    valid, slots = [], []
+    for lineno, line in block:
+        if not line.strip():
+            continue
+        try:
+            valid.append(scorer.validate(json.loads(line)))
+            slots.append(len(results))
+            results.append({})
+        except (json.JSONDecodeError, RecursionError, RequestError) as exc:
+            results.append({"error": str(exc), "line": lineno})
+    for slot, response in zip(slots, scorer.score_many(valid)):
+        results[slot] = {k: response[k] for k in _BATCH_FIELDS if k in response}
+    return results
 
 
 def score_lines(scorer: Scorer, lines: Iterable[str]) -> list[dict]:
     """Score NDJSON request lines; malformed lines yield error objects in place."""
-    results = []
-    for lineno, line in enumerate(lines, start=1):
-        if not line.strip():
-            continue
-        try:
-            request = json.loads(line)
-            response = scorer.score_request(request)
-            results.append({k: response[k] for k in _BATCH_FIELDS if k in response})
-        except (json.JSONDecodeError, RequestError) as exc:
-            results.append({"error": str(exc), "line": lineno})
+    numbered = enumerate(lines, start=1)
+    results: list[dict] = []
+    while block := list(islice(numbered, BLOCK_LINES)):
+        results.extend(_score_block(scorer, block))
     return results
 
 

@@ -82,10 +82,12 @@ class _Handler(BaseHTTPRequestHandler):
     @_answer_500
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler naming
         artifact = self.server.artifact  # type: ignore[attr-defined]
-        if self.path == "/v1/health":
-            self._send(200, {"status": "ok", "artifact_version": artifact.version})
-        elif self.path == "/v1/model-info":
-            self._send(200, {
+        scorer = self.server.scorer  # type: ignore[attr-defined]
+        replies = {
+            # the version ``to_scorer`` hashed once at start; ``artifact.version``
+            # would serialize and hash the whole payload again on every call
+            "/v1/health": {"status": "ok", "artifact_version": scorer.artifact_version},
+            "/v1/model-info": {
                 "format_version": artifact.format_version,
                 "thresholds": {"t_m": artifact.fusion.t_m, "t_l": artifact.fusion.t_l},
                 "calibrators": {
@@ -93,7 +95,10 @@ class _Handler(BaseHTTPRequestHandler):
                     "logs": artifact.calibrator_logs.method.value,
                 },
                 "fingerprints": artifact.fingerprints,
-            })
+            },
+        }
+        if self.path in replies:
+            self._send(200, replies[self.path])
         else:
             self._send(404, {"error": f"unknown path {self.path}"})
 
@@ -130,7 +135,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError) as exc:
+        except (ValueError, UnicodeDecodeError, RecursionError) as exc:  # or nested too deep
             self._send(400, {"error": f"malformed JSON request: {exc}"})
             return
         try:
@@ -151,6 +156,10 @@ class ScoringService:
         self._server.artifact = artifact  # type: ignore[attr-defined]
         self._server.scorer = scorer  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
+
+    @property
+    def artifact_version(self) -> str:
+        return self._server.scorer.artifact_version  # type: ignore[attr-defined]
 
     @property
     def address(self) -> tuple[str, int]:

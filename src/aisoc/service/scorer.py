@@ -1,11 +1,19 @@
-"""Request scoring against a loaded artifact's models and calibrators."""
+"""Request scoring against a loaded artifact's models and calibrators.
+
+One kernel serves every caller. ``Scorer.score_log`` and ``score_malware``
+take one item and return a float, or a block (a list of messages, an
+(n, d) matrix of feature rows) and return an array; either way the feature
+transform, the detector and the calibrator each run once per call.
+``score_request`` (HTTP) scores one request and ``score_many`` (batch,
+evaluation) a block of them, through the same ``validate`` and the same
+response builder, so both paths give the same bits.
+"""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import NamedTuple, Sequence
 
 from .. import calibrate
 from ..errors import DimensionError
@@ -21,6 +29,20 @@ class RequestError(ValueError):
     """A scoring request is malformed (HTTP layer maps this to 400)."""
 
 
+class ScoreRequest(NamedTuple):
+    """A validated request; ``None`` marks an absent field."""
+
+    log_message: str | None
+    malware_features: list | None
+    entity_id: str | None
+
+    @property
+    def modality(self) -> str:
+        if self.log_message is None:
+            return "malware_only"
+        return "logs_only" if self.malware_features is None else "fused"
+
+
 @dataclass
 class Scorer:
     """Immutable scoring façade over a complete artifact component set."""
@@ -34,33 +56,31 @@ class Scorer:
     fusion_config: FusionConfig
     artifact_version: str = "unversioned"
 
-    def score_log(self, message: str) -> float:
-        """Calibrated probability that a log line is malicious."""
-        raw = score_logistic(self.logistic, transform_text(message, self.vocabulary))
-        return float(calibrate.apply(self.calibrator_logs, raw))
+    def score_log(self, message):
+        """Calibrated probability that a log line is malicious (an array for a list)."""
+        vectors = (transform_text(message, self.vocabulary) if isinstance(message, str)
+                   else [transform_text(m, self.vocabulary) for m in message])
+        return calibrate.apply(self.calibrator_logs, score_logistic(self.logistic, vectors))
 
-    def score_malware(self, features) -> float:
-        """Calibrated probability that a static-feature row is malicious."""
-        raw = score_forest(self.forest, transform_dense(np.asarray(features, dtype=float),
-                                                        self.standardizer))
-        return float(calibrate.apply(self.calibrator_malware, raw))
+    def score_malware(self, features):
+        """Calibrated probability that a static-feature row is malicious (an array for a matrix)."""
+        raw = score_forest(self.forest, transform_dense(features, self.standardizer))
+        return calibrate.apply(self.calibrator_malware, raw)
 
     def triage(self, s_m: float, s_l: float) -> TriageLabel:
         return fuse_scores(s_m, s_l, self.fusion_config.t_m, self.fusion_config.t_l)
 
-    def score_request(self, request: dict) -> dict:
-        """Score one {log_message?, malware_features?, entity_id?} request.
+    def validate(self, request) -> ScoreRequest:
+        """Check one decoded {log_message?, malware_features?, entity_id?} request.
 
-        A missing modality contributes score 0.0 to the fusion rule (the
-        conservative no-evidence floor) and the response names the degraded
-        modality; at least one modality must be present.
+        The first problem found raises ``RequestError``; at least one
+        modality must be present.
         """
         if not isinstance(request, dict):
             raise RequestError("request must be a JSON object")
         unknown = set(request) - _REQUEST_FIELDS
         if unknown:
             raise RequestError(f"unknown request fields: {sorted(unknown)}")
-
         message = request.get("log_message")
         features = request.get("malware_features")
         if message is None and features is None:
@@ -72,35 +92,58 @@ class Scorer:
                     or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
                                for v in features)):
                 raise RequestError("malware_features must be an array of numbers")
-            if not all(math.isfinite(float(v)) for v in features):
+            try:
+                finite = all(map(math.isfinite, features))
+            except OverflowError:  # an integer beyond the float range
+                finite = False
+            if not finite:
                 raise RequestError("malware_features must be finite")
+            try:
+                self.standardizer.check_width(len(features))
+            except DimensionError as exc:
+                raise RequestError(str(exc)) from None
+        entity_id = request.get("entity_id")
+        if "entity_id" in request and not isinstance(entity_id, str):
+            raise RequestError("entity_id must be a string")
+        return ScoreRequest(message, features, entity_id)
 
-        s_l = self.score_log(message) if message is not None else None
-        try:
-            s_m = self.score_malware(features) if features is not None else None
-        except DimensionError as exc:
-            raise RequestError(str(exc)) from None
+    def _response(self, request: ScoreRequest, s_m: float | None, s_l: float | None) -> dict:
+        """The reply to one scored request.
 
-        if message is not None and features is not None:
-            modality = "fused"
-        elif message is not None:
-            modality = "logs_only"
-        else:
-            modality = "malware_only"
-        label = self.triage(s_m if s_m is not None else 0.0,
-                            s_l if s_l is not None else 0.0)
-
+        A missing modality contributes score 0.0 to the fusion rule (the
+        conservative no-evidence floor) and the reply names the degraded
+        modality.
+        """
         response: dict = {}
-        if "entity_id" in request:
-            entity_id = request["entity_id"]
-            if not isinstance(entity_id, str):
-                raise RequestError("entity_id must be a string")
-            response["entity_id"] = entity_id
+        if request.entity_id is not None:
+            response["entity_id"] = request.entity_id
         if s_m is not None:
             response["s_m"] = s_m
         if s_l is not None:
             response["s_l"] = s_l
-        response["label"] = label.name
-        response["modality"] = modality
+        response["label"] = self.triage(0.0 if s_m is None else s_m,
+                                        0.0 if s_l is None else s_l).name
+        response["modality"] = request.modality
         response["artifact_version"] = self.artifact_version
         return response
+
+    def score_request(self, request) -> dict:
+        """Validate and score one request: the n = 1 case of ``score_many``.
+
+        Each modality goes to the kernel as a single item, so one request
+        pays for no block bookkeeping.
+        """
+        req = self.validate(request)
+        s_m = None if req.malware_features is None else self.score_malware(req.malware_features)
+        s_l = None if req.log_message is None else self.score_log(req.log_message)
+        return self._response(req, s_m, s_l)
+
+    def score_many(self, requests: Sequence[ScoreRequest]) -> list[dict]:
+        """Replies to validated requests, in order; one kernel call per modality."""
+        messages = [r.log_message for r in requests if r.log_message is not None]
+        rows = [r.malware_features for r in requests if r.malware_features is not None]
+        s_l = iter(self.score_log(messages).tolist() if messages else ())
+        s_m = iter(self.score_malware(rows).tolist() if rows else ())
+        return [self._response(r, None if r.malware_features is None else next(s_m),
+                               None if r.log_message is None else next(s_l))
+                for r in requests]

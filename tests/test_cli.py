@@ -192,3 +192,28 @@ class TestConfigAndErrors:
             env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
         assert result.returncode == 0, result.stderr
         assert (tmp_path / "l.ndjson").exists()
+
+
+def test_calibrate_reports_skipped_validation_lines_and_rows(workspace, tmp_path, capsys):
+    splits = workspace / "splits"
+    artifact = tmp_path / "artifact.json"
+    artifact.write_bytes((workspace / "artifact.json").read_bytes())
+    logs = tmp_path / "val_logs.ndjson"
+    logs.write_text((splits / "logs_validation.ndjson").read_text() + "{broken\n")
+    malware = tmp_path / "val_malware.csv"
+    header, *rows = (splits / "malware_validation.csv").read_text().splitlines()
+    broken = rows[0].split(",")
+    broken[1] = "not-a-number"
+    malware.write_text("\n".join([header, *rows, ",".join(broken)]) + "\n")
+    capsys.readouterr()
+    assert main(["calibrate", "--artifact", str(artifact), "--val-logs", str(logs),
+                 "--val-malware", str(malware), "--seed", "7"]) == 0
+    err = capsys.readouterr().err
+    assert "skipped 1 malformed validation log line(s)" in err
+    assert "skipped 1 malformed validation malware row(s)" in err
+    # the broken line and row are dropped, so the calibrators match the clean files'
+    from aisoc.service import load_artifact
+
+    fixed, clean = load_artifact(artifact), load_artifact(workspace / "artifact.json")
+    for name in ("calibrator_logs", "calibrator_malware"):
+        assert getattr(fixed, name).to_dict() == getattr(clean, name).to_dict()

@@ -154,3 +154,26 @@ class TestMultiSeed:
         assert report.median_seed in (3, 5)
         assert report.median_report.seeds == [3, 5]
         assert 0.0 <= report.macro_f1_mean <= 1.0
+
+
+def test_score_items_scores_each_item_like_score_request(demo_scorer, demo_result):
+    items = demo_result.test_items
+    pairs = score_items(demo_scorer, items)
+    for item, pair in zip(items, pairs):
+        response = demo_scorer.score_request({"log_message": item.log.message,
+                                              "malware_features": list(item.malware.features)})
+        assert (pair.s_m, pair.s_l, pair.entity_id) == (response["s_m"], response["s_l"],
+                                                        item.entity_id)
+    assert score_items(demo_scorer, []) == []
+
+
+def test_score_items_rejects_a_row_of_another_width(demo_scorer, demo_result):
+    from dataclasses import replace
+
+    from aisoc.errors import DimensionError
+
+    items = list(demo_result.test_items[:3])
+    short = replace(items[1].malware, features=items[1].malware.features[:-1])
+    items[1] = replace(items[1], malware=short)
+    with pytest.raises(DimensionError, match="standardizer expects"):
+        score_items(demo_scorer, items)

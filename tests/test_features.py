@@ -1,4 +1,5 @@
 import math
+import unicodedata
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from aisoc.features import (
     NUM_TOKEN,
     Standardizer,
     Vocabulary,
+    feature_matrix,
     fit_standardizer,
     fit_vocabulary,
     tokenize,
@@ -167,3 +169,98 @@ class TestStandardizer:
         clone = Standardizer.from_dict(params.to_dict())
         x = (3.0, 5.0)
         assert transform_dense(x, clone) == pytest.approx(transform_dense(x, params))
+
+
+def reference_is_separator(ch: str) -> bool:
+    if ch.isspace():
+        return True
+    if ch in "./-:":
+        return False
+    return unicodedata.category(ch)[0] in ("P", "S")
+
+
+def reference_tokenize(message: str) -> list[str]:
+    """The character-loop tokenizer the translate/split one replaced."""
+    out: list[str] = []
+    buf: list[str] = []
+
+    def flush() -> None:
+        tok = "".join(buf).rstrip("./-:")
+        buf.clear()
+        if len(tok) < 2:
+            return
+        if len(tok) > 4 and tok.isascii() and tok.isdigit():
+            out.append(NUM_TOKEN)
+        else:
+            out.append(tok)
+
+    for ch in message.lower():
+        if reference_is_separator(ch):
+            if buf:
+                flush()
+        else:
+            buf.append(ch)
+    if buf:
+        flush()
+    return out
+
+
+# pieces the tokenizer treats specially: kept punctuation, digit runs of
+# both sides of the <num> cut, a capital whose lowercase is two characters,
+# the C0 separators and NEL that str.isspace counts, and non-BMP letters
+TOKENIZER_PIECES = [".", "/", "-", ":", "--", "1234", "12345", "١٢٣٤٥", "İ", "\x1c", "\x1d",
+                    "\x1e", "\x1f", "\x85", " ", "　", " ", "\t", ",", "ab",
+                    "\U0001F600", "\U00010400", "\U0001D7D8", "ǅ", "ß"]
+
+
+class TestTokenizeMatchesCharLoop:
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from(TOKENIZER_PIECES), st.characters()),
+                    max_size=40).map("".join))
+    def test_equals_reference_on_arbitrary_unicode(self, message):
+        assert tokenize(message) == reference_tokenize(message)
+
+    @pytest.mark.parametrize("message", [
+        "sshd[42]: Failed password for root from 10.0.0.5 port 22 ssh2",
+        "İstanbul-01:. ./run.sh --flag=1 123456 1234",
+        "a\x1cbb\x1dcc\x1edd\x1fee\x85ff gg",
+        "trailing dots... and slashes/// -x: --y",
+        "\U00010400\U00010401 word \U0001F600smile",
+    ])
+    def test_equals_reference_on_log_like_lines(self, message):
+        assert tokenize(message) == reference_tokenize(message)
+
+    def test_separator_table_stays_bounded(self):
+        from aisoc.features import _SEPARATORS, _TABLE_LIMIT
+
+        message = "".join(chr(c) for c in range(0x4E00, 0x4E00 + 2 * _TABLE_LIMIT))
+        assert tokenize(message) == reference_tokenize(message)
+        assert len(_SEPARATORS) <= _TABLE_LIMIT
+
+
+class TestStandardizeMatrix:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(0, 12), d=st.integers(1, 5))
+    def test_matrix_equals_rows_one_at_a_time(self, seed, n, d):
+        rng = np.random.default_rng(seed)
+        train = np.round(rng.normal(size=(6, d)), 1)
+        train[:, 0] = 3.0  # one zero-variance column
+        params = fit_standardizer(train)
+        X = rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(n, d))
+        got = transform_dense(X, params)
+        assert got.shape == (n, d)
+        assert got.tolist() == [transform_dense(row, params).tolist() for row in X]
+        assert not got[:, 0].any()
+
+    def test_feature_matrix_checks_every_row_width(self):
+        params = fit_standardizer([(1.0, 2.0), (3.0, 4.0)])
+        assert feature_matrix([], params).shape == (0, 2)
+        assert feature_matrix([(1.0, 2.0), [5, 6]], params).tolist() == [[1.0, 2.0], [5.0, 6.0]]
+        with pytest.raises(DimensionError, match="sample has 3 features"):
+            feature_matrix([(1.0, 2.0), (1.0, 2.0, 3.0)], params)
+
+    @pytest.mark.parametrize("shape", [(), (2, 2, 2), (3, 1)])
+    def test_wrong_shapes_rejected(self, shape):
+        params = fit_standardizer([(1.0, 2.0), (3.0, 4.0)])
+        with pytest.raises(DimensionError):
+            transform_dense(np.zeros(shape), params)

@@ -375,3 +375,73 @@ class TestBestSplitHelpers:
         X = design_matrix([sv([1.0, 0.0, 2.0]), sv([0.0, 3.0, 0.0])])
         assert X.shape == (2, 3)
         assert X.toarray().tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+
+
+def special_rows(model, d, rng, scale):
+    """NaN, +-inf, +-1e300 rows, and a row exactly on each split threshold."""
+    rows = [np.full(d, v) for v in (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0)]
+    rows.append(np.where(np.arange(d) % 2 == 0, np.nan, 1e300))
+    for node in split_nodes(model):
+        row = rng.normal(size=d) * scale
+        row[node.feature] = node.threshold
+        rows.append(row)
+    return rows
+
+
+class TestMatrixForestWalk:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(4, 40), d=st.integers(1, 4),
+           n_trees=st.integers(1, 12), depth=st.integers(1, 6),
+           n_rows=st.integers(1, 25), scale=st.sampled_from([1.0, 1e300, -1e300]))
+    def test_matrix_matches_reference_walk_bit_for_bit(self, seed, n, d, n_trees, depth,
+                                                       n_rows, scale):
+        rng = np.random.default_rng(seed)
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.round(rng.normal(size=(n, d)), 1) * scale
+            y = rng.integers(0, 2, size=n)
+            y[0], y[1] = 0, 1
+            model = train_forest(X, y, n_trees=n_trees, max_depth=depth,
+                                 min_samples_leaf=1, seed=seed)
+            rows = np.array(list(rng.normal(size=(n_rows, d)) * scale)
+                            + special_rows(model, d, rng, scale))
+        expected = [reference_score(model, row) for row in rows]
+        got = score_forest(model, rows)
+        assert isinstance(got, np.ndarray) and got.shape == (len(rows),)
+        assert got.tolist() == expected
+        for k in (0, len(rows) - 1):  # n = 1: as a one-row matrix and as a row
+            assert score_forest(model, rows[k:k + 1]).tolist() == [expected[k]]
+            one = score_forest(model, rows[k])
+            assert isinstance(one, float) and one == expected[k]
+
+    @pytest.mark.parametrize("trees", HAND_BUILT)
+    def test_hand_built_forests_as_a_matrix(self, trees):
+        model = ForestModel(trees=trees, n_features=2, n_trees=len(trees), max_depth=1,
+                            min_samples_leaf=1, features_per_split=1, seed=0)
+        rows = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.6], [np.nan, np.nan], [1e308, -1e308]])
+        assert score_forest(model, rows).tolist() == [reference_score(model, r) for r in rows]
+
+    def test_empty_matrix_scores_nothing(self):
+        model = ForestModel(trees=HAND_BUILT[4], n_features=2, n_trees=2, max_depth=1,
+                            min_samples_leaf=1, features_per_split=1, seed=0)
+        assert score_forest(model, np.empty((0, 2))).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(3, 1), (3,), (2, 2, 2), ()])
+    def test_wrong_shapes_rejected(self, shape):
+        model = ForestModel(trees=HAND_BUILT[4], n_features=2, n_trees=2, max_depth=1,
+                            min_samples_leaf=1, features_per_split=1, seed=0)
+        with pytest.raises(DimensionError):
+            score_forest(model, np.zeros(shape))
+
+
+class TestLogisticBlock:
+    def test_list_scores_like_one_vector_at_a_time(self):
+        rng = np.random.default_rng(3)
+        X = [sv(np.where(rng.random(6) < 0.5, 0.0, rng.normal(size=6)), dim=6)
+             for _ in range(40)]
+        model = train_logistic(X, [i % 2 for i in range(40)], epochs=40)
+        got = score_logistic(model, X)
+        assert isinstance(got, np.ndarray)
+        assert got.tolist() == [score_logistic(model, x) for x in X]
+        assert score_logistic(model, []).shape == (0,)
+        with pytest.raises(DimensionError):
+            score_logistic(model, X[:3] + [sv([1.0, 2.0])])

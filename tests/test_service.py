@@ -9,7 +9,9 @@ import pytest
 
 from aisoc.errors import ArtifactError
 from aisoc.fusion import fuse_scores
-from aisoc.service import ScoringService, build_artifact, score_lines, serve
+from aisoc.service import RequestError, ScoringService, build_artifact, score_lines, serve
+from aisoc.service import artifact as artifact_module
+from aisoc.service import batch as batch_module
 from aisoc.service.http_api import MAX_BODY_BYTES, _Handler
 
 CLIENT_TIMEOUT_S = 5.0  # every client socket: a regression fails instead of hanging
@@ -293,3 +295,121 @@ class TestBatch:
         assert len(results) == 1
         on_disk = [json.loads(line) for line in dst.read_text().splitlines()]
         assert on_disk == results
+
+
+def reference_score_lines(scorer, lines):
+    """The line-at-a-time batch loop the block kernel replaced."""
+    results = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            response = scorer.score_request(json.loads(line))
+            results.append({k: response[k] for k in ("entity_id", "s_m", "s_l", "label")
+                            if k in response})
+        except (json.JSONDecodeError, RequestError) as exc:
+            results.append({"error": str(exc), "line": lineno})
+    return results
+
+
+def malformed_lines(dim: int) -> list[str]:
+    """One line of every malformed kind the request checks name."""
+    return [
+        '{"log_message": "cut sh',
+        "[1, 2, 3]",
+        '"just a string"',
+        json.dumps({"log_message": "x y z", "priority": 1}),
+        json.dumps({"entity_id": "no-modality"}),
+        json.dumps({"log_message": None, "malware_features": None}),
+        json.dumps({"log_message": 17}),
+        json.dumps({"malware_features": "not a list"}),
+        json.dumps({"malware_features": [True] * dim}),
+        json.dumps({"malware_features": [0.5] * (dim - 1) + ["x"]}),
+        '{"malware_features": [' + ", ".join(["NaN"] * dim) + "]}",
+        '{"malware_features": [' + ", ".join(["Infinity"] * dim) + "]}",
+        json.dumps({"malware_features": [0.5] * (dim + 1)}),
+        json.dumps({"malware_features": []}),
+        json.dumps({"log_message": "ok", "entity_id": 5}),
+    ]
+
+
+class TestBlockBatch:
+    def test_mixed_file_equals_per_line_score_request(self, demo_scorer, demo_result):
+        block = batch_module.BLOCK_LINES
+        items = demo_result.test_items
+        dim = len(items[0].malware.features)
+        bad = malformed_lines(dim)
+        valid = []
+        for i in range(3 * block):
+            item = items[i % len(items)]
+            request = {"entity_id": f"r{i}", "log_message": item.log.message,
+                       "malware_features": list(item.malware.features)}
+            if i % 5 == 1:
+                del request["malware_features"]
+            elif i % 5 == 2:
+                del request["log_message"]
+            elif i % 7 == 3:
+                del request["entity_id"]
+            valid.append(json.dumps(request))
+        lines = valid[:block - 1]
+        lines += [bad[0], bad[1]]                   # the last line of block 1, first of block 2
+        lines += valid[block:2 * block - 3]
+        lines += ["", bad[2]]                       # the last two lines of block 2
+        lines += ["   "] + [bad[k % len(bad)] for k in range(block)]  # block 3: no request
+        lines += valid[2 * block:]
+        assert len(lines) > 3 * block
+        got = score_lines(demo_scorer, lines)
+        assert got == reference_score_lines(demo_scorer, lines)
+        assert sum("error" in r for r in got) == block + 3
+        assert {r["line"] for r in got if "error" in r} >= {block, block + 1, 3 * block}
+        errors = {r["error"] for r in got if "error" in r}
+        assert any("standardizer expects" in e for e in errors)
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 257])
+    def test_every_block_size_edge(self, demo_scorer, demo_result, n):
+        lines = [json.dumps({"log_message": item.log.message,
+                             "malware_features": list(item.malware.features)})
+                 for item in (demo_result.test_items * 2)[:n]]
+        assert score_lines(demo_scorer, lines) == reference_score_lines(demo_scorer, lines)
+
+    def test_integer_beyond_float_range_is_an_error_object(self, demo_scorer, demo_result):
+        dim = len(demo_result.test_items[0].malware.features)
+        huge = '{"malware_features": [' + ", ".join(["1" * 400] * dim) + "]}"
+        assert score_lines(demo_scorer, [huge]) == [
+            {"error": "malware_features must be finite", "line": 1}]
+        with pytest.raises(RequestError, match="finite"):
+            demo_scorer.score_request(json.loads(huge))
+
+    def test_too_deeply_nested_line_is_an_error_object(self, demo_scorer, demo_result):
+        message = demo_result.test_items[0].log.message
+        lines = ["[" * 100_000 + "]" * 100_000, json.dumps({"log_message": message})]
+        results = score_lines(demo_scorer, lines)
+        assert results[0]["line"] == 1 and "recursion" in results[0]["error"]
+        assert results[1]["s_l"] == demo_scorer.score_log(message)
+
+
+class TestHealthVersion:
+    def test_health_reads_the_version_hashed_at_start(self, service, demo_result,
+                                                      monkeypatch):
+        expected = demo_result.artifact.version
+        calls = []
+        original = artifact_module.checksum_of
+
+        def counting(payload):
+            calls.append(1)
+            return original(payload)
+
+        monkeypatch.setattr(artifact_module, "checksum_of", counting)
+        for _ in range(3):
+            assert _get(service.url + "/v1/health") == {"status": "ok",
+                                                       "artifact_version": expected}
+        assert calls == []
+        assert service.artifact_version == expected
+
+
+class TestNestedBody:
+    def test_too_deeply_nested_body_gets_400(self, service):
+        body = b"[" * 100_000 + b"]" * 100_000
+        status, payload = _raw_request(service, _post_head(str(len(body))), body)
+        assert status == 400
+        assert "recursion" in payload["error"]
