@@ -7,7 +7,10 @@ seven-command CLI chain (generate -> split -> train-log -> train-malware ->
 calibrate -> tune -> evaluate) at seed 7 and prints the digest of its
 artifact and ``report.json``. Last, ``score-batch`` scores the chain's test
 manifest as requests, plus one logs-only, one malware-only and one
-malformed line, and the digest of its output NDJSON is printed.
+malformed line, and the digest of its output NDJSON is printed. Last, the
+benchmark-sized seed-7 log corpus (3 hosts, 3000 s, 24 attack sessions) is
+deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
+``(timestamp, label, message)`` list is printed.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -32,10 +35,13 @@ if __package__ is None:  # allow running straight from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aisoc.cli import main as cli_main
+from aisoc.corpus import ScenarioConfig, dedup_near_identical, generate_corpus
 from aisoc.pipeline import ExperimentConfig, run_experiment
+from aisoc.seeding import derive_seed
 from aisoc.service import save_artifact
 
 SEED = "7"
+DEDUP_THRESHOLDS = (0.9, 0.7)
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -97,6 +103,23 @@ def cli_digests(chain: Path) -> dict[str, str]:
             "cli.score_batch": sha256_bytes(batch_out.read_bytes())}
 
 
+def dedup_digests() -> dict[str, str]:
+    """Digests of the records kept by dedup on the benchmark-sized corpus."""
+    config = ExperimentConfig(seed=int(SEED), benign_hosts=3, duration_s=3000.0,
+                              attack_sessions=24)
+    logs = generate_corpus(ScenarioConfig(
+        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
+        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
+        benign_rate_per_host=config.benign_rate_per_host))
+    digests = {}
+    for threshold in DEDUP_THRESHOLDS:
+        kept = [[r.timestamp, None if r.label is None else r.label.value, r.message]
+                for r in dedup_near_identical(logs, threshold)]
+        digests[f"dedup.kept_{threshold}"] = sha256_bytes(
+            json.dumps(kept, ensure_ascii=False).encode("utf-8"))
+    return digests
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("chain_dir", nargs="?",
@@ -106,6 +129,7 @@ def main() -> int:
         digests = pipeline_digests(Path(tmp))
         chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
         digests.update(cli_digests(chain))
+    digests.update(dedup_digests())
     for name, digest in digests.items():
         print(f"{name} {digest}", flush=True)
     return 0

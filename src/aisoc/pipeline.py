@@ -9,6 +9,7 @@ reproducibility.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, field, replace
 
 from . import calibrate
@@ -127,11 +128,20 @@ def _binary_labels(items) -> list[int]:
 
 def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_features: int,
                        l2: float, epochs: int, seed: int, class_weight: str | None = None):
-    """Fit vocabulary + logistic model on (possibly augmented) training logs."""
+    """Fit vocabulary + logistic model on (possibly augmented) training logs.
+
+    Warns (``UserWarning``) when gradient descent used all ``epochs`` without
+    reaching its gradient tolerance; ``training_meta`` holds the diagnostics.
+    """
     vocab = fit_vocabulary(train_records, min_df=min_df, max_features=max_features)
     X = [transform_text(r.message, vocab) for r in train_records]
     model = train_logistic(X, _binary_labels(train_records), l2=l2, epochs=epochs, seed=seed,
                            class_weight=class_weight)
+    meta = model.training_meta
+    if not meta["converged"] and meta["iterations"] == epochs:
+        warnings.warn(f"logistic model did not converge in {epochs} epochs "
+                      f"(loss {meta['initial_loss']:.6g} -> {meta['final_loss']:.6g})",
+                      stacklevel=2)
     return vocab, model
 
 

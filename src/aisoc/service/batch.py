@@ -31,7 +31,9 @@ def _score_block(scorer: Scorer, block: list[tuple[int, str]]) -> list[dict]:
             valid.append(scorer.validate(json.loads(line)))
             slots.append(len(results))
             results.append({})
-        except (json.JSONDecodeError, RecursionError, RequestError) as exc:
+        # json.loads raises ValueError beyond JSONDecodeError for an integer
+        # over the interpreter's digit limit, RecursionError when nested too deep
+        except (ValueError, RecursionError, RequestError) as exc:
             results.append({"error": str(exc), "line": lineno})
     for slot, response in zip(slots, scorer.score_many(valid)):
         results[slot] = {k: response[k] for k in _BATCH_FIELDS if k in response}

@@ -105,6 +105,11 @@ class Scorer:
         entity_id = request.get("entity_id")
         if "entity_id" in request and not isinstance(entity_id, str):
             raise RequestError("entity_id must be a string")
+        if entity_id is not None:
+            try:  # the reply echoes it, and a lone surrogate has no UTF-8 form
+                entity_id.encode("utf-8")
+            except UnicodeEncodeError:
+                raise RequestError("entity_id must be valid Unicode") from None
         return ScoreRequest(message, features, entity_id)
 
     def _response(self, request: ScoreRequest, s_m: float | None, s_l: float | None) -> dict:

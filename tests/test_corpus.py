@@ -83,6 +83,24 @@ def _rec(ts, message, label=Label.BENIGN):
                      message=message, label=label)
 
 
+# A small alphabet makes near-duplicates common; "---", "!!" and "_" carry no
+# token, so some messages have an empty token set.
+DEDUP_WORDS = ["alpha", "beta", "gamma", "delta", "eps", "Alpha", "42", "---", "!!", "_"]
+
+
+def reference_dedup(records, threshold):
+    """The all-pairs loop the prefix-filtered join replaced."""
+    ordered = sorted(records, key=lambda r: r.timestamp)
+    kept, kept_tokens = [], []
+    for rec in ordered:
+        tokens = message_tokens(rec.message)
+        if not any(prev.label == rec.label and jaccard(prev_tokens, tokens) >= threshold
+                   for prev, prev_tokens in zip(kept, kept_tokens)):
+            kept.append(rec)
+            kept_tokens.append(tokens)
+    return kept
+
+
 class TestDedup:
     def test_exact_duplicate_removed_at_threshold_one(self):
         records = [_rec(0, "Accepted password for root"),
@@ -122,6 +140,44 @@ class TestDedup:
         records = [_rec(ts, msg or "x") for ts, msg in raw if msg.strip()]
         once = dedup_near_identical(records, threshold)
         assert dedup_near_identical(once, threshold) == once
+
+    def test_disjoint_tokens_merged_at_threshold_zero(self):
+        records = [_rec(0, "alpha"), _rec(1, "beta", Label.MALICIOUS), _rec(2, "gamma"),
+                   _rec(3, "--- !!"), _rec(4, "delta", Label.MALICIOUS)]
+        assert dedup_near_identical(records, 0.0) == records[:2]
+        assert dedup_near_identical(records, 0.0) == reference_dedup(records, 0.0)
+
+    @pytest.mark.parametrize("threshold", [1 / 3, 0.9, 1.0])
+    def test_empty_token_records(self, threshold):
+        # two empty token sets have Jaccard 1; an empty and a non-empty one 0
+        empty, again = _rec(1, "--- !!"), _rec(2, "__ ::")
+        before, after = _rec(0, "alpha"), _rec(3, "beta")
+        assert dedup_near_identical([empty, again], threshold) == [empty]
+        assert dedup_near_identical([after, empty, before], threshold) == [before, empty, after]
+
+    @pytest.mark.parametrize("subset_first", [False, True])
+    @pytest.mark.parametrize("threshold, shared", [(0.28, 7), (0.56, 14)])
+    def test_overlap_bound_is_exact_at_float_edge(self, threshold, shared, subset_first):
+        # threshold * 25 rounds above `shared` although shared / 25 == threshold:
+        # a prefix sized from that product's ceiling holds only the tokens the
+        # subset lacks, the rarest ones, and misses the pair
+        words = [f"w{i:02d}" for i in range(25)]
+        full, subset = " ".join(words), " ".join(words[25 - shared:])
+        assert threshold * 25 > shared
+        assert jaccard(message_tokens(full), message_tokens(subset)) == threshold
+        first, second = (subset, full) if subset_first else (full, subset)
+        records = [_rec(0, first), _rec(1, second)]
+        assert dedup_near_identical(records, threshold) == [records[0]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6),
+                              st.lists(st.sampled_from(DEDUP_WORDS), min_size=1, max_size=9),
+                              st.sampled_from([Label.BENIGN, Label.MALICIOUS, None])),
+                    max_size=40),
+           st.one_of(st.sampled_from([0.0, 1.0, 1 / 3, 0.5, 0.7, 0.9]), st.floats(0.0, 1.0)))
+    def test_join_equals_all_pairs_reference(self, raw, threshold):
+        records = [_rec(ts, " ".join(words), label) for ts, words, label in raw]
+        assert dedup_near_identical(records, threshold) == reference_dedup(records, threshold)
 
 
 class TestAugment:

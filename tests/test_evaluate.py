@@ -1,6 +1,8 @@
+import warnings
+
 import pytest
 
-from aisoc.corpus import AugmentOp, Label
+from aisoc.corpus import AugmentOp, Label, ScenarioConfig, generate_corpus
 from aisoc.errors import ConfigError, LoadError
 from aisoc.evaluate import (
     build_manifest,
@@ -14,6 +16,7 @@ from aisoc.evaluate import (
 )
 from aisoc.fusion import TriageLabel
 from aisoc.metrics import EvalReport, classification_report
+from aisoc.pipeline import train_log_detector
 
 
 class TestBuildManifest:
@@ -177,3 +180,24 @@ def test_score_items_rejects_a_row_of_another_width(demo_scorer, demo_result):
     items[1] = replace(items[1], malware=short)
     with pytest.raises(DimensionError, match="standardizer expects"):
         score_items(demo_scorer, items)
+
+
+class TestTrainLogDetector:
+    @pytest.fixture(scope="class")
+    def records(self):
+        return generate_corpus(ScenarioConfig(benign_hosts=1, attack_sessions=4,
+                                              duration_s=300, seed=3))
+
+    def test_warns_when_all_epochs_run_without_converging(self, records):
+        with pytest.warns(UserWarning, match="did not converge in 3 epochs"):
+            _, model = train_log_detector(records, min_df=1, max_features=1000, l2=1e-3,
+                                          epochs=3, seed=0)
+        assert model.training_meta["iterations"] == 3
+        assert model.training_meta["converged"] is False
+
+    def test_silent_when_converged(self, records):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, model = train_log_detector(records, min_df=1, max_features=1000, l2=1e-3,
+                                          epochs=500, seed=0)
+        assert model.training_meta["converged"] is True

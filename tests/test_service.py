@@ -6,9 +6,12 @@ import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from aisoc.errors import ArtifactError
 from aisoc.fusion import fuse_scores
+from aisoc.pipeline import ExperimentConfig
 from aisoc.service import RequestError, ScoringService, build_artifact, score_lines, serve
 from aisoc.service import artifact as artifact_module
 from aisoc.service import batch as batch_module
@@ -413,3 +416,67 @@ class TestNestedBody:
         status, payload = _raw_request(service, _post_head(str(len(body))), body)
         assert status == 400
         assert "recursion" in payload["error"]
+
+
+SURROGATE_REQUEST = {"entity_id": "\ud800x", "log_message": "hi"}
+
+
+class TestInvalidUnicode:
+    def test_lone_surrogate_entity_id_is_a_batch_error_line(self, tmp_path, demo_scorer):
+        from aisoc.service import score_batch
+        src, dst = tmp_path / "requests.ndjson", tmp_path / "results.ndjson"
+        src.write_text('{"log_message": "hi"}\n' + json.dumps(SURROGATE_REQUEST) + "\n",
+                       encoding="utf-8")
+        results = score_batch(demo_scorer, src, dst)
+        assert results[1] == {"error": "entity_id must be valid Unicode", "line": 2}
+        assert [json.loads(line) for line in dst.read_text(encoding="utf-8").splitlines()] \
+            == results
+
+    def test_lone_surrogate_entity_id_gets_400(self, service):
+        body = json.dumps(SURROGATE_REQUEST).encode("ascii")
+        status, payload = _raw_request(service, _post_head(str(len(body))), body)
+        assert status == 400
+        assert payload == {"error": "entity_id must be valid Unicode"}
+
+
+# Any code point, lone surrogates included: JSON escapes can produce them.
+_ANY_TEXT = st.text(st.characters() | st.characters(categories=["Cs"]), max_size=12)
+_NUMBERS = st.integers() | st.floats()
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | _NUMBERS | _ANY_TEXT,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(_ANY_TEXT, kids, max_size=4),
+    max_leaves=10)
+_DIM = ExperimentConfig().malware_features
+_REQUESTS = st.fixed_dictionaries({}, optional={
+    "entity_id": _ANY_TEXT | _JSON_VALUES,
+    "log_message": _ANY_TEXT | _JSON_VALUES,
+    "malware_features": st.lists(_NUMBERS, min_size=_DIM, max_size=_DIM) | _JSON_VALUES,
+})
+
+
+def _encodes(obj) -> None:
+    """Raise if ``obj`` cannot go out as the UTF-8 JSON both paths write."""
+    json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+class TestRequestFuzz:
+    @settings(max_examples=200, deadline=None)
+    @given(request=_REQUESTS | _JSON_VALUES)
+    @example(request=SURROGATE_REQUEST)
+    def test_score_request_gives_request_error_or_encodable_reply(self, demo_scorer, request):
+        try:
+            reply = demo_scorer.score_request(request)
+        except RequestError:
+            return
+        _encodes(reply)
+
+    @settings(max_examples=100, deadline=None)
+    @given(lines=st.lists(_REQUESTS.map(json.dumps) | _JSON_VALUES.map(json.dumps) | _ANY_TEXT,
+                          max_size=5))
+    @example(lines=[json.dumps(SURROGATE_REQUEST)])
+    @example(lines=["1" * 5000, '{"log_message": "x", "entity_id": ' + "9" * 5000 + "}"])
+    def test_score_lines_gives_error_objects_or_encodable_replies(self, demo_scorer, lines):
+        results = score_lines(demo_scorer, lines)
+        assert len(results) == sum(1 for line in lines if line.strip())
+        for result in results:
+            _encodes(result)
