@@ -10,7 +10,11 @@ manifest as requests, plus one logs-only, one malware-only and one
 malformed line, and the digest of its output NDJSON is printed. Last, the
 benchmark-sized seed-7 log corpus (3 hosts, 3000 s, 24 attack sessions) is
 deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
-``(timestamp, label, message)`` list is printed.
+``(timestamp, label, message)`` list is printed. Finally, forests are trained
+on fixed edge shapes (many tied values, values and split midpoints that
+overflow to +-inf, no bootstrap with ``min_samples_leaf=5``, 20 features)
+and the digest of each ``ForestModel.to_dict()`` JSON is printed, so a
+change to the grower is byte-checked across commits.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -18,7 +22,8 @@ command line in its outputs gives equal digests on two checkouts only when
 both run the chain in the same directory.
 
 Only public API is used, so the script runs unchanged on any commit that
-has ``aisoc.pipeline``, ``aisoc.service`` and ``aisoc.cli``::
+has ``aisoc.pipeline``, ``aisoc.service``, ``aisoc.cli`` and
+``aisoc.learn.train_forest``::
 
     python3 scripts/output_digests.py [CHAIN_DIR]
 """
@@ -31,11 +36,14 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 if __package__ is None:  # allow running straight from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aisoc.cli import main as cli_main
 from aisoc.corpus import ScenarioConfig, dedup_near_identical, generate_corpus
+from aisoc.learn import train_forest
 from aisoc.pipeline import ExperimentConfig, run_experiment
 from aisoc.seeding import derive_seed
 from aisoc.service import save_artifact
@@ -120,6 +128,29 @@ def dedup_digests() -> dict[str, str]:
     return digests
 
 
+# name: (rows, features, value scale, train_forest keywords)
+FOREST_SHAPES = {
+    "ties": (300, 8, 1.0, {"n_trees": 30}),
+    "overflow_1e308": (300, 4, 1e308, {"n_trees": 30, "min_samples_leaf": 1}),
+    "no_bootstrap_leaf5": (300, 8, 1.0, {"n_trees": 10, "bootstrap": False,
+                                         "min_samples_leaf": 5}),
+    "d20": (600, 20, 1.0, {"n_trees": 30}),
+}
+
+
+def forest_digests() -> dict[str, str]:
+    """Digests of forests trained on 0.1-rounded Gaussian rows (many ties)."""
+    digests = {}
+    for i, (name, (n, d, scale, params)) in enumerate(FOREST_SHAPES.items()):
+        rng = np.random.default_rng([int(SEED), i])
+        X = np.round(rng.normal(size=(n, d)), 1)
+        y = (X[:, :max(1, d // 2)].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
+        with np.errstate(over="ignore", invalid="ignore"):  # +-inf at 1e308 on purpose
+            model = train_forest(X * scale, y, seed=int(SEED), **params)
+        digests[f"forest.{name}"] = sha256_bytes(json.dumps(model.to_dict()).encode("utf-8"))
+    return digests
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("chain_dir", nargs="?",
@@ -130,6 +161,7 @@ def main() -> int:
         chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
         digests.update(cli_digests(chain))
     digests.update(dedup_digests())
+    digests.update(forest_digests())
     for name, digest in digests.items():
         print(f"{name} {digest}", flush=True)
     return 0

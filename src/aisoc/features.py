@@ -90,15 +90,6 @@ class SparseVector:
     values: np.ndarray
     dim: int
 
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.dim)
-        dense[self.indices] = self.values
-        return dense
-
-    @property
-    def l2_norm(self) -> float:
-        return float(np.sqrt(np.sum(self.values ** 2)))
-
 
 @dataclass
 class Vocabulary:
@@ -222,7 +213,13 @@ def fit_standardizer(samples: Sequence) -> Standardizer:
     if len(samples) == 0:
         raise TrainingError("cannot fit a standardizer on an empty sample set")
     X = feature_matrix(samples)
-    return Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean, std = X.mean(axis=0), X.std(axis=0)
+    finite = np.isfinite(mean) & np.isfinite(std)
+    if not finite.all():
+        raise TrainingError(f"feature columns {np.flatnonzero(~finite).tolist()} have a "
+                            "non-finite mean or standard deviation (values too large)")
+    return Standardizer(mean=mean, std=std)
 
 
 def transform_dense(sample, params: Standardizer) -> np.ndarray:

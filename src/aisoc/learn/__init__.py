@@ -1,6 +1,6 @@
 """The two detectors: sparse logistic regression and a CART random forest."""
 
-from .forest import ForestModel, TreeNode, best_split, gini, grow_tree, score_forest, train_forest
+from .forest import ForestModel, TreeNode, gini, score_forest, train_forest
 from .logistic import (
     LogisticModel,
     balanced_weights,
@@ -16,10 +16,8 @@ __all__ = [
     "LogisticModel",
     "TreeNode",
     "balanced_weights",
-    "best_split",
     "design_matrix",
     "gini",
-    "grow_tree",
     "loss_and_grad",
     "score_forest",
     "score_logistic",

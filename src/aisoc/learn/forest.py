@@ -7,6 +7,26 @@ weighted Gini break toward the lowest feature index, then the lowest
 threshold, so given a seed the forest is fully deterministic node-by-node.
 Samples route left when ``x[feature] <= threshold``.
 
+All trees grow in lockstep, one node per tree per pass: an exact batched
+split scan in the manner of Chen & Guestrin 2016 (*XGBoost*), batched
+across trees instead of across one tree's level. Each tree keeps its own
+generator and its own preorder stack, so it draws the same features in
+the same order as a tree grown alone. A pass scores every (node, drawn
+feature) segment of its nodes at once. Each value is replaced by its dense
+rank in its column, one sort of (segment, rank, label) keys orders every
+segment, a cumulative sum of labels gives each candidate's class counts,
+and the Gini expressions are the elementwise ones of a per-node scan. This
+is exact, not a histogram: candidates sit only at boundaries between
+distinct values, and the counts left of a boundary do not depend on how
+rows with equal values are ordered. Rows then go to the children by the
+stored float threshold, as scoring sends them, not by rank: a midpoint can
+round onto one of its two values or overflow to +-inf, and then splits
+elsewhere than the rank boundary it came from. A pass holds at most
+``_PASS_ELEMENTS`` (row, feature) elements, which bounds its temporaries
+whatever the forest size; trees whose next node does not fit wait for a
+later pass, which changes no tree because trees are independent. NaN has
+no rank, so training refuses it; +-inf trains like any other value.
+
 Scoring walks every tree at once, for one row or a whole matrix of rows,
 over flat parallel node arrays (the layout of scikit-learn's ``Tree``;
 Louppe 2014, *Understanding Random Forests*, ch. 5) built once per model;
@@ -173,82 +193,204 @@ def gini(n_neg: int, n_pos: int) -> float:
     return 1.0 - p * p - q * q
 
 
-def best_split(X: np.ndarray, y: np.ndarray, feature_ids: Sequence[int],
-               min_samples_leaf: int) -> tuple[float, int, float] | None:
-    """Lowest weighted-Gini split over the given features, or None.
+# Most (row, feature) elements one pass of the grower scores; see the module
+# docstring. A node with more elements than this is scored alone.
+_PASS_ELEMENTS = 1 << 13
 
-    Returns (cost, feature, threshold); ties break toward the lowest feature
-    index, then the lowest threshold.
+
+def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense rank of each value in its column, and each column's distinct values.
+
+    ``ranks[i, f]`` indexes ``X[i, f]`` in the sorted distinct values of
+    column ``f``, which are ``values[f, :count]`` (the rest of the row is
+    padding that no rank points to).
     """
-    n = len(y)
-    best: tuple[float, int, float] | None = None
-    for f in sorted(feature_ids):
-        values = X[:, f]
-        order = np.argsort(values, kind="stable")
-        xs = values[order]
-        ys = y[order]
-        distinct = np.nonzero(np.diff(xs) > 0)[0] + 1  # candidate left-sizes
-        if len(distinct) == 0:
-            continue
-        cum_pos = np.cumsum(ys)
-        n_left = distinct.astype(float)
-        pos_left = cum_pos[distinct - 1].astype(float)
-        n_right = n - n_left
-        pos_right = cum_pos[-1] - pos_left
-        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
-        if not valid.any():
-            continue
-        neg_left = n_left - pos_left
-        neg_right = n_right - pos_right
-        gini_left = 1.0 - (pos_left / n_left) ** 2 - (neg_left / n_left) ** 2
-        gini_right = 1.0 - (pos_right / n_right) ** 2 - (neg_right / n_right) ** 2
-        cost = (n_left * gini_left + n_right * gini_right) / n
-        cost[~valid] = np.inf
-        k = int(np.argmin(cost))  # first minimum = lowest threshold
-        threshold = float((xs[distinct[k] - 1] + xs[distinct[k]]) / 2.0)
-        candidate = (float(cost[k]), int(f), threshold)
-        if best is None or candidate < best:
-            best = candidate
-    return best
+    n, d = X.shape
+    ranks = np.empty((n, d), dtype=np.int32)
+    distinct = []
+    for f in range(d):
+        uniq, inverse = np.unique(X[:, f], return_inverse=True)
+        ranks[:, f] = inverse
+        distinct.append(uniq)
+    values = np.zeros((d, max((len(u) for u in distinct), default=1)))
+    for f, uniq in enumerate(distinct):
+        values[f, :len(uniq)] = uniq
+    return ranks, values
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int,
-              features_per_split: int, rng: np.random.Generator,
-              depth: int = 0) -> TreeNode:
-    """Recursively grow one CART tree on (X, y) with 0/1 labels."""
-    n_pos = int(y.sum())
-    counts = (len(y) - n_pos, n_pos)
-    node = TreeNode(counts=counts)
-    if (depth >= max_depth or n_pos == 0 or n_pos == len(y)
-            or len(y) < 2 * min_samples_leaf):
-        return node
-    d = X.shape[1]
-    m = min(features_per_split, d)
-    feature_ids = rng.choice(d, size=m, replace=False)
-    found = best_split(X, y, feature_ids, min_samples_leaf)
-    if found is None:
-        return node
-    cost, feature, threshold = found
-    if cost >= gini(*counts):
-        return node
-    mask = X[:, feature] <= threshold
-    node.feature = feature
-    node.threshold = threshold
-    node.left = grow_tree(X[mask], y[mask], max_depth, min_samples_leaf,
-                          features_per_split, rng, depth + 1)
-    node.right = grow_tree(X[~mask], y[~mask], max_depth, min_samples_leaf,
-                           features_per_split, rng, depth + 1)
-    return node
+def _best_splits(rows: np.ndarray, sizes: np.ndarray, features: np.ndarray,
+                 n_pos: np.ndarray, y: np.ndarray, ranks: np.ndarray, values: np.ndarray,
+                 min_samples_leaf: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lowest weighted-Gini split of each node of one pass.
+
+    Node ``k`` owns the next ``sizes[k]`` ids of ``rows`` (rows of ``X``,
+    repeats allowed), has ``n_pos[k]`` positives and was drawn the sorted
+    feature ids ``features[k]``. Returns per node the (cost, feature,
+    threshold) with the lowest cost, then the lowest feature index, then the
+    lowest threshold; the cost is +inf where no split leaves
+    ``min_samples_leaf`` rows on both sides.
+    """
+    n_nodes, m = features.shape
+    cost_of = np.full(n_nodes, np.inf)
+    feature_of = np.zeros(n_nodes, dtype=np.intp)
+    threshold_of = np.zeros(n_nodes)
+    width = values.shape[1]
+    node_of_row = np.repeat(np.arange(n_nodes), sizes)
+    # one segment per (node, feature): key = ((segment * width) + rank) * 2 + label,
+    # so one sort orders every segment by value and the label rides in the low bit
+    keys = node_of_row[:, None] * m + np.arange(m)
+    keys *= width
+    keys += ranks[rows[:, None], features[node_of_row]]
+    keys *= 2
+    keys += y[rows][:, None]
+    keys = keys.ravel()
+    keys.sort()
+    value_class = keys >> 1
+    positives = np.zeros(len(keys) + 1, dtype=np.int64)
+    np.cumsum(keys & 1, out=positives[1:])
+    segment_sizes = np.repeat(sizes, m)
+    segment_start = np.cumsum(segment_sizes) - segment_sizes
+    # a candidate is the first position of a new distinct value inside a segment
+    change = value_class[1:] != value_class[:-1]
+    change[segment_start[1:] - 1] = False
+    cut = np.flatnonzero(change) + 1
+    segment = value_class[cut] // width
+    start = segment_start[segment]
+    n_left_rows = cut - start
+    n_rows = segment_sizes[segment]
+    valid = (n_left_rows >= min_samples_leaf) & (n_rows - n_left_rows >= min_samples_leaf)
+    if not valid.any():
+        return cost_of, feature_of, threshold_of
+    cut, segment, start = cut[valid], segment[valid], start[valid]
+    node = segment // m
+    n = n_rows[valid].astype(float)
+    n_left = n_left_rows[valid].astype(float)
+    pos_left = (positives[cut] - positives[start]).astype(float)
+    n_right = n - n_left
+    pos_right = n_pos[node] - pos_left
+    neg_left = n_left - pos_left
+    neg_right = n_right - pos_right
+    gini_left = 1.0 - (pos_left / n_left) ** 2 - (neg_left / n_left) ** 2
+    gini_right = 1.0 - (pos_right / n_right) ** 2 - (neg_right / n_right) ** 2
+    cost = (n_left * gini_left + n_right * gini_right) / n
+    # candidates run by node, then feature, then threshold: the first
+    # minimum of each node's run is the tie-break winner
+    first = np.flatnonzero(np.r_[True, node[1:] != node[:-1]])
+    lowest = np.minimum.reduceat(cost, first)
+    hits = np.flatnonzero(cost == np.repeat(lowest, np.diff(np.r_[first, len(cost)])))
+    win = hits[np.r_[True, node[hits[1:]] != node[hits[:-1]]]]
+    winner = node[win]
+    win_segment = segment[win]
+    feature = features.ravel()[win_segment]
+    rank_right = value_class[cut[win]] - win_segment * width
+    rank_left = value_class[cut[win] - 1] - win_segment * width
+    cost_of[winner] = cost[win]
+    feature_of[winner] = feature
+    threshold_of[winner] = (values[feature, rank_left] + values[feature, rank_right]) / 2.0
+    return cost_of, feature_of, threshold_of
+
+
+def _next_split(stack: list, rng: np.random.Generator, d: int, m: int, max_depth: int,
+                min_samples_leaf: int):
+    """Pop ``stack`` (preorder) down to the next node that needs a split and draw
+    its features; None once the tree is complete. Leaves draw nothing."""
+    while stack:
+        node, rows, depth = stack.pop()
+        n_pos = node.counts[1]
+        if (depth >= max_depth or n_pos == 0 or n_pos == len(rows)
+                or len(rows) < 2 * min_samples_leaf):
+            continue
+        return node, rows, depth, np.sort(rng.choice(d, size=m, replace=False))
+    return None
+
+
+def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_depth: int,
+                min_samples_leaf: int, m: int) -> list[TreeNode]:
+    """Grow one tree per seed, all in lockstep.
+
+    Each tree draws its bootstrap rows (or takes every row) and then its
+    per-node features from its own generator, in its own preorder. Each
+    pass takes every tree's next node that needs a split, as long as the
+    pass stays within ``_PASS_ELEMENTS``, scores them all with one
+    ``_best_splits`` call and routes every split node's rows to its children.
+    """
+    n, d = X.shape
+    ranks, values = _column_ranks(X)
+    roots, stacks, rngs = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        rows = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(np.int32)
+        n_pos = int(y[rows].sum())
+        roots.append(TreeNode(counts=(n - n_pos, n_pos)))
+        stacks.append([(roots[-1], rows, 0)])
+        rngs.append(rng)
+    pending: list = [None] * len(seeds)
+    live = list(range(len(seeds)))
+    while live:
+        batch, waiting, used = [], [], 0
+        for t in live:
+            if pending[t] is None:
+                pending[t] = _next_split(stacks[t], rngs[t], d, m, max_depth, min_samples_leaf)
+                if pending[t] is None:
+                    continue
+            waiting.append(t)
+            size = len(pending[t][1]) * m
+            if not batch or used + size <= _PASS_ELEMENTS:
+                batch.append(t)
+                used += size
+        live = waiting
+        if not batch:
+            continue
+        nodes = [pending[t] for t in batch]
+        for t in batch:
+            pending[t] = None
+        rows = np.concatenate([rows for _, rows, _, _ in nodes])
+        sizes = np.array([len(rows) for _, rows, _, _ in nodes])
+        features = np.array([f for _, _, _, f in nodes], dtype=np.intp).reshape(len(nodes), m)
+        n_pos = np.array([node.counts[1] for node, _, _, _ in nodes], dtype=float)
+        cost, feature, threshold = _best_splits(rows, sizes, features, n_pos, y, ranks, values,
+                                                min_samples_leaf)
+        split = [k for k, (node, _, _, _) in enumerate(nodes) if cost[k] < gini(*node.counts)]
+        if not split:
+            continue
+        # route by the stored float threshold, as scoring will: a midpoint can
+        # round onto a neighbouring value or overflow, and then differs from
+        # the rank boundary it was computed from
+        node_of_row = np.repeat(np.arange(len(nodes)), sizes)
+        child = 2 * node_of_row + ~(X[rows, feature[node_of_row]] <= threshold[node_of_row])
+        child_rows = rows[np.argsort(child, kind="stable")]
+        child_sizes = np.bincount(child, minlength=2 * len(nodes))
+        child_pos = np.bincount(child, weights=y[rows], minlength=2 * len(nodes))
+        child_end = np.cumsum(child_sizes).tolist()
+        child_sizes, child_pos = child_sizes.tolist(), child_pos.astype(np.int64).tolist()
+        for k in split:
+            node, _, depth, _ = nodes[k]
+            node.feature = int(feature[k])
+            node.threshold = float(threshold[k])
+            children = []
+            for c in (2 * k, 2 * k + 1):
+                n_rows, n_pos_c = child_sizes[c], child_pos[c]
+                children.append((TreeNode(counts=(n_rows - n_pos_c, n_pos_c)),
+                                 child_rows[child_end[c] - n_rows:child_end[c]].copy(),
+                                 depth + 1))
+            node.left, node.right = children[0][0], children[1][0]
+            stacks[batch[k]].extend(reversed(children))  # left on top: preorder
+    return roots
 
 
 def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                  min_samples_leaf: int = 2, features_per_split: int | None = None,
                  seed: int = 0, bootstrap: bool = True) -> ForestModel:
-    """Train a forest of ``n_trees`` bootstrap CART trees."""
+    """Train a forest of ``n_trees`` bootstrap CART trees.
+
+    ``X`` may hold +-inf but not NaN.
+    """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=np.int64)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError(f"bad training shapes X={X.shape}, y={y.shape}")
+    if np.isnan(X).any():
+        raise TrainingError("training features contain NaN")
     classes = set(np.unique(y))
     if not classes <= {0, 1}:
         raise TrainingError(f"labels must be binary 0/1, got {sorted(classes)}")
@@ -260,16 +402,8 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
     if features_per_split is None:
         features_per_split = math.ceil(math.sqrt(d))
 
-    trees = []
-    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
-        rng = np.random.default_rng(child_seed)
-        if bootstrap:
-            idx = rng.integers(0, len(y), size=len(y))
-            Xb, yb = X[idx], y[idx]
-        else:
-            Xb, yb = X, y
-        trees.append(grow_tree(Xb, yb, max_depth, min_samples_leaf,
-                               features_per_split, rng))
+    trees = _grow_trees(X, y, np.random.SeedSequence(seed).spawn(n_trees), bootstrap,
+                        max_depth, min_samples_leaf, min(features_per_split, d))
     meta = {"n_samples": int(len(y)), "bootstrap": bootstrap}
     return ForestModel(trees=trees, n_features=d, n_trees=n_trees,
                        max_depth=max_depth, min_samples_leaf=min_samples_leaf,

@@ -181,6 +181,18 @@ class TestConfigAndErrors:
                      "--manifest", str(tmp_path / "nope.ndjson")]) == 2
         assert "error" in capsys.readouterr().err
 
+    def test_train_malware_rejects_values_too_large_to_standardize(self, tmp_path, capsys):
+        # finite rows pass the loader, but their sum overflows the column mean
+        rows = [f"s{i},{1.1 + i / 10}e308,{i}.0,{('BENIGN', 'MALICIOUS')[i % 2]}"
+                for i in range(6)]
+        train = tmp_path / "malware.csv"
+        train.write_text("sample_id,f0,f1,label\n" + "\n".join(rows) + "\n")
+        artifact = tmp_path / "artifact.json"
+        assert main(["train-malware", "--train", str(train), "--artifact", str(artifact),
+                     "--trees", "3"]) == 2
+        assert "error: feature columns [0]" in capsys.readouterr().err
+        assert not artifact.exists()
+
     def test_module_entrypoint_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "aisoc", "generate",

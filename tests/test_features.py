@@ -123,7 +123,8 @@ class TestTransformText:
     def test_norm_is_zero_or_one(self, message):
         vocab = fit_vocabulary(["abc 123 x/a", "abc aa bb"], min_df=1)
         vec = transform_text(message, vocab)
-        assert vec.l2_norm == pytest.approx(0.0) or vec.l2_norm == pytest.approx(1.0, abs=1e-9)
+        norm = np.linalg.norm(vec.values)
+        assert norm == pytest.approx(0.0) or norm == pytest.approx(1.0, abs=1e-9)
 
     @settings(max_examples=40, deadline=None)
     @given(st.permutations(["alpha", "beta", "alpha", "gamma", "beta"]))
@@ -158,6 +159,15 @@ class TestStandardizer:
         params = fit_standardizer(rows)
         transformed = np.stack([transform_dense(r, params) for r in rows])
         assert np.abs(transformed.mean(axis=0)).max() < 1e-9
+
+    @pytest.mark.parametrize("rows", [
+        [(1.0, 1.5e308), (2.0, 1.7e308)],  # the sum overflows: mean inf
+        [(1.0, 1e200), (2.0, -1e200)],     # the squares overflow: std inf
+        [(1.0, math.inf), (2.0, 0.0)],
+    ])
+    def test_non_finite_statistics_rejected(self, rows):
+        with pytest.raises(TrainingError, match=r"columns \[1\]"):
+            fit_standardizer(rows)
 
     def test_dimension_mismatch(self):
         params = fit_standardizer([(1.0, 2.0), (3.0, 4.0)])

@@ -1,4 +1,6 @@
+import json
 import math
+from typing import Sequence
 
 import numpy as np
 import pytest
@@ -11,7 +13,6 @@ from aisoc.learn import (
     ForestModel,
     LogisticModel,
     TreeNode,
-    best_split,
     design_matrix,
     gini,
     loss_and_grad,
@@ -20,6 +21,7 @@ from aisoc.learn import (
     train_forest,
     train_logistic,
 )
+from aisoc.learn.forest import _PASS_ELEMENTS
 
 
 def sv(values, dim=None):
@@ -234,10 +236,9 @@ class TestForest:
         rng = np.random.default_rng(seed)
         X = np.round(rng.normal(size=(n, d)), 2)
         y = rng.integers(0, 2, size=n)
-        tree = None
-        from aisoc.learn.forest import grow_tree
-        tree = grow_tree(X, y.astype(np.int64), max_depth=1, min_samples_leaf=1,
-                         features_per_split=d, rng=np.random.default_rng(0))
+        y[0], y[1] = 0, 1  # train_forest refuses single-class data
+        tree = train_forest(X, y, n_trees=1, bootstrap=False, max_depth=1, min_samples_leaf=1,
+                            features_per_split=d).trees[0]
         expected = exhaustive_depth_one_split(X, y)
         if expected is None:
             assert tree.is_leaf
@@ -366,7 +367,11 @@ class TestBestSplitHelpers:
         # identical separating columns; tie must resolve to feature 0
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 0, 1])
-        cost, feature, threshold = best_split(X, y, [1, 0], min_samples_leaf=1)
+        tree = train_forest(X, y, n_trees=1, bootstrap=False, max_depth=1, min_samples_leaf=1,
+                            features_per_split=2).trees[0]
+        left, right = tree.left.counts, tree.right.counts
+        cost = (sum(left) * gini(*left) + sum(right) * gini(*right)) / len(y)
+        feature, threshold = tree.feature, tree.threshold
         assert feature == 0
         assert threshold == pytest.approx(0.5)
         assert cost == 0.0
@@ -375,6 +380,153 @@ class TestBestSplitHelpers:
         X = design_matrix([sv([1.0, 0.0, 2.0]), sv([0.0, 3.0, 0.0])])
         assert X.shape == (2, 3)
         assert X.toarray().tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+
+
+# The recursive grower that ``train_forest`` used before growing all trees in
+# lockstep, kept verbatim as the reference the lockstep grower must reproduce.
+def best_split(X: np.ndarray, y: np.ndarray, feature_ids: Sequence[int],
+               min_samples_leaf: int) -> tuple[float, int, float] | None:
+    """Lowest weighted-Gini split over the given features, or None.
+
+    Returns (cost, feature, threshold); ties break toward the lowest feature
+    index, then the lowest threshold.
+    """
+    n = len(y)
+    best: tuple[float, int, float] | None = None
+    for f in sorted(feature_ids):
+        values = X[:, f]
+        order = np.argsort(values, kind="stable")
+        xs = values[order]
+        ys = y[order]
+        distinct = np.nonzero(np.diff(xs) > 0)[0] + 1  # candidate left-sizes
+        if len(distinct) == 0:
+            continue
+        cum_pos = np.cumsum(ys)
+        n_left = distinct.astype(float)
+        pos_left = cum_pos[distinct - 1].astype(float)
+        n_right = n - n_left
+        pos_right = cum_pos[-1] - pos_left
+        valid = (n_left >= min_samples_leaf) & (n_right >= min_samples_leaf)
+        if not valid.any():
+            continue
+        neg_left = n_left - pos_left
+        neg_right = n_right - pos_right
+        gini_left = 1.0 - (pos_left / n_left) ** 2 - (neg_left / n_left) ** 2
+        gini_right = 1.0 - (pos_right / n_right) ** 2 - (neg_right / n_right) ** 2
+        cost = (n_left * gini_left + n_right * gini_right) / n
+        cost[~valid] = np.inf
+        k = int(np.argmin(cost))  # first minimum = lowest threshold
+        threshold = float((xs[distinct[k] - 1] + xs[distinct[k]]) / 2.0)
+        candidate = (float(cost[k]), int(f), threshold)
+        if best is None or candidate < best:
+            best = candidate
+    return best
+
+
+def grow_tree(X: np.ndarray, y: np.ndarray, max_depth: int, min_samples_leaf: int,
+              features_per_split: int, rng: np.random.Generator,
+              depth: int = 0) -> TreeNode:
+    """Recursively grow one CART tree on (X, y) with 0/1 labels."""
+    n_pos = int(y.sum())
+    counts = (len(y) - n_pos, n_pos)
+    node = TreeNode(counts=counts)
+    if (depth >= max_depth or n_pos == 0 or n_pos == len(y)
+            or len(y) < 2 * min_samples_leaf):
+        return node
+    d = X.shape[1]
+    m = min(features_per_split, d)
+    feature_ids = rng.choice(d, size=m, replace=False)
+    found = best_split(X, y, feature_ids, min_samples_leaf)
+    if found is None:
+        return node
+    cost, feature, threshold = found
+    if cost >= gini(*counts):
+        return node
+    mask = X[:, feature] <= threshold
+    node.feature = feature
+    node.threshold = threshold
+    node.left = grow_tree(X[mask], y[mask], max_depth, min_samples_leaf,
+                          features_per_split, rng, depth + 1)
+    node.right = grow_tree(X[~mask], y[~mask], max_depth, min_samples_leaf,
+                           features_per_split, rng, depth + 1)
+    return node
+
+
+def reference_forest(X, y, n_trees, max_depth, min_samples_leaf, features_per_split, seed,
+                     bootstrap):
+    """The trees of the former ``train_forest``: one tree at a time, recursively."""
+    X = np.asarray(X, dtype=float)
+    y = np.asarray(y, dtype=np.int64)
+    trees = []
+    for child_seed in np.random.SeedSequence(seed).spawn(n_trees):
+        rng = np.random.default_rng(child_seed)
+        if bootstrap:
+            idx = rng.integers(0, len(y), size=len(y))
+            Xb, yb = X[idx], y[idx]
+        else:
+            Xb, yb = X, y
+        trees.append(grow_tree(Xb, yb, max_depth, min_samples_leaf,
+                               features_per_split, rng))
+    return trees
+
+
+def tree_bytes(trees):
+    # JSON, not dict equality: a NaN threshold (the midpoint of -inf and inf)
+    # never equals itself, and -0.0 == 0.0
+    return json.dumps([t.to_dict() for t in trees])
+
+
+class TestLockstepGrower:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), n=st.integers(2, 40), d=st.integers(1, 5),
+           scale=st.sampled_from([1.0, 1e-300, 1e300, 1e308]),
+           min_samples_leaf=st.integers(1, 5), features_per_split=st.integers(1, 6),
+           n_trees=st.integers(1, 4), max_depth=st.integers(1, 8), bootstrap=st.booleans())
+    def test_matches_recursive_reference_byte_for_byte(self, seed, n, d, scale,
+                                                        min_samples_leaf, features_per_split,
+                                                        n_trees, max_depth, bootstrap):
+        rng = np.random.default_rng(seed)
+        params = dict(n_trees=n_trees, max_depth=max_depth, min_samples_leaf=min_samples_leaf,
+                      features_per_split=features_per_split, seed=seed, bootstrap=bootstrap)
+        # 0.1-rounded values tie often; at 1e308 values and split midpoints
+        # overflow to +-inf, and a midpoint can round onto a neighbour at 1e-300
+        with np.errstate(over="ignore", invalid="ignore"):
+            X = np.round(rng.normal(size=(n, d)), 1) * scale
+            y = rng.integers(0, 2, size=n)
+            y[0], y[1] = 0, 1
+            model = train_forest(X, y, **params)
+            reference = reference_forest(X, y, **params)
+        assert tree_bytes(model.trees) == tree_bytes(reference)
+
+    def test_infinite_columns_match_reference(self):
+        X = np.array([[-np.inf, 1.5e308], [np.inf, 1.7e308], [np.inf, -1.0], [-np.inf, 2.0],
+                      [np.inf, 1.5e308], [-np.inf, -np.inf]])
+        y = np.array([0, 1, 1, 0, 1, 0])
+        params = dict(n_trees=6, max_depth=4, min_samples_leaf=1, features_per_split=1,
+                      seed=3, bootstrap=True)
+        with np.errstate(over="ignore", invalid="ignore"):
+            model = train_forest(X, y, **params)
+            reference = reference_forest(X, y, **params)
+        assert tree_bytes(model.trees) == tree_bytes(reference)
+        assert any(math.isinf(node.threshold) or math.isnan(node.threshold)
+                   for node in split_nodes(model))
+
+    def test_trees_do_not_depend_on_the_pass_schedule(self):
+        rng = np.random.default_rng(21)
+        X = np.round(rng.normal(size=(600, 20)), 1)
+        y = (X[:, :3].sum(axis=1) + rng.normal(size=600) > 0).astype(int)
+        # eight roots of 600 rows x ceil(sqrt(20)) features overflow one pass,
+        # one or two roots do not
+        assert 8 * 600 * 5 > _PASS_ELEMENTS >= 2 * 600 * 5
+        full = train_forest(X, y, n_trees=8, max_depth=6, seed=5)
+        for k in (1, 2):
+            part = train_forest(X, y, n_trees=k, max_depth=6, seed=5)
+            assert tree_bytes(part.trees) == tree_bytes(full.trees[:k])
+
+    def test_nan_features_rejected(self):
+        X = np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 0.0], [3.0, 1.0]])
+        with pytest.raises(TrainingError, match="NaN"):
+            train_forest(X, [0, 1, 0, 1], n_trees=2)
 
 
 def special_rows(model, d, rng, scale):
