@@ -13,8 +13,10 @@ deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
 ``(timestamp, label, message)`` list is printed. Finally, forests are trained
 on fixed edge shapes (many tied values, values and split midpoints that
 overflow to +-inf, no bootstrap with ``min_samples_leaf=5``, 20 features)
-and the digest of each ``ForestModel.to_dict()`` JSON is printed, so a
-change to the grower is byte-checked across commits.
+and the digest of each forest is printed, so a change to the grower is
+byte-checked across commits. The forest digest hashes the JSON of the
+forest's fields with each tree as nested node objects, built from
+``ForestModel.trees``; it does not depend on how artifacts store trees.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -138,6 +140,22 @@ FOREST_SHAPES = {
 }
 
 
+def node_object(node) -> dict:
+    """A tree as nested node objects (artifact format 1), from its root ``TreeNode``."""
+    if node.is_leaf:
+        return {"counts": list(node.counts)}
+    return {"counts": list(node.counts), "feature": node.feature,
+            "threshold": float(node.threshold),
+            "left": node_object(node.left), "right": node_object(node.right)}
+
+
+def forest_object(model) -> dict:
+    return {"trees": [node_object(tree) for tree in model.trees],
+            **{key: getattr(model, key) for key in (
+                "n_features", "n_trees", "max_depth", "min_samples_leaf",
+                "features_per_split", "seed", "training_meta")}}
+
+
 def forest_digests() -> dict[str, str]:
     """Digests of forests trained on 0.1-rounded Gaussian rows (many ties)."""
     digests = {}
@@ -147,7 +165,7 @@ def forest_digests() -> dict[str, str]:
         y = (X[:, :max(1, d // 2)].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
         with np.errstate(over="ignore", invalid="ignore"):  # +-inf at 1e308 on purpose
             model = train_forest(X * scale, y, seed=int(SEED), **params)
-        digests[f"forest.{name}"] = sha256_bytes(json.dumps(model.to_dict()).encode("utf-8"))
+        digests[f"forest.{name}"] = sha256_bytes(json.dumps(forest_object(model)).encode("utf-8"))
     return digests
 
 

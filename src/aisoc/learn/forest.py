@@ -27,25 +27,39 @@ whatever the forest size; trees whose next node does not fit wait for a
 later pass, which changes no tree because trees are independent. NaN has
 no rank, so training refuses it; +-inf trains like any other value.
 
-Scoring walks every tree at once, for one row or a whole matrix of rows,
-over flat parallel node arrays (the layout of scikit-learn's ``Tree``;
-Louppe 2014, *Understanding Random Forests*, ch. 5) built once per model;
-the ``TreeNode`` form stays the serialized one.
+Every tree is a set of flat parallel node arrays (the layout of
+scikit-learn's ``Tree``; Louppe 2014, *Understanding Random Forests*,
+ch. 5), from the grower to the artifact file. A tree's root is node 0, and a
+node that splits gives its two children the next free ids, left then right.
+Nodes split in preorder, left subtree first, so every child's id is greater
+than its parent's. The grower appends each node as it creates it. Scoring
+walks every tree at once, for one row or a whole matrix of rows, over one
+layout of all trees that numpy builds from those arrays at the first score.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from itertools import chain
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
 
 
+# Node arrays of a forest and their dtypes. A leaf has feature -1, children
+# -1 and threshold 0.0; JSON has no infinity, so these are the stored values.
+NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
+               "right": np.intp, "negatives": np.int64, "positives": np.int64}
+
+
 @dataclass
 class TreeNode:
+    """One node of the linked view ``ForestModel.trees`` builds on access."""
+
     counts: tuple[int, int]  # (negatives, positives) of training rows at the node
     feature: int | None = None
     threshold: float | None = None
@@ -61,31 +75,37 @@ class TreeNode:
         total = self.counts[0] + self.counts[1]
         return self.counts[1] / total if total else 0.0
 
-    def to_dict(self) -> dict:
-        if self.is_leaf:
-            return {"counts": list(self.counts)}
-        return {
-            "counts": list(self.counts),
-            "feature": self.feature,
-            "threshold": float(self.threshold),
-            "left": self.left.to_dict(),
-            "right": self.right.to_dict(),
-        }
 
-    @classmethod
-    def from_dict(cls, payload: dict) -> "TreeNode":
-        counts = (int(payload["counts"][0]), int(payload["counts"][1]))
-        if "feature" not in payload:
-            return cls(counts=counts)
-        return cls(counts=counts, feature=int(payload["feature"]),
-                   threshold=float(payload["threshold"]),
-                   left=cls.from_dict(payload["left"]),
-                   right=cls.from_dict(payload["right"]))
+def _node_arrays(trees: Sequence[dict]) -> dict[str, np.ndarray]:
+    """Per-tree node lists (as grown or stored) laid end to end in one array
+    per field, plus ``tree_sizes``; node ids stay counted within each tree."""
+    sizes = [len(tree["feature"]) for tree in trees]
+    for t, (tree, size) in enumerate(zip(trees, sizes)):
+        if any(len(tree[key]) != size for key in NODE_FIELDS):
+            raise ValueError(f"tree {t} has node lists of unequal lengths")
+    arrays = {"tree_sizes": np.array(sizes, dtype=np.intp)}
+    for key, dtype in NODE_FIELDS.items():
+        arrays[key] = np.array(list(chain.from_iterable(tree[key] for tree in trees)), dtype=dtype)
+        if arrays[key].shape != (sum(sizes),):
+            raise ValueError(f"forest {key} lists hold something other than numbers")
+    return arrays
 
 
-@dataclass
+@dataclass(eq=False)
 class ForestModel:
-    trees: list[TreeNode]
+    """Every tree's node arrays, laid end to end in tree order.
+
+    Tree ``t`` owns the ``tree_sizes[t]`` entries after those of the trees
+    before it; its child ids count from its own first entry.
+    """
+
+    feature: np.ndarray     # split feature of each node; -1 at a leaf
+    threshold: np.ndarray   # rows with x[feature] <= threshold go left
+    left: np.ndarray        # child ids within the tree; -1 at a leaf
+    right: np.ndarray
+    negatives: np.ndarray   # training rows of each class at the node
+    positives: np.ndarray
+    tree_sizes: np.ndarray  # nodes of each tree
     n_features: int
     n_trees: int
     max_depth: int
@@ -93,16 +113,37 @@ class ForestModel:
     features_per_split: int
     seed: int
     training_meta: dict = field(default_factory=dict)
-    # scoring form of ``trees``, built once here and never serialized;
-    # trees are not edited after a model is built
-    _flat: "_FlatForest" = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        self._flat = _FlatForest.of(self.trees)
+    @property
+    def trees(self) -> list[TreeNode]:
+        """Each tree as linked ``TreeNode``s, built anew on every access.
+
+        A read-only view for callers that walk nodes; edits to it do not
+        reach the model.
+        """
+        feature, threshold = self.feature.tolist(), self.threshold.tolist()
+        left, right = self.left.tolist(), self.right.tolist()
+        nodes = [TreeNode(counts=counts) for counts in
+                 zip(self.negatives.tolist(), self.positives.tolist())]
+        roots, start = [], 0
+        for size in self.tree_sizes.tolist():
+            roots.append(nodes[start])
+            for i in range(start, start + size):
+                if feature[i] >= 0:
+                    node = nodes[i]
+                    node.feature, node.threshold = feature[i], threshold[i]
+                    node.left, node.right = nodes[start + left[i]], nodes[start + right[i]]
+            start += size
+        return roots
 
     def to_dict(self) -> dict:
+        columns = {key: getattr(self, key).tolist() for key in NODE_FIELDS}
+        trees, start = [], 0
+        for size in self.tree_sizes.tolist():
+            trees.append({key: values[start:start + size] for key, values in columns.items()})
+            start += size
         return {
-            "trees": [t.to_dict() for t in self.trees],
+            "trees": trees,
             "n_features": self.n_features,
             "n_trees": self.n_trees,
             "max_depth": self.max_depth,
@@ -114,7 +155,7 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ForestModel":
-        return cls(trees=[TreeNode.from_dict(t) for t in payload["trees"]],
+        return cls(**_node_arrays(payload["trees"]),
                    n_features=int(payload["n_features"]),
                    n_trees=int(payload["n_trees"]),
                    max_depth=int(payload["max_depth"]),
@@ -123,10 +164,15 @@ class ForestModel:
                    seed=int(payload["seed"]),
                    training_meta=dict(payload.get("training_meta", {})))
 
+    @cached_property
+    def _walk(self) -> "_Walk":
+        """The scoring layout, built at the first score; never serialized.
+        Node arrays are not edited after a model is built."""
+        return _Walk.of(self)
 
-@dataclass(frozen=True)
-class _FlatForest:
-    """Every node of every tree in parallel arrays, indexed by node id.
+
+class _Walk(NamedTuple):
+    """Every node of every tree, indexed by forest-wide node id.
 
     A leaf points to itself on both sides with threshold +inf, so walking
     ``depth`` levels parks each tree on its leaf whatever the input (a NaN
@@ -142,46 +188,28 @@ class _FlatForest:
     depth: int             # deepest leaf over all trees, at least 1
 
     @classmethod
-    def of(cls, trees: Sequence[TreeNode]) -> "_FlatForest":
-        feature: list[int] = []
-        threshold: list[float] = []
-        left: list[int] = []
-        right: list[int] = []
-        value: list[float] = []
-        roots: list[int] = []
-        depth = 0
-
-        def add(node: TreeNode) -> int:
-            nid = len(feature)
-            feature.append(0)
-            threshold.append(math.inf)
-            left.append(nid)
-            right.append(nid)
-            value.append(node.positive_fraction if node.is_leaf else 0.0)
-            return nid
-
-        for tree in trees:
-            roots.append(add(tree))
-            stack = [(tree, roots[-1], 0)]
-            while stack:
-                node, nid, level = stack.pop()
-                if node.is_leaf:
-                    depth = max(depth, level)
-                    continue
-                feature[nid] = node.feature
-                threshold[nid] = node.threshold
-                left[nid] = add(node.left)
-                right[nid] = add(node.right)
-                stack.append((node.left, left[nid], level + 1))
-                stack.append((node.right, right[nid], level + 1))
-        return cls(roots=np.array(roots, dtype=np.intp),
-                   feature=np.array(feature, dtype=np.intp),
-                   threshold=np.array(threshold, dtype=float),
-                   left=np.array(left, dtype=np.intp), right=np.array(right, dtype=np.intp),
-                   value=np.array(value, dtype=float),
+    def of(cls, model: ForestModel) -> "_Walk":
+        sizes = model.tree_sizes
+        roots = np.cumsum(sizes) - sizes
+        leaf = model.feature < 0
+        node = np.arange(len(leaf))
+        start = np.repeat(roots, sizes)
+        left = np.where(leaf, node, model.left + start)
+        right = np.where(leaf, node, model.right + start)
+        total = model.negatives + model.positives
+        value = np.divide(model.positives, total, out=np.zeros(len(leaf)),
+                          where=leaf & (total > 0))
+        # levels of split nodes under the roots, one frontier per level
+        depth, frontier = 0, roots[~leaf[roots]]
+        while len(frontier):
+            depth += 1
+            frontier = np.concatenate((left[frontier], right[frontier]))
+            frontier = frontier[~leaf[frontier]]
+        return cls(roots=roots, feature=np.where(leaf, 0, model.feature),
+                   threshold=np.where(leaf, np.inf, model.threshold), left=left, right=right,
                    # one level even for single-leaf trees, so a matrix walk
                    # always ends with one node per (row, tree)
-                   depth=max(depth, 1))
+                   value=value, depth=max(depth, 1))
 
 
 def gini(n_neg: int, n_pos: int) -> float:
@@ -290,13 +318,46 @@ def _best_splits(rows: np.ndarray, sizes: np.ndarray, features: np.ndarray,
     return cost_of, feature_of, threshold_of
 
 
-def _next_split(stack: list, rng: np.random.Generator, d: int, m: int, max_depth: int,
-                min_samples_leaf: int):
+def _add_node(tree: dict, negatives: int, positives: int) -> int:
+    """Append a leaf with these class counts to ``tree``'s node lists; returns its id."""
+    tree["feature"].append(-1)
+    tree["threshold"].append(0.0)
+    tree["left"].append(-1)
+    tree["right"].append(-1)
+    tree["negatives"].append(negatives)
+    tree["positives"].append(positives)
+    return len(tree["feature"]) - 1
+
+
+def node_lists_of_nested(trees: Sequence[dict]) -> list[dict]:
+    """Trees stored as nested node objects (artifact format 1) as node lists.
+
+    A node object holds ``counts`` (negatives, positives) and, if it splits,
+    ``feature``, ``threshold``, ``left`` and ``right``. Nodes are numbered
+    as the grower numbers them, without recursion.
+    """
+    converted = []
+    for root in trees:
+        lists = {key: [] for key in NODE_FIELDS}
+        stack = [(root, _add_node(lists, *root["counts"]))]
+        while stack:
+            node, i = stack.pop()
+            if "feature" in node:
+                lists["feature"][i], lists["threshold"][i] = node["feature"], node["threshold"]
+                lists["left"][i] = _add_node(lists, *node["left"]["counts"])
+                lists["right"][i] = _add_node(lists, *node["right"]["counts"])
+                stack += [(node["right"], lists["right"][i]), (node["left"], lists["left"][i])]
+        converted.append(lists)
+    return converted
+
+
+def _next_split(stack: list, positives: list, rng: np.random.Generator, d: int, m: int,
+                max_depth: int, min_samples_leaf: int):
     """Pop ``stack`` (preorder) down to the next node that needs a split and draw
     its features; None once the tree is complete. Leaves draw nothing."""
     while stack:
         node, rows, depth = stack.pop()
-        n_pos = node.counts[1]
+        n_pos = positives[node]
         if (depth >= max_depth or n_pos == 0 or n_pos == len(rows)
                 or len(rows) < 2 * min_samples_leaf):
             continue
@@ -305,8 +366,8 @@ def _next_split(stack: list, rng: np.random.Generator, d: int, m: int, max_depth
 
 
 def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_depth: int,
-                min_samples_leaf: int, m: int) -> list[TreeNode]:
-    """Grow one tree per seed, all in lockstep.
+                min_samples_leaf: int, m: int) -> list[dict]:
+    """Grow one tree per seed, all in lockstep; returns each tree's node lists.
 
     Each tree draws its bootstrap rows (or takes every row) and then its
     per-node features from its own generator, in its own preorder. Each
@@ -316,13 +377,13 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
     """
     n, d = X.shape
     ranks, values = _column_ranks(X)
-    roots, stacks, rngs = [], [], []
+    trees, stacks, rngs = [], [], []
     for seed in seeds:
         rng = np.random.default_rng(seed)
         rows = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(np.int32)
+        trees.append({key: [] for key in NODE_FIELDS})
         n_pos = int(y[rows].sum())
-        roots.append(TreeNode(counts=(n - n_pos, n_pos)))
-        stacks.append([(roots[-1], rows, 0)])
+        stacks.append([(_add_node(trees[-1], n - n_pos, n_pos), rows, 0)])
         rngs.append(rng)
     pending: list = [None] * len(seeds)
     live = list(range(len(seeds)))
@@ -330,7 +391,8 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
         batch, waiting, used = [], [], 0
         for t in live:
             if pending[t] is None:
-                pending[t] = _next_split(stacks[t], rngs[t], d, m, max_depth, min_samples_leaf)
+                pending[t] = _next_split(stacks[t], trees[t]["positives"], rngs[t], d, m,
+                                         max_depth, min_samples_leaf)
                 if pending[t] is None:
                     continue
             waiting.append(t)
@@ -347,10 +409,14 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
         rows = np.concatenate([rows for _, rows, _, _ in nodes])
         sizes = np.array([len(rows) for _, rows, _, _ in nodes])
         features = np.array([f for _, _, _, f in nodes], dtype=np.intp).reshape(len(nodes), m)
-        n_pos = np.array([node.counts[1] for node, _, _, _ in nodes], dtype=float)
+        n_neg, n_pos = np.array([(trees[t]["negatives"][node], trees[t]["positives"][node])
+                                 for t, (node, _, _, _) in zip(batch, nodes)], dtype=float).T
         cost, feature, threshold = _best_splits(rows, sizes, features, n_pos, y, ranks, values,
                                                 min_samples_leaf)
-        split = [k for k, (node, _, _, _) in enumerate(nodes) if cost[k] < gini(*node.counts)]
+        # ``gini`` of each node, elementwise in the same float order
+        total = n_neg + n_pos
+        p, q = n_pos / total, n_neg / total
+        split = np.flatnonzero(cost < 1.0 - p * p - q * q).tolist()
         if not split:
             continue
         # route by the stored float threshold, as scoring will: a midpoint can
@@ -364,18 +430,15 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
         child_end = np.cumsum(child_sizes).tolist()
         child_sizes, child_pos = child_sizes.tolist(), child_pos.astype(np.int64).tolist()
         for k in split:
-            node, _, depth, _ = nodes[k]
-            node.feature = int(feature[k])
-            node.threshold = float(threshold[k])
-            children = []
-            for c in (2 * k, 2 * k + 1):
-                n_rows, n_pos_c = child_sizes[c], child_pos[c]
-                children.append((TreeNode(counts=(n_rows - n_pos_c, n_pos_c)),
-                                 child_rows[child_end[c] - n_rows:child_end[c]].copy(),
-                                 depth + 1))
-            node.left, node.right = children[0][0], children[1][0]
+            tree, (node, _, depth, _) = trees[batch[k]], nodes[k]
+            tree["feature"][node] = int(feature[k])
+            tree["threshold"][node] = float(threshold[k])
+            children = [(_add_node(tree, child_sizes[c] - child_pos[c], child_pos[c]),
+                         child_rows[child_end[c] - child_sizes[c]:child_end[c]].copy(), depth + 1)
+                        for c in (2 * k, 2 * k + 1)]
+            tree["left"][node], tree["right"][node] = children[0][0], children[1][0]
             stacks[batch[k]].extend(reversed(children))  # left on top: preorder
-    return roots
+    return trees
 
 
 def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
@@ -405,7 +468,7 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
     trees = _grow_trees(X, y, np.random.SeedSequence(seed).spawn(n_trees), bootstrap,
                         max_depth, min_samples_leaf, min(features_per_split, d))
     meta = {"n_samples": int(len(y)), "bootstrap": bootstrap}
-    return ForestModel(trees=trees, n_features=d, n_trees=n_trees,
+    return ForestModel(**_node_arrays(trees), n_features=d, n_trees=n_trees,
                        max_depth=max_depth, min_samples_leaf=min_samples_leaf,
                        features_per_split=features_per_split, seed=seed,
                        training_meta=meta)
@@ -420,16 +483,16 @@ def score_forest(model: ForestModel, x):
     X = np.asarray(x, dtype=float)
     if X.ndim not in (1, 2) or X.shape[-1:] != (model.n_features,):
         raise DimensionError(f"vector dim {X.shape} != model dim {model.n_features}")
-    flat = model._flat
+    walk = model._walk
     # a matrix is indexed (row, feature): rows as a column broadcast against
     # the (rows, trees) node ids; one row is indexed by feature alone
     rows = () if X.ndim == 1 else (np.arange(len(X))[:, None],)
-    idx = flat.roots
-    for _ in range(flat.depth):
-        idx = np.where(X[rows + (flat.feature[idx],)] <= flat.threshold[idx],
-                       flat.left[idx], flat.right[idx])
+    idx = walk.roots
+    for _ in range(walk.depth):
+        idx = np.where(X[rows + (walk.feature[idx],)] <= walk.threshold[idx],
+                       walk.left[idx], walk.right[idx])
     # Leaf values added left to right in tree order (accumulate is
     # sequential, unlike np.sum's pairwise sum), so every row keeps the bits
     # of the per-tree accumulation.
-    scores = np.add.accumulate(flat.value[idx], axis=-1)[..., -1] / len(model.trees)
+    scores = np.add.accumulate(walk.value[idx], axis=-1)[..., -1] / len(walk.roots)
     return float(scores) if X.ndim == 1 else scores

@@ -6,12 +6,18 @@ bytes. Canonical serialization makes save -> load -> save byte-identical,
 so fixed-seed pipelines reproduce artifacts exactly. An artifact missing
 components is saved with status PARTIAL and is refused by the scorer and
 the HTTP service.
+
+Format 2 stores each tree as the forest's flat node lists. Format 1 stored
+each tree as nested node objects; such a file still loads, converted to
+the same lists, and is written back as format 2.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
+import secrets
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -22,11 +28,11 @@ from ..calibrate import CalibrationMethod, Calibrator
 from ..errors import ArtifactError
 from ..features import Standardizer, Vocabulary
 from ..fusion import FusionConfig
-from ..learn.forest import ForestModel
+from ..learn.forest import ForestModel, node_lists_of_nested
 from ..learn.logistic import LogisticModel
 from .scorer import Scorer
 
-FORMAT_VERSION = "1"
+FORMAT_VERSION = "2"
 SERVING = "SERVING"
 PARTIAL = "PARTIAL"
 
@@ -45,7 +51,7 @@ def checksum_of(payload: dict) -> str:
 
 @dataclass
 class ModelArtifact:
-    format_version: str = FORMAT_VERSION
+    format_version = FORMAT_VERSION  # the only format written
     created_at: int = 0  # epoch ms
     vocabulary: Vocabulary | None = None
     logistic: LogisticModel | None = None
@@ -97,7 +103,6 @@ class ModelArtifact:
 
         calibrators = payload.get("calibrators", {})
         return cls(
-            format_version=payload["format_version"],
             created_at=int(payload["created_at"]),
             vocabulary=_opt(payload.get("vocabulary"), Vocabulary.from_dict),
             logistic=_opt(payload.get("logistic"), LogisticModel.from_dict),
@@ -140,12 +145,34 @@ def build_artifact(vocabulary=None, logistic=None, calibrator_logs=None,
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
-    """Write the canonical container file; returns the content checksum."""
-    payload = artifact.to_payload()
-    checksum = checksum_of(payload)
-    body = canonical_json_bytes({"checksum": checksum, "payload": payload}) + b"\n"
-    Path(path).write_bytes(body)
+    """Write the canonical container file; returns the content checksum.
+
+    An artifact that ``load_artifact`` would refuse is not written. The
+    file is replaced whole, so a failed write leaves the previous one.
+    """
+    problems = _inconsistencies(artifact)
+    if problems:
+        raise ArtifactError(f"{path}: not saved, inconsistent artifact: {'; '.join(problems)}")
+    try:
+        payload = canonical_json_bytes(artifact.to_payload())
+    except ValueError as exc:  # a non-finite number: the canonical form has none
+        raise ArtifactError(f"{path}: not saved, payload holds a non-finite number: {exc}") from exc
+    checksum = "sha256:" + hashlib.sha256(payload).hexdigest()
+    # the canonical envelope, spliced: sorted keys put "checksum" first
+    _replace_file(Path(path), b'{"checksum":"%s","payload":%s}\n' % (checksum.encode(), payload))
     return checksum
+
+
+def _replace_file(path: Path, data: bytes) -> None:
+    """Write ``data`` to a new file beside ``path``, then rename it over ``path``."""
+    part = path.with_name(f".{path.name}.{secrets.token_hex(4)}.part")
+    try:
+        with open(part, "xb") as out:
+            out.write(data)
+        os.replace(part, path)
+    except BaseException:
+        part.unlink(missing_ok=True)
+        raise
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
@@ -168,15 +195,21 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         checksum = checksum_of(payload)
     except ValueError as exc:  # NaN or Infinity: the canonical form has no such number
         raise ArtifactError(f"{path}: payload holds a non-finite number: {exc}") from exc
+    except RecursionError as exc:  # parsed, but one level too deep to encode again
+        raise ArtifactError(f"{path}: payload nests too deep: {exc}") from exc
     if checksum != envelope["checksum"]:
         raise ArtifactError(f"{path}: checksum mismatch; file is corrupt")
-    if payload.get("format_version") != FORMAT_VERSION:
+    version = payload.get("format_version")
+    if version not in (FORMAT_VERSION, "1"):
         raise ArtifactError(
-            f"{path}: unknown format_version {payload.get('format_version')!r}, "
-            f"expected {FORMAT_VERSION!r}")
+            f"{path}: unknown format_version {version!r}, expected {FORMAT_VERSION!r} or '1'")
     try:
+        if version == "1" and payload.get("forest") is not None:
+            forest = payload["forest"]
+            payload = {**payload,
+                       "forest": {**forest, "trees": node_lists_of_nested(forest["trees"])}}
         artifact = ModelArtifact.from_payload(payload)
-    except (AttributeError, KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path}: malformed component payload: {exc}") from exc
     missing = artifact.missing_components()
     if payload.get("status") == SERVING and missing:
@@ -188,13 +221,41 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     return artifact
 
 
-def _split_features(forest: ForestModel):
-    stack = list(forest.trees)
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            yield node.feature
-            stack.extend((node.left, node.right))
+def _forest_problems(forest: ForestModel) -> list[str]:
+    """What keeps the node arrays from being ``n_trees`` trees that can score.
+
+    Every child id must exceed its parent's and every node but a root must
+    have exactly one parent; then following parents from any node ends at
+    its tree's root, so each tree is a tree.
+    """
+    sizes = forest.tree_sizes
+    if len(sizes) != forest.n_trees or not len(sizes):
+        return [f"forest declares {forest.n_trees} trees and holds {len(sizes)}"]
+    if np.any(sizes < 1):
+        return ["forest holds a tree without nodes"]
+    problems = []
+    feature, left, right = forest.feature, forest.left, forest.right
+    split = feature != -1
+    bad = np.unique(feature[split & ((feature < 0) | (feature >= forest.n_features))])
+    if len(bad):
+        problems.append(f"forest splits on feature(s) {bad[:5].tolist()} outside "
+                        f"[0, {forest.n_features})")
+    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each node's tree, as its first id
+    node = np.arange(len(feature)) - start              # each node's id within its tree
+    end = np.repeat(sizes, sizes)
+    children_ok = np.where(split, (node < left) & (left < end) & (node < right) & (right < end),
+                           (left == -1) & (right == -1))
+    if not children_ok.all():
+        problems.append("forest has a child id not above its parent's, outside its tree, "
+                        "or on a leaf")
+    else:
+        parents = np.bincount(np.concatenate((left[split], right[split]))
+                              + np.tile(start[split], 2), minlength=len(feature))
+        if np.any(parents != (node > 0)):
+            problems.append("forest has a node without exactly one parent")
+    if np.any(forest.negatives < 0) or np.any(forest.positives < 0):
+        problems.append("forest holds a negative class count")
+    return problems
 
 
 def _inconsistencies(artifact: ModelArtifact) -> list[str]:
@@ -225,10 +286,8 @@ def _inconsistencies(artifact: ModelArtifact) -> list[str]:
             problems.append(f"standardizer has {std.dimension} features, "
                             f"the forest {forest.n_features}")
     if forest is not None:
-        bad = sorted({f for f in _split_features(forest) if not 0 <= f < forest.n_features})
-        if bad:
-            problems.append(f"forest splits on feature(s) {bad[:5]} outside "
-                            f"[0, {forest.n_features})")
+        numbers["forest"] = forest.threshold
+        problems += _forest_problems(forest)
     for name in ("calibrator_logs", "calibrator_malware"):
         cal = getattr(artifact, name)
         if cal is None or cal.method is CalibrationMethod.IDENTITY:

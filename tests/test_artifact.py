@@ -1,15 +1,28 @@
 import copy
+import dataclasses
+import errno
 import hashlib
 import json
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aisoc.cli import main as cli_main
 from aisoc.errors import ArtifactError
 from aisoc.fusion import FusionConfig
+from aisoc.learn import train_forest
+from aisoc.pipeline import ExperimentConfig, run_experiment
+from aisoc.service import artifact as artifact_module
 from aisoc.service import build_artifact, load_artifact, save_artifact
-from aisoc.service.artifact import PARTIAL, SERVING, checksum_of
+from aisoc.service.artifact import (FORMAT_VERSION, PARTIAL, SERVING, canonical_json_bytes,
+                                    checksum_of)
+
+# Written by the last commit that stored trees as nested node objects:
+# ``run_experiment(ExperimentConfig(seed=7, forest_trees=3))``, then ``save_artifact``.
+FORMAT_1 = Path(__file__).parent / "data" / "artifact_format1_seed7_3trees.json"
 
 
 class TestRoundTrip:
@@ -132,7 +145,14 @@ def _write(path, payload, checksum=None) -> None:
     path.write_text(json.dumps({"checksum": checksum, "payload": payload}))
 
 
-def _split_nodes(forest_payload) -> list[dict]:
+def _split_nodes(forest_payload) -> list[tuple[dict, int]]:
+    """(tree, node id) of every split node of a format-2 forest payload."""
+    return [(tree, i) for tree in forest_payload["trees"]
+            for i, feature in enumerate(tree["feature"]) if feature != -1]
+
+
+def _nested_split_nodes(forest_payload) -> list[dict]:
+    """Every split node object of a format-1 forest payload."""
     nodes, stack = [], list(forest_payload["trees"])
     while stack:
         node = stack.pop()
@@ -140,6 +160,17 @@ def _split_nodes(forest_payload) -> list[dict]:
             nodes.append(node)
             stack.extend((node["left"], node["right"]))
     return nodes
+
+
+def _tree_lists(splits: list) -> dict:
+    """Node lists from ``[node, left, right]`` splits; every other node up to
+    the largest id is a leaf."""
+    size = 1 + max(max(split) for split in splits)
+    lists = {"feature": [-1] * size, "threshold": [0.0] * size, "left": [-1] * size,
+             "right": [-1] * size, "negatives": [1] * size, "positives": [1] * size}
+    for node, left, right in splits:
+        lists["feature"][node], lists["left"][node], lists["right"][node] = 0, left, right
+    return lists
 
 
 def _resize(values: list, delta: int) -> list:
@@ -162,10 +193,44 @@ def _mutate_standardizer_dim(p, k):
     std["mean"], std["std"] = _resize(std["mean"], delta), _resize(std["std"], delta)
 
 
-def _mutate_tree_feature(p, k):
-    nodes = _split_nodes(p["forest"])
+def _bad_feature(p, k):
     n = p["forest"]["n_features"]
-    nodes[k % len(nodes)]["feature"] = n + k % 4 if k % 2 else -1 - k % 4
+    return n + k % 4 if k % 2 else -2 - k % 4
+
+
+def _mutate_tree_feature(p, k):
+    tree, i = _split_nodes(p["forest"])[k % len(_split_nodes(p["forest"]))]
+    tree["feature"][i] = _bad_feature(p, k)
+
+
+def _mutate_tree_child(p, k):
+    """Point a child at its parent or before it, past its tree, or at its
+    sibling (which then has two parents), or give a leaf a child."""
+    splits = _split_nodes(p["forest"])
+    tree, i = splits[k % len(splits)]
+    side, other = ("left", "right") if k % 2 else ("right", "left")
+    choice = k % 6
+    if choice == 5:
+        leaf = tree["feature"].index(-1)
+        tree[side][leaf] = leaf + 1
+    else:
+        tree[side][i] = [i, i // 2, len(tree["feature"]), tree[other][i], -1 - k % 3][choice]
+
+
+def _mutate_tree_count(p, k):
+    forest = p["forest"]
+    if k % 3 == 0:
+        forest["trees"] = []
+    elif k % 3 == 1:
+        forest["trees"] = forest["trees"][:-1]
+    else:
+        forest["n_trees"] += 1 + k % 5
+
+
+def _mutate_class_count(p, k):
+    trees = p["forest"]["trees"]
+    tree = trees[k % len(trees)]
+    tree["negatives" if k % 2 else "positives"][k % len(tree["feature"])] = -1 - k % 9
 
 
 def _mutate_knot_order(p, k):
@@ -189,8 +254,22 @@ def _mutate_weight_value(p, k):
 
 
 MUTATIONS = [_mutate_weights_length, _mutate_idf_length, _mutate_standardizer_dim,
-             _mutate_tree_feature, _mutate_knot_order, _mutate_knot_value, _mutate_platt,
-             _mutate_weight_value]
+             _mutate_tree_feature, _mutate_tree_child, _mutate_tree_count, _mutate_class_count,
+             _mutate_knot_order, _mutate_knot_value, _mutate_platt, _mutate_weight_value]
+
+
+# The forest mutations above, on the nested nodes of a format-1 payload.
+def _mutate_nested_feature(p, k):
+    nodes = _nested_split_nodes(p["forest"])
+    nodes[k % len(nodes)]["feature"] = _bad_feature(p, k)
+
+
+def _mutate_nested_counts(p, k):
+    nodes = _nested_split_nodes(p["forest"])
+    nodes[k % len(nodes)]["left"]["counts"][k % 2] = -1 - k % 9
+
+
+FORMAT_1_MUTATIONS = [_mutate_nested_feature, _mutate_tree_count, _mutate_nested_counts]
 
 
 class TestConsistency:
@@ -242,3 +321,162 @@ class TestConsistency:
         _write(tmp_path / "a.json", [1, 2], checksum="sha256:0")
         with pytest.raises(ArtifactError, match="not an artifact container"):
             load_artifact(tmp_path / "a.json")
+
+    def test_payload_too_deep_to_encode_again_is_an_artifact_error(self, tmp_path):
+        # json.loads parses somewhat deeper than json.dumps can encode from
+        # inside load_artifact; every depth around that edge must be refused
+        for depth in range(900, 1000):
+            (tmp_path / "a.json").write_text(
+                '{"checksum":"sha256:0","payload":{"a":' + "[" * depth + "]" * depth + "}}")
+            with pytest.raises(ArtifactError):
+                load_artifact(tmp_path / "a.json")
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda forest: forest.update(trees=[]), "forest declares 30 trees and holds 0"),
+        (lambda forest: forest.update(n_trees=31), "forest declares 31 trees and holds 30"),
+        (lambda forest: forest["trees"][4]["positives"].__setitem__(2, -3),
+         "forest holds a negative class count"),
+    ], ids=["no-trees", "n-trees", "negative-count"])
+    def test_forest_that_cannot_score_is_refused(self, tmp_path, payload, edit, match):
+        broken = copy.deepcopy(payload)
+        edit(broken["forest"])
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=f"inconsistent artifact: {match}"):
+            load_artifact(tmp_path / "a.json")
+
+    @pytest.mark.parametrize("edit", [
+        lambda tree, i: tree["left"].__setitem__(i, i),
+        lambda tree, i: tree["right"].__setitem__(i, 0),
+        lambda tree, i: tree["right"].__setitem__(i, len(tree["feature"])),
+        lambda tree, i: tree["left"].__setitem__(i, -2),
+        lambda tree, i: tree["left"].__setitem__(i, tree["right"][i]),
+        lambda tree, i: tree["right"].__setitem__(tree["feature"].index(-1), 1),
+        lambda tree, i: tree.update(_tree_lists([[0, 1, 2], [3, 3, 4]])),
+        lambda tree, i: tree.update(_tree_lists([[0, 3, 4], [1, 2, 5], [2, 1, 6]])),
+    ], ids=["child-is-parent", "child-is-root", "child-past-last-tree", "child-negative",
+            "child-twice", "leaf-with-child", "detached-self-loop", "detached-cycle"])
+    def test_node_lists_that_are_not_trees_are_refused(self, tmp_path, payload, edit):
+        broken = copy.deepcopy(payload)
+        last = broken["forest"]["trees"][-1]
+        edit(last, [i for i, f in enumerate(last["feature"]) if f != -1][1])  # a non-root split
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match="inconsistent artifact: forest has a "):
+            load_artifact(tmp_path / "a.json")
+
+    def test_forest_of_no_trees_is_refused(self, tmp_path, payload):
+        broken = copy.deepcopy(payload)
+        broken["forest"].update(trees=[], n_trees=0)
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match="forest declares 0 trees and holds 0"):
+            load_artifact(tmp_path / "a.json")
+
+    def test_tree_lists_of_unequal_length_are_refused(self, tmp_path, payload):
+        broken = copy.deepcopy(payload)
+        broken["forest"]["trees"][3]["threshold"].pop()
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match="tree 3 has node lists of unequal lengths"):
+            load_artifact(tmp_path / "a.json")
+
+
+class TestFormat1:
+    """A format-1 file (nested node objects) loads as the trees the grower writes."""
+
+    @pytest.fixture(scope="class")
+    def retrained(self):
+        return run_experiment(ExperimentConfig(seed=7, forest_trees=3))
+
+    def test_scores_bit_identically_to_a_fresh_run(self, retrained):
+        loaded, fresh = load_artifact(FORMAT_1).to_scorer(), retrained.artifact.to_scorer()
+        assert loaded.artifact_version == fresh.artifact_version
+        X = np.array([item.malware.features for item in retrained.test_items])
+        assert loaded.score_malware(X).tobytes() == fresh.score_malware(X).tobytes()
+        for row in X[:20]:
+            assert loaded.score_malware(row) == fresh.score_malware(row)
+        messages = [item.log.message for item in retrained.test_items]
+        assert loaded.score_log(messages).tobytes() == fresh.score_log(messages).tobytes()
+
+    def test_cli_save_writes_the_format_2_bytes_of_a_fresh_run(self, tmp_path, retrained):
+        save_artifact(retrained.artifact, tmp_path / "fresh.json")
+        upgraded = tmp_path / "upgraded.json"
+        assert cli_main(["save", "--artifact", str(FORMAT_1), "--out", str(upgraded)]) == 0
+        assert upgraded.read_bytes() == (tmp_path / "fresh.json").read_bytes()
+        written = json.loads(upgraded.read_text())["payload"]["format_version"]
+        assert written == FORMAT_VERSION == "2"
+
+    @pytest.mark.parametrize("edit, match", [
+        (lambda forest: forest.update(trees=[]), "forest declares 3 trees and holds 0"),
+        (lambda forest: forest.update(n_trees=2), "forest declares 2 trees and holds 3"),
+        (lambda forest: forest["trees"][1]["left"]["counts"].__setitem__(0, -1),
+         "forest holds a negative class count"),
+    ], ids=["no-trees", "n-trees", "negative-count"])
+    def test_forest_that_cannot_score_is_refused(self, tmp_path, edit, match):
+        broken = json.loads(FORMAT_1.read_text())["payload"]
+        edit(broken["forest"])
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=f"inconsistent artifact: {match}"):
+            load_artifact(tmp_path / "a.json")
+
+    @settings(max_examples=40, deadline=None)
+    @given(mutation=st.sampled_from(FORMAT_1_MUTATIONS), k=st.integers(0, 10_000))
+    def test_mutated_forest_is_refused_not_served(self, tmp_path_factory, mutation, k):
+        broken = json.loads(FORMAT_1.read_text())["payload"]
+        assert broken["format_version"] == "1" and broken["status"] == SERVING
+        mutation(broken, k)
+        path = tmp_path_factory.mktemp("mutated") / "a.json"
+        _write(path, broken)
+        with pytest.raises(ArtifactError, match="inconsistent artifact"):
+            load_artifact(path)
+
+
+class TestSave:
+    def test_bytes_are_the_canonical_envelope(self, tmp_path, demo_result):
+        path = tmp_path / "a.json"
+        checksum = save_artifact(demo_result.artifact, path)
+        envelope = {"checksum": checksum, "payload": demo_result.artifact.to_payload()}
+        assert path.read_bytes() == canonical_json_bytes(envelope) + b"\n"
+        assert checksum == checksum_of(envelope["payload"])
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_infinite_threshold_is_refused_before_writing(self, tmp_path):
+        with np.errstate(over="ignore"):  # the midpoint of 1.5e308 and 1.7e308
+            forest = train_forest([[1.5e308], [1.7e308], [1.5e308], [1.7e308]], [0, 1, 0, 1],
+                                  n_trees=1, bootstrap=False, min_samples_leaf=1)
+        assert forest.threshold[0] == np.inf
+        path = tmp_path / "a.json"
+        path.write_bytes(b"previous")
+        with pytest.raises(ArtifactError, match="not saved.*forest holds a non-finite number"):
+            save_artifact(build_artifact(forest=forest, created_at=0), path)
+        assert path.read_bytes() == b"previous"
+        assert sorted(tmp_path.iterdir()) == [path]
+
+    def test_failed_write_keeps_the_previous_file(self, tmp_path, demo_result, monkeypatch):
+        path = tmp_path / "a.json"
+        save_artifact(demo_result.artifact, path)
+        before = path.read_bytes()
+
+        class DiskFull:
+            """A file that takes half of the first write, then runs out of space."""
+
+            def __init__(self, file, mode):
+                self.handle = open(file, mode)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.handle.close()
+
+            def write(self, data):
+                self.handle.write(data[:len(data) // 2])
+                self.handle.flush()
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(artifact_module, "open", DiskFull, raising=False)
+        later = dataclasses.replace(demo_result.artifact, created_at=1)
+        with pytest.raises(OSError, match="No space left"):
+            save_artifact(later, path)
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
+        monkeypatch.undo()
+        save_artifact(later, path)
+        assert load_artifact(path).created_at == 1

@@ -151,6 +151,36 @@ def leaf(neg, pos):
     return TreeNode(counts=(neg, pos))
 
 
+def tree_lists(root: TreeNode) -> dict:
+    """One ``TreeNode`` tree as node lists, numbered as the grower numbers
+    nodes: a split node's children take the next two ids, left then right,
+    and nodes split in preorder."""
+    lists = {"feature": [], "threshold": [], "left": [], "right": [], "negatives": [],
+             "positives": []}
+
+    def add(node):
+        for key, value in zip(lists, (-1, 0.0, -1, -1, *node.counts)):
+            lists[key].append(value)
+        return len(lists["feature"]) - 1
+
+    stack = [(root, add(root))]
+    while stack:
+        node, i = stack.pop()
+        if not node.is_leaf:
+            lists["feature"][i], lists["threshold"][i] = node.feature, node.threshold
+            lists["left"][i], lists["right"][i] = add(node.left), add(node.right)
+            stack += [(node.right, lists["right"][i]), (node.left, lists["left"][i])]
+    return lists
+
+
+def forest_of(trees, n_features=2) -> ForestModel:
+    """A model holding hand-built ``TreeNode`` trees."""
+    return ForestModel.from_dict({"trees": [tree_lists(t) for t in trees],
+                                  "n_features": n_features, "n_trees": len(trees),
+                                  "max_depth": 1, "min_samples_leaf": 1,
+                                  "features_per_split": 1, "seed": 0})
+
+
 class TestForest:
     def test_separating_feature_reaches_perfect_training_accuracy(self):
         X = np.array([[0.0], [0.1], [0.9], [1.0]])
@@ -169,19 +199,15 @@ class TestForest:
 
     def test_hand_built_votes_average(self):
         # leaf votes [1, 1, 0, 1] -> 0.75
-        trees = [leaf(0, 5), leaf(0, 9), leaf(7, 0), leaf(0, 2)]
-        model = ForestModel(trees=trees, n_features=2, n_trees=4, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of([leaf(0, 5), leaf(0, 9), leaf(7, 0), leaf(0, 2)])
         assert score_forest(model, [0.0, 0.0]) == pytest.approx(0.75)
 
     def test_degenerate_single_leaf_fraction(self):
-        model = ForestModel(trees=[leaf(1, 3)], n_features=1, n_trees=1, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of([leaf(1, 3)], n_features=1)
         assert score_forest(model, [0.0]) == pytest.approx(0.75)
 
     def test_all_benign_leaves_score_zero(self):
-        model = ForestModel(trees=[leaf(4, 0), leaf(2, 0)], n_features=1, n_trees=2,
-                            max_depth=1, min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of([leaf(4, 0), leaf(2, 0)], n_features=1)
         assert score_forest(model, [5.0]) == 0.0
 
     def test_single_class_rejected(self):
@@ -189,8 +215,7 @@ class TestForest:
             train_forest(np.zeros((4, 2)), [1, 1, 1, 1])
 
     def test_score_dimension_check(self):
-        model = ForestModel(trees=[leaf(1, 1)], n_features=2, n_trees=1, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of([leaf(1, 1)])
         with pytest.raises(DimensionError):
             score_forest(model, [1.0])
 
@@ -199,16 +224,9 @@ class TestForest:
         X = rng.normal(size=(80, 3))
         y = (X[:, 0] + 0.3 * rng.normal(size=80) > 0).astype(int)
         model = train_forest(X, y, n_trees=8, max_depth=6, min_samples_leaf=3, seed=1)
-
-        def check(node):
-            if node.is_leaf:
-                assert node.counts[0] + node.counts[1] >= 3
-            else:
-                check(node.left)
-                check(node.right)
-
-        for tree in model.trees:
-            check(tree)
+        leaf = model.feature == -1
+        assert 8 < leaf.sum() < len(leaf)
+        assert np.all((model.negatives + model.positives)[leaf] >= 3)
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(9)
@@ -238,12 +256,12 @@ class TestForest:
         y = rng.integers(0, 2, size=n)
         y[0], y[1] = 0, 1  # train_forest refuses single-class data
         tree = train_forest(X, y, n_trees=1, bootstrap=False, max_depth=1, min_samples_leaf=1,
-                            features_per_split=d).trees[0]
+                            features_per_split=d)
         expected = exhaustive_depth_one_split(X, y)
         if expected is None:
-            assert tree.is_leaf
+            assert tree.feature.tolist() == [-1]
         else:
-            assert (tree.feature, tree.threshold) == (expected[0], expected[1])
+            assert (tree.feature[0], tree.threshold[0]) == (expected[0], expected[1])
 
 
 def reference_score(model, x):
@@ -259,13 +277,10 @@ def reference_score(model, x):
     return total / len(model.trees)
 
 
-def split_nodes(model):
-    stack = list(model.trees)
-    while stack:
-        node = stack.pop()
-        if not node.is_leaf:
-            yield node
-            stack.extend((node.left, node.right))
+def split_points(model):
+    """(feature, threshold) of every split node."""
+    split = model.feature != -1
+    return zip(model.feature[split].tolist(), model.threshold[split].tolist())
 
 
 HAND_BUILT = [
@@ -295,33 +310,43 @@ class TestFlatForestWalk:
                                  min_samples_leaf=1, seed=seed)
             rows = list(X) + list(rng.normal(size=(10, d)) * scale)
             rows += [np.full(d, v) for v in (np.inf, -np.inf, np.nan, 0.0)]
-            for node in split_nodes(model):  # exactly on each threshold: routes left
+            for feature, threshold in split_points(model):  # exactly on it: routes left
                 row = rng.normal(size=d) * scale
-                row[node.feature] = node.threshold
+                row[feature] = threshold
                 rows.append(row)
         for row in rows:
             assert score_forest(model, row) == reference_score(model, row)
 
     @pytest.mark.parametrize("trees", HAND_BUILT)
     def test_hand_built_forests_match_reference_walk(self, trees):
-        model = ForestModel(trees=trees, n_features=2, n_trees=len(trees), max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of(trees)
         for row in ([0.0, 0.0], [0.0, 0.5], [0.0, 0.6], [np.nan, np.nan], [1e308, -1e308]):
             assert score_forest(model, row) == reference_score(model, row)
 
     def test_value_on_threshold_routes_left(self):
-        model = ForestModel(trees=HAND_BUILT[4][:1], n_features=2, n_trees=1, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of(HAND_BUILT[4][:1])
         assert score_forest(model, [0.0, 0.5]) == 1.0
         assert score_forest(model, [0.0, np.nextafter(0.5, 1.0)]) == 0.0
 
-    def test_flat_arrays_stay_out_of_equality_and_artifact(self):
+    def test_scoring_layout_is_built_at_the_first_score_and_never_stored(self):
         rng = np.random.default_rng(4)
         X = rng.normal(size=(30, 2))
         model = train_forest(X, (X[:, 0] > 0).astype(int), n_trees=3, seed=1)
+        assert "_walk" not in vars(model)  # training and saving do not build it
         clone = ForestModel.from_dict(model.to_dict())
-        assert clone == model
-        assert "_flat" not in repr(model) and "_flat" not in model.to_dict()
+        assert score_forest(clone, X).tolist() == score_forest(model, X).tolist()
+        assert "_walk" in vars(model) and "_walk" not in repr(model)
+        assert clone.to_dict() == model.to_dict()
+        assert json.dumps(model.to_dict()).count("[") == 1 + 6 * 3  # trees, then 6 lists per tree
+
+    def test_tree_view_matches_the_node_arrays(self):
+        rng = np.random.default_rng(6)
+        X = np.round(rng.normal(size=(60, 3)), 1)
+        model = train_forest(X, (X[:, 1] > 0).astype(int), n_trees=5, max_depth=5, seed=2)
+        view = model.trees
+        assert [tree_lists(tree) for tree in view] == model.to_dict()["trees"]
+        view[0].feature = None  # the view is a copy
+        assert [tree_lists(tree) for tree in model.trees] == model.to_dict()["trees"]
 
 
 def exhaustive_depth_one_split(X, y):
@@ -368,10 +393,11 @@ class TestBestSplitHelpers:
         X = np.array([[0.0, 0.0], [1.0, 1.0], [0.0, 0.0], [1.0, 1.0]])
         y = np.array([0, 1, 0, 1])
         tree = train_forest(X, y, n_trees=1, bootstrap=False, max_depth=1, min_samples_leaf=1,
-                            features_per_split=2).trees[0]
-        left, right = tree.left.counts, tree.right.counts
+                            features_per_split=2)
+        left, right = ((tree.negatives[c], tree.positives[c])
+                       for c in (tree.left[0], tree.right[0]))
         cost = (sum(left) * gini(*left) + sum(right) * gini(*right)) / len(y)
-        feature, threshold = tree.feature, tree.threshold
+        feature, threshold = tree.feature[0], tree.threshold[0]
         assert feature == 0
         assert threshold == pytest.approx(0.5)
         assert cost == 0.0
@@ -471,9 +497,14 @@ def reference_forest(X, y, n_trees, max_depth, min_samples_leaf, features_per_sp
 
 
 def tree_bytes(trees):
-    # JSON, not dict equality: a NaN threshold (the midpoint of -inf and inf)
-    # never equals itself, and -0.0 == 0.0
-    return json.dumps([t.to_dict() for t in trees])
+    """The node lists of ``TreeNode`` trees as JSON. JSON, not equality: a NaN
+    threshold (the midpoint of -inf and inf) never equals itself, and -0.0 == 0.0."""
+    return json.dumps([tree_lists(t) for t in trees])
+
+
+def model_bytes(model):
+    """The node arrays of a trained model, per tree, as ``tree_bytes`` writes them."""
+    return json.dumps(model.to_dict()["trees"])
 
 
 class TestLockstepGrower:
@@ -496,7 +527,7 @@ class TestLockstepGrower:
             y[0], y[1] = 0, 1
             model = train_forest(X, y, **params)
             reference = reference_forest(X, y, **params)
-        assert tree_bytes(model.trees) == tree_bytes(reference)
+        assert model_bytes(model) == tree_bytes(reference)
 
     def test_infinite_columns_match_reference(self):
         X = np.array([[-np.inf, 1.5e308], [np.inf, 1.7e308], [np.inf, -1.0], [-np.inf, 2.0],
@@ -507,9 +538,9 @@ class TestLockstepGrower:
         with np.errstate(over="ignore", invalid="ignore"):
             model = train_forest(X, y, **params)
             reference = reference_forest(X, y, **params)
-        assert tree_bytes(model.trees) == tree_bytes(reference)
-        assert any(math.isinf(node.threshold) or math.isnan(node.threshold)
-                   for node in split_nodes(model))
+        assert model_bytes(model) == tree_bytes(reference)
+        assert any(math.isinf(threshold) or math.isnan(threshold)
+                   for _, threshold in split_points(model))
 
     def test_trees_do_not_depend_on_the_pass_schedule(self):
         rng = np.random.default_rng(21)
@@ -521,7 +552,7 @@ class TestLockstepGrower:
         full = train_forest(X, y, n_trees=8, max_depth=6, seed=5)
         for k in (1, 2):
             part = train_forest(X, y, n_trees=k, max_depth=6, seed=5)
-            assert tree_bytes(part.trees) == tree_bytes(full.trees[:k])
+            assert model_bytes(part) == json.dumps(full.to_dict()["trees"][:k])
 
     def test_nan_features_rejected(self):
         X = np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 0.0], [3.0, 1.0]])
@@ -533,9 +564,9 @@ def special_rows(model, d, rng, scale):
     """NaN, +-inf, +-1e300 rows, and a row exactly on each split threshold."""
     rows = [np.full(d, v) for v in (np.nan, np.inf, -np.inf, 1e300, -1e300, 0.0)]
     rows.append(np.where(np.arange(d) % 2 == 0, np.nan, 1e300))
-    for node in split_nodes(model):
+    for feature, threshold in split_points(model):
         row = rng.normal(size=d) * scale
-        row[node.feature] = node.threshold
+        row[feature] = threshold
         rows.append(row)
     return rows
 
@@ -567,20 +598,17 @@ class TestMatrixForestWalk:
 
     @pytest.mark.parametrize("trees", HAND_BUILT)
     def test_hand_built_forests_as_a_matrix(self, trees):
-        model = ForestModel(trees=trees, n_features=2, n_trees=len(trees), max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of(trees)
         rows = np.array([[0.0, 0.0], [0.0, 0.5], [0.0, 0.6], [np.nan, np.nan], [1e308, -1e308]])
         assert score_forest(model, rows).tolist() == [reference_score(model, r) for r in rows]
 
     def test_empty_matrix_scores_nothing(self):
-        model = ForestModel(trees=HAND_BUILT[4], n_features=2, n_trees=2, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of(HAND_BUILT[4])
         assert score_forest(model, np.empty((0, 2))).shape == (0,)
 
     @pytest.mark.parametrize("shape", [(3, 1), (3,), (2, 2, 2), ()])
     def test_wrong_shapes_rejected(self, shape):
-        model = ForestModel(trees=HAND_BUILT[4], n_features=2, n_trees=2, max_depth=1,
-                            min_samples_leaf=1, features_per_split=1, seed=0)
+        model = forest_of(HAND_BUILT[4])
         with pytest.raises(DimensionError):
             score_forest(model, np.zeros(shape))
 

@@ -49,7 +49,7 @@ class TestHttpEndpoints:
 
     def test_model_info(self, service, demo_result):
         payload = _get(service.url + "/v1/model-info")
-        assert payload["format_version"] == "1"
+        assert payload["format_version"] == "2"
         assert payload["thresholds"] == {"t_m": demo_result.fusion_config.t_m,
                                          "t_l": demo_result.fusion_config.t_l}
         assert set(payload["calibrators"]) == {"malware", "logs"}
