@@ -17,6 +17,12 @@ and the digest of each forest is printed, so a change to the grower is
 byte-checked across commits. The forest digest hashes the JSON of the
 forest's fields with each tree as nested node objects, built from
 ``ForestModel.trees``; it does not depend on how artifacts store trees.
+The ``loaders.*`` digests, printed after the chain's, cover the three NDJSON
+line readers over one fixed file with CRLF line ends, blank lines, a BOM on
+its first line, malformed JSON, non-ASCII messages and no final line end: the
+log records written back by ``write_log_ndjson`` plus the reject reasons, a
+manifest of those records written and read back, and ``score-batch`` (with
+the chain's artifact) over the same lines.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -44,7 +50,16 @@ if __package__ is None:  # allow running straight from a checkout
     sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from aisoc.cli import main as cli_main
-from aisoc.corpus import ScenarioConfig, dedup_near_identical, generate_corpus
+from aisoc.corpus import (
+    Label,
+    MalwareSample,
+    ScenarioConfig,
+    dedup_near_identical,
+    generate_corpus,
+    load_log_ndjson,
+    write_log_ndjson,
+)
+from aisoc.evaluate import ManifestItem, read_manifest, write_manifest
 from aisoc.learn import train_forest
 from aisoc.pipeline import ExperimentConfig, run_experiment
 from aisoc.seeding import derive_seed
@@ -130,6 +145,56 @@ def dedup_digests() -> dict[str, str]:
     return digests
 
 
+def log_line(timestamp: int, message: str, **extra) -> str:
+    return json.dumps({"timestamp": timestamp, "host": "web01", "channel": "AUTH",
+                       "message": message, **extra}, ensure_ascii=False)
+
+
+# Lines of kinds every reader already accepted before the shared NDJSON reader:
+# log records, score requests, blank lines, a BOM and malformed JSON. The file
+# joins them with CRLF and has no final line end.
+LOADER_LINES = [
+    "\ufeff" + log_line(1000, "sshd: Accepted password for root", label="BENIGN"),
+    log_line(2000, "sshd: Failed password for jürgen from 10.0.0.7", label="MALICIOUS"),
+    "",
+    "   ",
+    log_line(3000, "cron[42]: Ausführung von /usr/bin/backup.sh — ok", label="BENIGN"),
+    '{"timestamp": 4000, "host": "web01"',
+    json.dumps({"log_message": "sudo: 日本 user : TTY=pts/0 ; COMMAND=/bin/sh",
+                "malware_features": [0.5] * 8}, ensure_ascii=False),
+    json.dumps({"entity_id": "r-2", "log_message": "powershell -enc SQBFAFgA"},
+               ensure_ascii=False),
+    "[1, 2]",
+    log_line(5000, "kernel: usb 1-1: new device — ünïcödé", label="MALICIOUS",
+             origin="AUGMENTED"),
+    json.dumps({"malware_features": [3.0] * 8}),
+]
+
+
+def loaders_digests(chain: Path) -> dict[str, str]:
+    """Digests of the three NDJSON readers' outputs over ``LOADER_LINES``."""
+    source = chain / "loader_lines.ndjson"
+    source.write_bytes("\r\n".join(LOADER_LINES).encode("utf-8"))
+    loaded = load_log_ndjson(source)
+    logs = chain / "loader_logs.ndjson"
+    write_log_ndjson(loaded.records, logs)
+    reasons = json.dumps(loaded.reject_reasons, ensure_ascii=False).encode("utf-8")
+    items = [ManifestItem(entity_id=f"m{i}", log=record, malware=MalwareSample(
+        sample_id=f"m{i}", features=(0.25 * i, -1.5, 1e-9),
+        label=(Label.BENIGN, Label.MALICIOUS)[i % 2])) for i, record in enumerate(loaded.records)]
+    manifest = chain / "loader_manifest.ndjson"
+    write_manifest(items, manifest)
+    read_back = json.dumps([[item.entity_id, item.log.message, str(item.log.label),
+                             list(item.malware.features), str(item.malware.label)]
+                            for item in read_manifest(manifest)], ensure_ascii=False)
+    scored = chain / "loader_scores.ndjson"
+    run_cli(["score-batch", "--artifact", chain / "artifact.json", "--in", source,
+             "--out", scored])
+    return {"loaders.logs": sha256_bytes(logs.read_bytes() + reasons),
+            "loaders.manifest": sha256_bytes(manifest.read_bytes() + read_back.encode("utf-8")),
+            "loaders.score_batch": sha256_bytes(scored.read_bytes())}
+
+
 # name: (rows, features, value scale, train_forest keywords)
 FOREST_SHAPES = {
     "ties": (300, 8, 1.0, {"n_trees": 30}),
@@ -178,6 +243,7 @@ def main() -> int:
         digests = pipeline_digests(Path(tmp))
         chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
         digests.update(cli_digests(chain))
+        digests.update(loaders_digests(chain))
     digests.update(dedup_digests())
     digests.update(forest_digests())
     for name, digest in digests.items():

@@ -56,6 +56,8 @@ from .service.artifact import build_artifact
 
 _OPS_ALL = "KEYWORD_OBFUSCATION,CHAR_NOISE,SYNONYM_REPLACEMENT"
 _SEED = ("--seed", 7, {"type": int, "help": "random seed"})
+# Options whose config-file value may also be a JSON list (of numbers or op names).
+_LIST_OPTIONS = {"ops", "fractions", "val_supports", "test_supports"}
 
 # Each subcommand's help text and options. One option is (flag, default,
 # argparse keywords); its config-file key is the flag without the leading
@@ -178,12 +180,27 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(dest: str, value, kwargs: dict):
+    """A config-file ``value`` read as its flag's text: through the option's type and choices."""
+    action = "action" in kwargs  # --flag/--no-flag
+    if isinstance(value, bool) and action or isinstance(value, list) and dest in _LIST_OPTIONS:
+        return value
+    if isinstance(value, bool) or action or not isinstance(value, (str, int, float)):
+        raise ValueError(f"invalid value {value!r}")
+    value = kwargs.get("type", str)(str(value))
+    if value not in kwargs.get("choices", [value]):
+        raise ValueError(f"invalid value {value!r}, choose from {kwargs['choices']}")
+    return value
+
+
 def _merge_options(args: argparse.Namespace) -> dict:
     defaults = {_dest(flag): default for flag, default, _ in _options(args.command)}
+    kwargs_of = {_dest(flag): kwargs for flag, _, kwargs in _options(args.command)}
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
+        # ValueError covers bad UTF-8, bad JSON and over-long integers
+        except (OSError, ValueError, RecursionError) as exc:
             raise ConfigError(f"cannot read config {args.config}: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise ConfigError(f"{args.config}: config must be a flat JSON object")
@@ -191,12 +208,12 @@ def _merge_options(args: argparse.Namespace) -> dict:
             norm = _dest("--" + key)
             if norm not in defaults:
                 raise ConfigError(f"{args.config}: unknown option {key!r} for {args.command}")
-            defaults[norm] = value
-    for key, value in vars(args).items():
-        if key in ("command", "config"):
-            continue
-        if value is not None:
-            defaults[key] = value
+            try:
+                defaults[norm] = _config_value(norm, value, kwargs_of[norm])
+            except ValueError as exc:
+                raise ConfigError(f"{args.config}: option {key!r}: {exc}") from exc
+    defaults.update((key, value) for key, value in vars(args).items()
+                    if key in defaults and value is not None)
     return defaults
 
 
@@ -208,20 +225,20 @@ def _require(opts: dict, *names: str) -> None:
 
 
 def _triplet(value, kind=float) -> tuple:
-    if isinstance(value, str):
-        parts = [kind(v) for v in value.split(",")]
-    else:
-        parts = [kind(v) for v in value]
-    if len(parts) != 3:
-        raise ConfigError(f"expected three comma-separated values, got {value!r}")
-    return tuple(parts)
+    try:
+        parts = tuple(kind(v) for v in (value.split(",") if isinstance(value, str) else value))
+        if len(parts) == 3:
+            return parts
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ConfigError(f"expected three comma-separated values, got {value!r}")
 
 
 def _ops(value) -> list[AugmentOp]:
-    names = value.split(",") if isinstance(value, str) else list(value)
+    names = value.split(",") if isinstance(value, str) else value
     try:
         return [AugmentOp(name.strip().upper()) for name in names if name.strip()]
-    except ValueError as exc:
+    except (AttributeError, ValueError) as exc:
         raise ConfigError(f"unknown augmentation op in {value!r}") from exc
 
 
@@ -398,8 +415,7 @@ def _cmd_evaluate(opts: dict) -> int:
     items = read_manifest(opts["manifest"])
     reports = run_baselines(artifact.to_scorer(), items, split=Path(opts["manifest"]).name,
                             fingerprints=dict(artifact.fingerprints))
-    selected = {"logs": ["logs"], "malware": ["malware"], "fused": ["fused"],
-                "all": ["logs", "malware", "fused"]}[opts["setting"]]
+    selected = ["logs", "malware", "fused"] if opts["setting"] == "all" else [opts["setting"]]
     payload = {name: reports[name].to_json_dict() for name in selected}
     for name in selected:
         print(reports[name].render_table())
@@ -438,7 +454,7 @@ def _cmd_serve(opts: dict) -> int:
     _require(opts, "artifact", "bind")
     artifact = load_artifact(opts["artifact"])
     host, _, port = str(opts["bind"]).rpartition(":")
-    if not host:
+    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"--bind must be host:port, got {opts['bind']!r}")
     service = serve(artifact, (host, int(port)))
     print(f"serving artifact {service.artifact_version} on {service.url}", flush=True)
@@ -452,12 +468,9 @@ def _cmd_serve(opts: dict) -> int:
 def _cmd_score_batch(opts: dict) -> int:
     _require(opts, "artifact", "in_path")
     artifact = load_artifact(opts["artifact"])
-    results = score_batch(artifact.to_scorer(), opts["in_path"], opts["out"])
+    results = score_batch(artifact.to_scorer(), opts["in_path"], opts["out"] or sys.stdout)
     if opts["out"]:
         print(f"scored {len(results)} request(s) into {opts['out']}")
-    else:
-        for obj in results:
-            print(json.dumps(obj, ensure_ascii=False))
     return 0
 
 

@@ -1,18 +1,21 @@
 """Schema-validated loading and writing of log NDJSON and malware CSV files.
 
-Per-line data problems (malformed JSON, bad field values, non-finite
-features) are counted and skipped; structural problems (unreadable file,
-missing label column, ragged CSV rows) abort with a ``LoadError`` that
-names the offending line.
+``read_ndjson`` and ``write_ndjson`` serve every NDJSON file: logs, manifests
+and batch requests. Per-line data problems (bad lines or fields, non-finite
+features) are counted and skipped; structural problems (unreadable file, CSV
+text that is not UTF-8 or CSV, missing label column, ragged CSV rows) abort
+with a ``LoadError`` that names the offending line.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from ..errors import LoadError
 from .records import Channel, Label, LogRecord, MalwareSample, Origin, parse_label
@@ -46,56 +49,83 @@ def _parse_log_line(obj: dict) -> LogRecord:
         raise ValueError(f"missing fields {sorted(missing)}")
     if not isinstance(obj["host"], str) or not isinstance(obj["message"], str):
         raise ValueError("host and message must be strings")
-    label = None
-    if "label" in obj and obj["label"] is not None:
-        label = Label(obj["label"])
-    origin = Origin(obj.get("origin", "LOADED"))
+    (obj["host"] + obj["message"]).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
     return LogRecord(timestamp=obj["timestamp"], host=obj["host"],
                      channel=Channel(obj["channel"]), message=obj["message"],
-                     label=label, origin=origin)
+                     label=None if obj.get("label") is None else Label(obj["label"]),
+                     origin=Origin(obj.get("origin", "LOADED")))
+
+
+def decode_ndjson(lines: Iterable[bytes | str],
+                  parse: Callable[[Any], Any]) -> Iterator[tuple[int, Any, str | None]]:
+    """``(number, parse(value), None)`` per non-blank line, or ``(number, None, reason)``
+    when the line is not UTF-8, not JSON or fails ``parse`` (``ValueError``), or
+    nests too deep (``RecursionError``). Blank lines are skipped but numbered."""
+    for lineno, line in enumerate(lines, start=1):
+        try:
+            text = line.decode("utf-8") if isinstance(line, bytes) else line
+            if not text.strip():
+                continue
+            value = parse(json.loads(text))
+        except (ValueError, RecursionError) as exc:
+            yield lineno, None, str(exc)
+        else:
+            yield lineno, value, None
+
+
+def read_ndjson(path: str | Path, parse: Callable[[Any], Any],
+                what: str = "") -> Iterator[tuple[int, Any, str | None]]:
+    """``decode_ndjson`` over the file at ``path``, read lazily; a line ends in LF or CRLF."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise LoadError(f"cannot read {what}{path}: {exc}") from exc
+    with fh:
+        yield from decode_ndjson((line.removesuffix(b"\n").removesuffix(b"\r") for line in fh),
+                                 parse)
+
+
+def write_ndjson(objs: Iterable, target: str | Path | TextIO) -> None:
+    """Each object as one ``json.dumps(obj, ensure_ascii=False)`` line, to an open
+    text stream or to the file at ``target`` (UTF-8, LF line ends)."""
+    if isinstance(target, (str, Path)):
+        with open(target, "w", encoding="utf-8", newline="\n") as fh:
+            return write_ndjson(objs, fh)
+    target.writelines(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
 
 
 def load_log_ndjson(path: str | Path) -> LogLoadResult:
-    """Load log records from an NDJSON file (one object per line)."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
+    """Load log records from an NDJSON file; bad lines are counted and skipped."""
     result = LogLoadResult()
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            result.records.append(_parse_log_line(json.loads(line)))
-        except (json.JSONDecodeError, ValueError) as exc:
+    for lineno, record, reason in read_ndjson(path, _parse_log_line):
+        if reason is None:
+            result.records.append(record)
+        else:
             result.rejected += 1
-            result.reject_reasons.append((lineno, str(exc)))
+            result.reject_reasons.append((lineno, reason))
     return result
 
 
 def write_log_ndjson(records: list[LogRecord], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for rec in records:
-            obj: dict = {
-                "timestamp": rec.timestamp,
-                "host": rec.host,
-                "channel": rec.channel.value,
-                "message": rec.message,
-            }
-            if rec.label is not None:
-                obj["label"] = rec.label.value
-            obj["origin"] = rec.origin.value
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_ndjson(({"timestamp": r.timestamp, "host": r.host, "channel": r.channel.value,
+                   "message": r.message, **({} if r.label is None else {"label": r.label.value}),
+                   "origin": r.origin.value} for r in records), path)
 
 
 def load_malware_csv(path: str | Path, label_column: str = "label",
                      id_column: str | None = None) -> MalwareLoadResult:
     """Load malware samples from an RFC-4180 CSV file with a header row."""
     try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            rows = list(csv.reader(fh))
+        data = Path(path).read_bytes()
+        reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
+        rows = list(reader)
     except OSError as exc:
         raise LoadError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise LoadError(f"{path}: line {lineno}: {exc}") from exc
+    except csv.Error as exc:
+        raise LoadError(f"{path}: line {reader.line_num}: {exc}") from exc
     if not rows:
         raise LoadError(f"{path}: empty file, expected a header row")
     header = rows[0]

@@ -10,13 +10,14 @@ from the component labels).
 from __future__ import annotations
 
 import hashlib
-import json
 import statistics
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus.augment import AugmentOp, augment
+from .corpus.loaders import read_ndjson, write_ndjson
 from .corpus.records import Label, LogRecord, MalwareSample, Origin, Channel
 from .errors import ConfigError, LoadError, MetricError
 from .features import feature_matrix
@@ -97,40 +98,40 @@ def build_manifest(logs: Sequence[LogRecord], samples: Sequence[MalwareSample],
 
 
 def write_manifest(items: Sequence[ManifestItem], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for item in items:
-            obj = {
-                "entity_id": item.entity_id,
-                "log_message": item.log.message,
-                "log_label": item.log.label.value if item.log.label else None,
-                "malware_features": [float(v) for v in item.malware.features],
-                "malware_label": item.malware.label.value if item.malware.label else None,
-            }
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+    write_ndjson(({"entity_id": item.entity_id,
+                   "log_message": item.log.message,
+                   "log_label": item.log.label.value if item.log.label else None,
+                   "malware_features": [float(v) for v in item.malware.features],
+                   "malware_label": item.malware.label.value if item.malware.label else None}
+                  for item in items), path)
+
+
+def _manifest_item(obj) -> ManifestItem:
+    if not isinstance(obj, dict):
+        raise ValueError("line is not a JSON object")
+    entity_id, message, features = map(obj.get, ("entity_id", "log_message", "malware_features"))
+    if not isinstance(entity_id, str) or not isinstance(message, str):
+        raise ValueError("entity_id and log_message must be strings")
+    (entity_id + message).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
+    if not isinstance(features, list) or not all(
+            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in features):
+        raise ValueError("malware_features must be an array of finite numbers")
+    log = LogRecord(timestamp=0, host="manifest", channel=Channel.SYSTEM, message=message,
+                    label=Label(obj["log_label"]) if obj.get("log_label") else None,
+                    origin=Origin.LOADED)
+    malware = MalwareSample(
+        sample_id=entity_id, features=tuple(map(float, features)),
+        label=Label(obj["malware_label"]) if obj.get("malware_label") else None)
+    return ManifestItem(entity_id=entity_id, log=log, malware=malware)
 
 
 def read_manifest(path: str | Path) -> list[ManifestItem]:
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise LoadError(f"cannot read {path}: {exc}") from exc
+    """The items of a manifest NDJSON file; the first bad line raises ``LoadError``."""
     items = []
-    for lineno, line in enumerate(text.split("\n"), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            log = LogRecord(timestamp=0, host="manifest", channel=Channel.SYSTEM,
-                            message=obj["log_message"],
-                            label=Label(obj["log_label"]) if obj.get("log_label") else None,
-                            origin=Origin.LOADED)
-            malware = MalwareSample(
-                sample_id=obj["entity_id"],
-                features=tuple(float(v) for v in obj["malware_features"]),
-                label=Label(obj["malware_label"]) if obj.get("malware_label") else None)
-            items.append(ManifestItem(entity_id=obj["entity_id"], log=log, malware=malware))
-        except (KeyError, ValueError) as exc:
-            raise LoadError(f"{path}: line {lineno}: {exc}") from exc
+    for lineno, item, reason in read_ndjson(path, _manifest_item):
+        if reason is not None:
+            raise LoadError(f"{path}: line {lineno}: {reason}")
+        items.append(item)
     return items
 
 
@@ -159,24 +160,18 @@ def _baseline_reports(scorer: Scorer, items: Sequence[ManifestItem],
     fingerprints.setdefault("manifest", manifest_fingerprint(items))
     fingerprints.setdefault("thresholds", f"t_m={cfg.t_m},t_l={cfg.t_l}")
 
-    log_truth = [item.log.label for item in items]
-    log_pred = [Label.MALICIOUS if p.s_l >= cfg.t_l else Label.BENIGN for p in pairs]
-    logs_report = classification_report(log_pred, log_truth, BINARY_CLASSES,
-                                        setting="logs_only", split=split,
-                                        fingerprints=fingerprints)
-    log_binary = [1 if t is Label.MALICIOUS else 0 for t in log_truth]
-    logs_report.roc_auc = roc_auc([p.s_l for p in pairs], log_binary)
-    logs_report.pr_auc = pr_auc([p.s_l for p in pairs], log_binary)
+    def binary_report(scores: list[float], truth: list, threshold: float, setting: str):
+        predictions = [Label.MALICIOUS if s >= threshold else Label.BENIGN for s in scores]
+        report = classification_report(predictions, truth, BINARY_CLASSES, setting=setting,
+                                       split=split, fingerprints=fingerprints)
+        positive = [1 if t is Label.MALICIOUS else 0 for t in truth]
+        report.roc_auc, report.pr_auc = roc_auc(scores, positive), pr_auc(scores, positive)
+        return report
 
-    mw_truth = [item.malware.label for item in items]
-    mw_pred = [Label.MALICIOUS if p.s_m >= cfg.t_m else Label.BENIGN for p in pairs]
-    mw_report = classification_report(mw_pred, mw_truth, BINARY_CLASSES,
-                                      setting="malware_only", split=split,
-                                      fingerprints=fingerprints)
-    mw_binary = [1 if t is Label.MALICIOUS else 0 for t in mw_truth]
-    mw_report.roc_auc = roc_auc([p.s_m for p in pairs], mw_binary)
-    mw_report.pr_auc = pr_auc([p.s_m for p in pairs], mw_binary)
-
+    logs_report = binary_report([p.s_l for p in pairs], [item.log.label for item in items],
+                                cfg.t_l, "logs_only")
+    mw_report = binary_report([p.s_m for p in pairs], [item.malware.label for item in items],
+                              cfg.t_m, "malware_only")
     fused_pred = [scorer.triage(p.s_m, p.s_l) for p in pairs]
     fused_truth = [item.truth for item in items]
     fused_report = classification_report(fused_pred, fused_truth, TRIAGE_CLASSES,

@@ -142,6 +142,15 @@ def test_chain_outputs_do_not_depend_on_the_directory(tmp_path, capsys):
     assert report["fused"]["split"] == "manifest_test.ndjson"
 
 
+def paths_for(command: str, root: Path) -> list[str]:
+    """A one-record log file as the input of ``command`` (augment or split)."""
+    logs = root / "l.ndjson"
+    logs.write_text('{"timestamp": 1, "host": "h", "channel": "AUTH", "message": "m"}\n')
+    if command == "augment":
+        return ["--in", str(logs), "--out", str(root / "o.ndjson")]
+    return ["--logs", str(logs), "--out-dir", str(root / "d")]
+
+
 class TestConfigAndErrors:
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         config = tmp_path / "gen.json"
@@ -193,6 +202,27 @@ class TestConfigAndErrors:
         assert "error: feature columns [0]" in capsys.readouterr().err
         assert not artifact.exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["split", "--fractions", "a,b,c"],
+        ["split", "--fractions", "0.5,0.5"],
+        ["augment", "--ops", "NO_SUCH_OP"],
+    ])
+    def test_malformed_list_flag_is_an_error_line(self, tmp_path, capsys, flags):
+        assert main([flags[0], *paths_for(flags[0], tmp_path), *flags[1:]]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("command,config", [
+        ("split", {"fractions": ["a", 0.2, 0.2]}),
+        ("split", {"fractions": "0.5"}),
+        ("split", {"kind": "RANDOM"}),
+        ("augment", {"ops": [5]}),
+    ])
+    def test_malformed_config_value_is_an_error_line(self, tmp_path, capsys, command, config):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config))
+        assert main([command, *paths_for(command, tmp_path), "--config", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_module_entrypoint_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "aisoc", "generate",
@@ -229,3 +259,27 @@ def test_calibrate_reports_skipped_validation_lines_and_rows(workspace, tmp_path
     fixed, clean = load_artifact(artifact), load_artifact(workspace / "artifact.json")
     for name in ("calibrator_logs", "calibrator_malware"):
         assert getattr(fixed, name).to_dict() == getattr(clean, name).to_dict()
+
+
+def test_bad_input_lines_end_in_typed_outcomes(workspace, tmp_path, capsys):
+    artifact, splits = str(workspace / "artifact.json"), workspace / "splits"
+    logs = tmp_path / "logs.ndjson"
+    logs.write_bytes((splits / "logs_train.ndjson").read_bytes()
+                     + b"[" * 100_000 + b"]" * 100_000 + b"\n")
+    assert main(["augment", "--in", str(logs), "--out", str(tmp_path / "aug.ndjson")]) == 0
+    assert main(["train-log", "--train", str(logs), "--artifact", str(tmp_path / "a.json")]) == 0
+    assert capsys.readouterr().err.count("skipped 1 malformed") == 2
+    manifest = tmp_path / "manifest.ndjson"
+    lines = (splits / "manifest_test.ndjson").read_text().splitlines()
+    manifest.write_text("\n".join(lines + ["[1, 2]"]) + "\n")
+    assert main(["evaluate", "--artifact", artifact, "--manifest", str(manifest)]) == 2
+    assert f"line {len(lines) + 1}: line is not a JSON object" in capsys.readouterr().err
+    requests = tmp_path / "requests.ndjson"
+    requests.write_bytes(b'{"log_message": "sshd: Accepted password for bob"}\n\xff\n')
+    assert main(["score-batch", "--artifact", artifact, "--in", str(requests)]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert "label" in json.loads(first)
+    assert json.loads(second) == {"error": "'utf-8' codec can't decode byte 0xff in position 0: "
+                                           "invalid start byte", "line": 2}
+    assert main(["serve", "--artifact", artifact, "--bind", "127.0.0.1:http"]) == 2
+    assert "error: --bind must be host:port" in capsys.readouterr().err

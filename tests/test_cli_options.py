@@ -73,11 +73,16 @@ def test_defaults_without_flags_or_config(command):
         == {k: type(v) for k, v in DEFAULTS[command].items()}
 
 
+# A value of its option's type for each option whose default is None (paths take "x").
+VALUES = {"created_at": 5, "val_supports": "1,1,1", "test_supports": [1, 1, 1]}
+
+
 @pytest.mark.parametrize("command", sorted(DEFAULTS))
 def test_every_option_is_a_config_key(tmp_path, command):
     # Keys in flag spelling; "in" is the config name of --in (in_path).
-    config = {("in" if key == "in_path" else key.replace("_", "-")): "x"
-              for key in DEFAULTS[command]}
+    config = {("in" if key == "in_path" else key.replace("_", "-")):
+              VALUES.get(key, "x") if default is None else default
+              for key, default in DEFAULTS[command].items()}
     assert set(with_config(tmp_path, command, config)) == set(DEFAULTS[command])
 
 
@@ -116,3 +121,55 @@ def test_flag_over_config_over_default(tmp_path, command, key, file_value, flag,
 def test_invalid_choice_is_a_usage_error():
     with pytest.raises(SystemExit):
         merged(["evaluate", "--setting", "neither"])
+
+
+# (command, key, config value, merged value): values read as their flag's text would be.
+TYPED = [
+    ("train-malware", "trees", "5", 5),
+    ("generate", "duration_s", 120, 120.0),
+    ("tune", "version", 2, "2"),
+    ("split", "kind", "K_FOLD", "K_FOLD"),
+    ("split", "fractions", [0.5, 0.25, 0.25], [0.5, 0.25, 0.25]),
+    ("split", "val_supports", [1, 2, 3], [1, 2, 3]),
+    ("augment", "ops", ["CHAR_NOISE"], ["CHAR_NOISE"]),
+]
+
+
+@pytest.mark.parametrize("command,key,file_value,value", TYPED)
+def test_config_values_go_through_the_option_type(tmp_path, command, key, file_value, value):
+    merged_value = with_config(tmp_path, command, {key.replace("_", "-"): file_value})[key]
+    assert merged_value == value and type(merged_value) is type(value)
+
+
+# (command, key, config value): values whose flag would be refused.
+REFUSED = [
+    ("train-malware", "trees", "five"),
+    ("train-malware", "trees", 5.5),
+    ("train-malware", "trees", True),
+    ("train-malware", "trees", [5]),
+    ("split", "kind", "RANDOM"),
+    ("evaluate", "setting", "both"),
+    ("augment", "replace", "x"),
+    ("augment", "replace", 1),
+    ("augment", "out", {"path": "x"}),
+    ("augment", "out", None),
+    ("split", "fractions", {"train": 0.6}),
+]
+
+
+@pytest.mark.parametrize("command,key,file_value", REFUSED)
+def test_config_values_the_flag_would_refuse_are_config_errors(tmp_path, command, key,
+                                                               file_value):
+    config_key = key.replace("_", "-")
+    with pytest.raises(ConfigError, match=f"option {config_key!r}: "):
+        with_config(tmp_path, command, {config_key: file_value})
+
+
+@pytest.mark.parametrize("text", [b'{"trees": "\xff"}', b"[" * 100_000 + b"]" * 100_000,
+                                  b'{"trees": ' + b"1" * 5000 + b"}"],
+                         ids=["not-utf8", "deep-nesting", "5000-digits"])
+def test_unreadable_config_file_is_a_config_error(tmp_path, text):
+    path = tmp_path / "config.json"
+    path.write_bytes(text)
+    with pytest.raises(ConfigError, match="cannot read config"):
+        merged(["train-malware", "--config", str(path)])

@@ -59,6 +59,37 @@ class TestBuildManifest:
         with pytest.raises(LoadError):
             read_manifest(path)
 
+    @pytest.mark.parametrize("bad", [
+        "[1, 2]",
+        '"just a string"',
+        '{"entity_id": 5, "log_message": "m", "malware_features": [1.0]}',
+        '{"entity_id": "e", "log_message": 7, "malware_features": [1.0]}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": 5}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [true]}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": ["1.5"]}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [NaN]}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [' + "9" * 400 + "]}",
+        '{"entity_id": "e", "log_message": "\\ud800", "malware_features": [1.0]}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 3}',
+        '{"log_message": "m", "malware_features": [1.0]}',
+        "[" * 100_000 + "]" * 100_000,
+        '{"entity_id": "e", "log_message": "m", "malware_features": [' + "1" * 5000 + "]}",
+    ], ids=["array", "string", "int-id", "int-message", "int-features", "bool-feature",
+            "string-feature", "nan-feature", "int-beyond-float", "lone-surrogate",
+            "bad-label", "no-id", "deep-nesting", "5000-digits"])
+    def test_read_manifest_refuses_a_bad_line_by_number(self, tmp_path, bad):
+        good = '{"entity_id": "e0", "log_message": "m", "malware_features": [0.5]}'
+        path = tmp_path / "bad.ndjson"
+        path.write_text("\n".join([good, "", bad, good]) + "\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=r"bad\.ndjson: line 3: "):
+            read_manifest(path)
+
+    def test_read_manifest_refuses_a_line_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b'{"entity_id": "e\xff", "log_message": "m", "malware_features": []}\n')
+        with pytest.raises(LoadError, match="line 1: 'utf-8' codec can't decode"):
+            read_manifest(path)
+
 
 class TestRunBaselines:
     def test_three_settings_on_same_manifest(self, demo_result):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from aisoc.errors import ArtifactError
+from aisoc.errors import ArtifactError, LoadError
 from aisoc.fusion import fuse_scores
 from aisoc.pipeline import ExperimentConfig
 from aisoc.service import RequestError, ScoringService, build_artifact, score_lines, serve
@@ -298,6 +298,14 @@ class TestBatch:
         assert len(results) == 1
         on_disk = [json.loads(line) for line in dst.read_text().splitlines()]
         assert on_disk == results
+
+    def test_unreadable_input_leaves_the_output_untouched(self, tmp_path, demo_scorer):
+        from aisoc.service import score_batch
+        dst = tmp_path / "results.ndjson"
+        dst.write_text("previous\n")
+        with pytest.raises(LoadError, match="cannot read batch input"):
+            score_batch(demo_scorer, tmp_path / "missing.ndjson", dst)
+        assert dst.read_text() == "previous\n"
 
 
 def reference_score_lines(scorer, lines):

@@ -135,6 +135,24 @@ class TestLogNdjson:
         assert result.rejected == 3
         assert [line for line, _ in result.reject_reasons] == [2, 3, 4]
 
+    def test_lines_that_cannot_be_decoded_or_written_are_counted(self, tmp_path):
+        good = b'{"timestamp":1,"host":"h","channel":"SYSTEM","message":"ok"}'
+        path = tmp_path / "bad.ndjson"
+        path.write_bytes(b"\n".join([
+            good,
+            b"[" * 100_000 + b"]" * 100_000,
+            b'{"timestamp":2,"host":"h\xff","channel":"SYSTEM","message":"ok"}',
+            b'{"timestamp":3,"host":"h","channel":"SYSTEM","message":"x \\ud800"}',
+            b'{"timestamp":' + b"1" * 5000 + b',"host":"h","channel":"SYSTEM","message":"ok"}',
+            good + b"\r",
+        ]))
+        result = load_log_ndjson(path)
+        assert len(result.records) == 2
+        assert [line for line, _ in result.reject_reasons] == [2, 3, 4, 5]
+        assert "recursion" in result.reject_reasons[0][1]
+        assert "can't decode byte 0xff" in result.reject_reasons[1][1]
+        assert "surrogates not allowed" in result.reject_reasons[2][1]
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(LoadError):
             load_log_ndjson(tmp_path / "nope.ndjson")
@@ -175,6 +193,18 @@ class TestMalwareCsv:
         path.write_text("f0,f1\n1,2\n")
         with pytest.raises(LoadError):
             load_malware_csv(path, label_column="label")
+
+    def test_field_over_the_csv_limit_is_a_load_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("f0,label\n1,0\n" + "1" * 200_000 + ",1\n")
+        with pytest.raises(LoadError, match=r"m\.csv: line 3: field larger than field limit"):
+            load_malware_csv(path)
+
+    def test_text_that_is_not_utf8_is_a_load_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_bytes(b"f0,label\n1,0\n2,1\n\xff3,1\n")
+        with pytest.raises(LoadError, match=r"m\.csv: line 4: 'utf-8' codec can't decode"):
+            load_malware_csv(path)
 
     def test_ragged_row_is_fatal_with_line_number(self, tmp_path):
         path = tmp_path / "m.csv"
