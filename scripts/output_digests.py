@@ -22,7 +22,10 @@ line readers over one fixed file with CRLF line ends, blank lines, a BOM on
 its first line, malformed JSON, non-ASCII messages and no final line end: the
 log records written back by ``write_log_ndjson`` plus the reject reasons, a
 manifest of those records written and read back, and ``score-batch`` (with
-the chain's artifact) over the same lines.
+the chain's artifact) over the same lines. The ``logistic.*`` digests hash
+the weights, bias, ``l2`` and ``training_meta`` of two logistic fits: a
+``class_weight="balanced"`` fit on the chain's training logs, and the
+``run_experiment`` fit at seed 1234, which stops at its epoch cap.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -42,6 +45,7 @@ import hashlib
 import json
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +65,7 @@ from aisoc.corpus import (
 )
 from aisoc.evaluate import ManifestItem, read_manifest, write_manifest
 from aisoc.learn import train_forest
-from aisoc.pipeline import ExperimentConfig, run_experiment
+from aisoc.pipeline import ExperimentConfig, run_experiment, train_log_detector
 from aisoc.seeding import derive_seed
 from aisoc.service import save_artifact
 
@@ -195,6 +199,18 @@ def loaders_digests(chain: Path) -> dict[str, str]:
             "loaders.score_batch": sha256_bytes(scored.read_bytes())}
 
 
+def logistic_digests(chain: Path) -> dict[str, str]:
+    """Digests of a balanced fit on the chain's training logs and the seed-1234 pipeline fit."""
+    records = load_log_ndjson(chain / "splits" / "logs_train.ndjson").records
+    _, balanced = train_log_detector(records, min_df=2, max_features=20_000, l2=1e-3,
+                                     epochs=300, seed=int(SEED), class_weight="balanced")
+    with warnings.catch_warnings():  # the seed-1234 fit stops at its epoch cap
+        warnings.simplefilter("ignore", UserWarning)
+        capped = run_experiment(ExperimentConfig(seed=1234)).artifact.logistic
+    return {name: sha256_bytes(json.dumps(model.to_dict()).encode("utf-8"))
+            for name, model in (("logistic.balanced", balanced), ("logistic.seed1234", capped))}
+
+
 # name: (rows, features, value scale, train_forest keywords)
 FOREST_SHAPES = {
     "ties": (300, 8, 1.0, {"n_trees": 30}),
@@ -244,6 +260,7 @@ def main() -> int:
         chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
         digests.update(cli_digests(chain))
         digests.update(loaders_digests(chain))
+        digests.update(logistic_digests(chain))
     digests.update(dedup_digests())
     digests.update(forest_digests())
     for name, digest in digests.items():

@@ -277,11 +277,11 @@ def _cmd_generate(opts: dict) -> int:
         benign_hosts=opts["benign_hosts"], attack_sessions=opts["attack_sessions"],
         duration_s=opts["duration_s"], seed=derive_seed(seed, "generate-logs"),
         benign_rate_per_host=opts["benign_rate"]))
-    write_log_ndjson(logs, opts["out_logs"])
     samples = generate_malware(MalwareScenario(
         benign_samples=opts["malware_benign"], malicious_samples=opts["malware_malicious"],
         seed=derive_seed(seed, "generate-malware"), n_features=opts["malware_features"],
         separation=opts["malware_separation"], hard_fraction=opts["malware_hard_fraction"]))
+    write_log_ndjson(logs, opts["out_logs"])
     write_malware_csv(samples, opts["out_malware"])
     print(f"wrote {len(logs)} log records to {opts['out_logs']}")
     print(f"wrote {len(samples)} malware samples to {opts['out_malware']}")

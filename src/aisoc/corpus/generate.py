@@ -12,6 +12,7 @@ byte-identical record lists.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -173,10 +174,11 @@ def generate_corpus(scenario: ScenarioConfig) -> list[LogRecord]:
         raise ConfigError(f"benign_hosts must be >= 1, got {scenario.benign_hosts}")
     if scenario.attack_sessions < 0:
         raise ConfigError(f"attack_sessions must be >= 0, got {scenario.attack_sessions}")
-    if scenario.duration_s <= 0:
-        raise ConfigError(f"duration_s must be > 0, got {scenario.duration_s}")
-    if scenario.benign_rate_per_host <= 0:
-        raise ConfigError(f"benign_rate_per_host must be > 0, got {scenario.benign_rate_per_host}")
+    if not (math.isfinite(scenario.duration_s) and scenario.duration_s > 0):
+        raise ConfigError(f"duration_s must be a finite number > 0, got {scenario.duration_s}")
+    if not (math.isfinite(scenario.benign_rate_per_host) and scenario.benign_rate_per_host > 0):
+        raise ConfigError("benign_rate_per_host must be a finite number > 0, "
+                          f"got {scenario.benign_rate_per_host}")
 
     duration_ms = int(scenario.duration_s * 1000)
     k = scenario.attack_sessions
@@ -252,6 +254,8 @@ def generate_malware(scenario: MalwareScenario) -> list[MalwareSample]:
         raise ConfigError(f"n_features must be >= 1, got {scenario.n_features}")
     if not 0.0 <= scenario.hard_fraction <= 1.0:
         raise ConfigError(f"hard_fraction must be in [0, 1], got {scenario.hard_fraction}")
+    if not math.isfinite(scenario.separation):
+        raise ConfigError(f"separation must be a finite number, got {scenario.separation}")
 
     rng = np.random.default_rng(scenario.seed)
     d = scenario.n_features

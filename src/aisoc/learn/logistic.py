@@ -8,11 +8,11 @@ and identical inputs always reproduce identical weights.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from ..errors import DimensionError, TrainingError
 from ..features import SparseVector
@@ -64,40 +64,76 @@ def sigmoid(z):
     return float(out) if out.ndim == 0 else out
 
 
-def design_matrix(X: Sequence[SparseVector]) -> sp.csr_matrix:
-    """Stack sparse vectors into one CSR matrix, checking dimensions."""
+@dataclass(frozen=True)
+class DesignMatrix:
+    """Sparse rows stored as parallel arrays of row ids, column ids and values.
+
+    Entries are in storage order: row by row, each row's entries in its
+    vector's order. Each product is one ``np.bincount``, which adds every
+    entry's term to its bucket in storage order starting from 0.0, the order
+    of a CSR product (``X @ w``) and of its transpose's CSC product
+    (``X.T @ r``), so both give the same bits as those.
+    """
+
+    rows: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w``."""
+        return np.bincount(self.rows, self.data * w[self.indices],
+                           minlength=self.shape[0]).astype(float, copy=False)
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """``X.T @ r``."""
+        return np.bincount(self.indices, self.data * r[self.rows],
+                           minlength=self.shape[1]).astype(float, copy=False)
+
+
+def design_matrix(X: Sequence[SparseVector]) -> DesignMatrix:
+    """Stack sparse vectors into one design matrix, checking dimensions."""
     if not X:
         raise TrainingError("empty design matrix")
     dim = X[0].dim
     if any(x.dim != dim for x in X):
         raise DimensionError("feature vectors have inconsistent dimensions")
-    indptr = np.zeros(len(X) + 1, dtype=np.int64)
-    np.cumsum([len(x.indices) for x in X], out=indptr[1:])
-    indices = np.concatenate([x.indices for x in X]) if len(X) else np.empty(0, np.int64)
-    data = np.concatenate([x.values for x in X]) if len(X) else np.empty(0)
-    return sp.csr_matrix((data, indices, indptr), shape=(len(X), dim))
+    rows = np.repeat(np.arange(len(X)), [len(x.indices) for x in X])
+    return DesignMatrix(rows=rows, indices=np.concatenate([x.indices for x in X]),
+                        data=np.concatenate([x.values for x in X]), shape=(len(X), dim))
 
 
-def loss_and_grad(w: np.ndarray, b: float, X: sp.csr_matrix, y: np.ndarray,
+def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float,
+          sample_weight: np.ndarray | None) -> float:
+    """(Weighted) mean log-loss at margins ``z`` plus the L2 penalty on ``w``."""
+    # log(1 + e^z) - y*z per sample, computed stably.
+    per_sample = np.logaddexp(0.0, z) - y * z
+    if sample_weight is None:
+        mean = float(np.sum(per_sample)) / float(len(z))
+    else:
+        mean = float(np.sum(sample_weight * per_sample)) / float(np.sum(sample_weight))
+    return mean + 0.5 * l2 * float(w @ w)
+
+
+def _gradient(z: np.ndarray, w: np.ndarray, X: DesignMatrix, y: np.ndarray, l2: float,
+              sample_weight: np.ndarray | None) -> tuple[np.ndarray, float]:
+    """Gradient of ``_loss`` in (w, b) at margins ``z = X @ w + b``."""
+    residual = sigmoid(z) - y
+    if sample_weight is None:
+        total = float(len(z))
+    else:
+        total = float(np.sum(sample_weight))
+        residual = sample_weight * residual
+    return X.rmatvec(residual) / total + l2 * w, float(np.sum(residual)) / total
+
+
+def loss_and_grad(w: np.ndarray, b: float, X: DesignMatrix, y: np.ndarray,
                   l2: float, sample_weight: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray, float]:
     """(Weighted) mean log-loss with L2 penalty, and its gradient in (w, b)."""
-    z = X @ w + b
-    # log(1 + e^z) - y*z per sample, computed stably.
-    per_sample = np.logaddexp(0.0, z) - y * z
-    residual = sigmoid(z) - y
-    if sample_weight is None:
-        n = float(X.shape[0])
-        loss = float(np.sum(per_sample)) / n + 0.5 * l2 * float(w @ w)
-        grad_w = (X.T @ residual) / n + l2 * w
-        grad_b = float(np.sum(residual)) / n
-    else:
-        total = float(np.sum(sample_weight))
-        loss = float(np.sum(sample_weight * per_sample)) / total + 0.5 * l2 * float(w @ w)
-        weighted = sample_weight * residual
-        grad_w = (X.T @ weighted) / total + l2 * w
-        grad_b = float(np.sum(weighted)) / total
-    return loss, grad_w, grad_b
+    z = X.matvec(w) + b
+    return (_loss(z, w, y, l2, sample_weight),
+            *_gradient(z, w, X, y, l2, sample_weight))
 
 
 def balanced_weights(y: np.ndarray) -> np.ndarray:
@@ -125,8 +161,8 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
         raise TrainingError(f"labels must be binary 0/1, got {sorted(classes)}")
     if len(classes) < 2:
         raise TrainingError("training data contains a single class")
-    if l2 < 0:
-        raise TrainingError(f"l2 must be >= 0, got {l2}")
+    if not (math.isfinite(l2) and l2 >= 0):
+        raise TrainingError(f"l2 must be a finite number >= 0, got {l2}")
     if class_weight not in (None, "balanced"):
         raise TrainingError(f"class_weight must be None or 'balanced', got {class_weight!r}")
     sample_weight = balanced_weights(y_arr) if class_weight == "balanced" else None
@@ -134,12 +170,15 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
     A = design_matrix(X)
     w = np.zeros(A.shape[1])
     b = 0.0
-    loss, grad_w, grad_b = loss_and_grad(w, b, A, y_arr, l2, sample_weight)
-    initial_loss = loss
+    z = A.matvec(w) + b
+    loss = initial_loss = _loss(z, w, y_arr, l2, sample_weight)
     step = 1.0
     iterations = 0
     converged = False
     for _ in range(epochs):
+        # Only an accepted step's gradient is used, so a trial step costs a
+        # loss alone and the gradient comes from the accepted step's margins.
+        grad_w, grad_b = _gradient(z, w, A, y_arr, l2, sample_weight)
         grad_norm_sq = float(grad_w @ grad_w) + grad_b * grad_b
         if np.sqrt(grad_norm_sq) < _GRAD_TOL:
             converged = True
@@ -149,16 +188,15 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
         for _ in range(_MAX_BACKTRACKS):
             w_new = w - alpha * grad_w
             b_new = b - alpha * grad_b
-            loss_new, gw_new, gb_new = loss_and_grad(w_new, b_new, A, y_arr, l2,
-                                                     sample_weight)
+            z_new = A.matvec(w_new) + b_new
+            loss_new = _loss(z_new, w_new, y_arr, l2, sample_weight)
             if loss_new <= loss - _ARMIJO_C * alpha * grad_norm_sq:
                 accepted = True
                 break
             alpha *= _BACKTRACK_FACTOR
         if not accepted:
             break
-        w, b = w_new, b_new
-        loss, grad_w, grad_b = loss_new, gw_new, gb_new
+        w, b, z, loss = w_new, b_new, z_new, loss_new
         step = min(alpha * 2.0, 1e6)
         iterations += 1
 

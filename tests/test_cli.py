@@ -223,6 +223,23 @@ class TestConfigAndErrors:
         assert main([command, *paths_for(command, tmp_path), "--config", str(path)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flag", ["--benign-rate", "--duration-s", "--malware-separation"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_generate_rejects_non_finite_values(self, tmp_path, capsys, flag, value):
+        logs, malware = tmp_path / "logs.ndjson", tmp_path / "malware.csv"
+        assert main(["generate", "--out-logs", str(logs), "--out-malware", str(malware),
+                     "--attack-sessions", "0", flag, value]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not logs.exists() and not malware.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_train_log_rejects_non_finite_l2(self, workspace, tmp_path, capsys, value):
+        artifact = tmp_path / "artifact.json"
+        assert main(["train-log", "--train", str(workspace / "splits" / "logs_train.ndjson"),
+                     "--artifact", str(artifact), "--l2", value]) == 2
+        assert capsys.readouterr().err.startswith("error: l2 must be a finite number")
+        assert not artifact.exists()
+
     def test_module_entrypoint_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "aisoc", "generate",

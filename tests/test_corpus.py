@@ -9,11 +9,13 @@ from aisoc.corpus import (
     Channel,
     Label,
     LogRecord,
+    MalwareScenario,
     Origin,
     ScenarioConfig,
     augment,
     dedup_near_identical,
     generate_corpus,
+    generate_malware,
     jaccard,
     message_tokens,
     mutate_message,
@@ -72,10 +74,22 @@ class TestGenerate:
         {"benign_hosts": 1, "attack_sessions": -1, "duration_s": 60},
         {"benign_hosts": 1, "attack_sessions": 0, "duration_s": 0},
         {"benign_hosts": 1, "attack_sessions": 50, "duration_s": 10},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": math.nan},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": math.inf},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": 60,
+         "benign_rate_per_host": math.nan},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": 60,
+         "benign_rate_per_host": math.inf},
     ])
     def test_invalid_scenario_is_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             generate_corpus(ScenarioConfig(seed=1, **kwargs))
+
+    @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
+    def test_non_finite_malware_separation_is_config_error(self, separation):
+        with pytest.raises(ConfigError, match="separation"):
+            generate_malware(MalwareScenario(benign_samples=5, malicious_samples=5, seed=1,
+                                             separation=separation))
 
 
 def _rec(ts, message, label=Label.BENIGN):

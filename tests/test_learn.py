@@ -1,5 +1,8 @@
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -23,12 +26,76 @@ from aisoc.learn import (
 )
 from aisoc.learn.forest import _PASS_ELEMENTS
 
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
 
 def sv(values, dim=None):
     arr = np.asarray(values, dtype=float)
     dim = dim or len(arr)
     nz = np.nonzero(arr)[0]
     return SparseVector(indices=nz.astype(np.int64), values=arr[nz], dim=dim)
+
+
+# Values near the float range's ends (products overflow to inf and sum to NaN,
+# or underflow), signed zeros and ordinary numbers.
+EDGE_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1e300, -1e300, 1e-300, -1e-300, 1.5e308, 5e-324]),
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False))
+
+
+@st.composite
+def sparse_rows(draw):
+    """(rows, d): each row a list of (column, value) in increasing column order."""
+    d = draw(st.integers(1, 6))
+    rows = draw(st.lists(st.lists(st.tuples(st.integers(0, d - 1), EDGE_FLOATS),
+                                  max_size=d, unique_by=lambda e: e[0]).map(sorted),
+                         min_size=1, max_size=8))
+    return rows, d
+
+
+def csr_reference(rows, d, w, r):
+    """``X @ w`` and ``X.T @ r`` as loops in CSR storage order, each sum from 0.0."""
+    xw = []
+    for row in rows:
+        total = 0.0
+        for j, v in row:
+            total += v * w[j]
+        xw.append(total)
+    xtr = [0.0] * d
+    for i, row in enumerate(rows):
+        for j, v in row:
+            xtr[j] += v * r[i]
+    return xw, xtr
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), shape=sparse_rows())
+def test_design_matrix_products_match_csr_order_bit_for_bit(data, shape):
+    rows, d = shape
+    w = data.draw(st.lists(EDGE_FLOATS, min_size=d, max_size=d))
+    r = data.draw(st.lists(EDGE_FLOATS, min_size=len(rows), max_size=len(rows)))
+    X = design_matrix([SparseVector(indices=np.array([j for j, _ in row], dtype=np.int64),
+                                    values=np.array([v for _, v in row], dtype=float), dim=d)
+                       for row in rows])
+    xw, xtr = csr_reference(rows, d, w, r)
+    with np.errstate(over="ignore", invalid="ignore", under="ignore"):
+        got_xw, got_xtr = X.matvec(np.array(w)), X.rmatvec(np.array(r))
+    assert got_xw.dtype == got_xtr.dtype == np.float64
+    assert got_xw.tobytes() == np.array(xw).tobytes()
+    assert got_xtr.tobytes() == np.array(xtr).tobytes()
+
+
+def test_training_leaves_scipy_unimported():
+    code = ("import sys, aisoc, aisoc.cli\n"
+            "from aisoc.features import SparseVector\n"
+            "from aisoc.learn import train_logistic\n"
+            "X = [SparseVector(indices=[0], values=[v], dim=1) for v in (-1.0, 1.0)]\n"
+            "train_logistic(X, [0, 1], epochs=5)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "[]"
 
 
 class TestLogistic:
@@ -71,6 +138,11 @@ class TestLogistic:
         balanced = train_logistic(X, y, l2=0.0, epochs=300, class_weight="balanced")
         assert score_logistic(balanced, sv([1.0])) > score_logistic(plain, sv([1.0]))
         assert score_logistic(balanced, sv([1.0])) == pytest.approx(0.5, abs=1e-4)
+
+    @pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf, -1.0])
+    def test_l2_must_be_finite_and_non_negative(self, l2):
+        with pytest.raises(TrainingError, match="l2 must be a finite number"):
+            train_logistic([sv([0.0]), sv([1.0])], [0, 1], l2=l2)
 
     def test_unknown_class_weight_rejected(self):
         with pytest.raises(TrainingError):
@@ -405,7 +477,8 @@ class TestBestSplitHelpers:
     def test_design_matrix_shape(self):
         X = design_matrix([sv([1.0, 0.0, 2.0]), sv([0.0, 3.0, 0.0])])
         assert X.shape == (2, 3)
-        assert X.toarray().tolist() == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
+        # Row i is X.T @ e_i.
+        assert [X.rmatvec(e).tolist() for e in np.eye(2)] == [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]]
 
 
 # The recursive grower that ``train_forest`` used before growing all trees in
