@@ -26,6 +26,13 @@ the chain's artifact) over the same lines. The ``logistic.*`` digests hash
 the weights, bias, ``l2`` and ``training_meta`` of two logistic fits: a
 ``class_weight="balanced"`` fit on the chain's training logs, and the
 ``run_experiment`` fit at seed 1234, which stops at its epoch cap.
+The ``metrics.*`` digests pin the evaluation core on tie-heavy inputs:
+``metrics.ranks`` hashes the ``float.hex`` of ``roc_auc`` and ``pr_auc`` over
+a fixed list of score sets (1 to 12 integer levels scaled by 1, 1/3, 1e-300
+and 1e300, some zeros negated, one all-tied set and n = 2 sets);
+``metrics.isotonic`` hashes the knot bytes of ``fit_isotonic`` on tied
+scores at those scales; ``metrics.report`` hashes the JSON of a three-class
+``classification_report`` in which one class has no truth and no predictions.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument. Code that stores a path given on the
@@ -64,7 +71,10 @@ from aisoc.corpus import (
     write_log_ndjson,
 )
 from aisoc.evaluate import ManifestItem, read_manifest, write_manifest
+from aisoc.calibrate import fit_isotonic
+from aisoc.fusion import TRIAGE_CLASSES
 from aisoc.learn import train_forest
+from aisoc.metrics import classification_report, pr_auc, roc_auc
 from aisoc.pipeline import ExperimentConfig, run_experiment, train_log_detector
 from aisoc.seeding import derive_seed
 from aisoc.service import save_artifact
@@ -250,6 +260,37 @@ def forest_digests() -> dict[str, str]:
     return digests
 
 
+def tied_score_sets() -> list[tuple[np.ndarray, np.ndarray]]:
+    """Fixed (scores, labels) sets with many ties, both labels in each."""
+    sets = [(np.array([0.5, 0.5]), np.array([0, 1])), (np.array([0.25, 0.75]), np.array([1, 0])),
+            (np.full(7, 1 / 3), np.array([0, 1, 1, 0, 1, 0, 0]))]
+    for i in range(48):
+        rng = np.random.default_rng([int(SEED), i])
+        n = 2 + i
+        scores = rng.integers(0, 1 + i % 12, n) * (1.0, 1 / 3, 1e-300, 1e300)[i % 4]
+        scores[(scores == 0) & (rng.random(n) < 0.5)] = -0.0
+        labels = rng.integers(0, 2, n)
+        labels[:2] = (0, 1)
+        sets.append((scores, labels))
+    return sets
+
+
+def metrics_digests() -> dict[str, str]:
+    """Digests of rank AUCs, isotonic knots and a report with an empty class."""
+    sets = tied_score_sets()
+    ranks = [[roc_auc(s, y).hex(), pr_auc(s, y).hex()] for s, y in sets]
+    knots = b"".join(
+        cal.knot_scores.tobytes() + cal.knot_values.tobytes()
+        for cal in (fit_isotonic(s, y) for s, y in sets[3:]))
+    rng = np.random.default_rng(int(SEED))
+    truth = [TRIAGE_CLASSES[i] for i in rng.integers(0, 2, 60)]
+    preds = [TRIAGE_CLASSES[i] for i in rng.integers(0, 2, 60)]
+    report = classification_report(preds, truth, TRIAGE_CLASSES, setting="fused", split="x")
+    return {"metrics.ranks": sha256_bytes(json.dumps(ranks).encode("utf-8")),
+            "metrics.isotonic": sha256_bytes(knots),
+            "metrics.report": sha256_bytes(report.to_json_bytes())}
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("chain_dir", nargs="?",
@@ -263,6 +304,7 @@ def main() -> int:
         digests.update(logistic_digests(chain))
     digests.update(dedup_digests())
     digests.update(forest_digests())
+    digests.update(metrics_digests())
     for name, digest in digests.items():
         print(f"{name} {digest}", flush=True)
     return 0

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .learn.logistic import sigmoid
-from .metrics import roc_auc
+from .metrics import roc_auc, tie_groups
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10
@@ -164,11 +164,8 @@ def fit_platt(scores, labels) -> Calibrator:
 def _pool_ties(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     order = np.argsort(scores, kind="mergesort")
     s, y = scores[order], labels[order]
-    uniq, start = np.unique(s, return_index=True)
-    boundaries = np.append(start, len(s))
-    targets = np.array([y[boundaries[i]:boundaries[i + 1]].mean() for i in range(len(uniq))])
-    weights = np.diff(boundaries).astype(float)
-    return uniq, targets, weights
+    starts, sizes = tie_groups(s)
+    return s[starts], np.add.reduceat(y, starts) / sizes, sizes.astype(float)
 
 
 def fit_isotonic(scores, labels) -> Calibrator:

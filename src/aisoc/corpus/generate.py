@@ -28,6 +28,9 @@ EPOCH_MS = 1_735_689_600_000
 _MIN_SLOT_MS = 14_000
 _SESSION_GAP_RANGE_MS = (300, 1200)
 _SLOT_MARGIN_MS = 1_500
+# Largest scenario either generator builds: log records (or benign hosts),
+# and malware rows x features. Far above any test or benchmark corpus.
+MAX_GENERATED_ITEMS = 1_000_000
 
 _USERS = ["alice", "bob", "carol", "dave", "erin", "deploy", "backup", "www-data"]
 _BAD_USERS = ["test", "oracle", "guest", "pi", "ubnt"]
@@ -174,14 +177,20 @@ def generate_corpus(scenario: ScenarioConfig) -> list[LogRecord]:
         raise ConfigError(f"benign_hosts must be >= 1, got {scenario.benign_hosts}")
     if scenario.attack_sessions < 0:
         raise ConfigError(f"attack_sessions must be >= 0, got {scenario.attack_sessions}")
-    if not (math.isfinite(scenario.duration_s) and scenario.duration_s > 0):
-        raise ConfigError(f"duration_s must be a finite number > 0, got {scenario.duration_s}")
+    if not (math.isfinite(scenario.duration_s * 1000) and scenario.duration_s > 0):
+        raise ConfigError("duration_s must be a number > 0 that is finite in milliseconds, "
+                          f"got {scenario.duration_s}")
     if not (math.isfinite(scenario.benign_rate_per_host) and scenario.benign_rate_per_host > 0):
         raise ConfigError("benign_rate_per_host must be a finite number > 0, "
                           f"got {scenario.benign_rate_per_host}")
+    k = scenario.attack_sessions
+    expected_benign = scenario.benign_hosts * scenario.benign_rate_per_host * scenario.duration_s
+    # Each attack session is 8 records plus at most one heartbeat.
+    if max(scenario.benign_hosts, expected_benign + 9 * k) > MAX_GENERATED_ITEMS:
+        raise ConfigError(f"scenario asks for ~{expected_benign + 9 * k:.3g} log records on "
+                          f"{scenario.benign_hosts} hosts; the limit is {MAX_GENERATED_ITEMS}")
 
     duration_ms = int(scenario.duration_s * 1000)
-    k = scenario.attack_sessions
     if k > 0 and duration_ms / k < _MIN_SLOT_MS:
         raise ConfigError(
             f"duration {scenario.duration_s}s is too short for {k} attack sessions "
@@ -225,7 +234,7 @@ def generate_corpus(scenario: ScenarioConfig) -> list[LogRecord]:
         segments.append((cursor, EPOCH_MS + duration_ms))
     total_free = sum(end - start for start, end in segments)
 
-    n_benign = round(scenario.benign_hosts * scenario.benign_rate_per_host * scenario.duration_s)
+    n_benign = round(expected_benign)
     for _ in range(n_benign):
         offset = rng.uniform(0, total_free)
         for start, end in segments:
@@ -256,6 +265,10 @@ def generate_malware(scenario: MalwareScenario) -> list[MalwareSample]:
         raise ConfigError(f"hard_fraction must be in [0, 1], got {scenario.hard_fraction}")
     if not math.isfinite(scenario.separation):
         raise ConfigError(f"separation must be a finite number, got {scenario.separation}")
+    n_values = (scenario.benign_samples + scenario.malicious_samples) * scenario.n_features
+    if n_values > MAX_GENERATED_ITEMS:
+        raise ConfigError(f"malware table of {n_values} values (rows x features) is over "
+                          f"the limit of {MAX_GENERATED_ITEMS}")
 
     rng = np.random.default_rng(scenario.seed)
     d = scenario.n_features

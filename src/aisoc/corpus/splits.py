@@ -9,6 +9,7 @@ identical (data, spec) inputs always reproduce the same partitions.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
@@ -35,6 +36,8 @@ class SplitSpec:
             if self.folds < 2:
                 raise SplitError(f"K_FOLD requires folds >= 2, got {self.folds}")
             return
+        if not all(math.isfinite(f) for f in self.fractions):
+            raise SplitError(f"fractions must be finite numbers, got {self.fractions}")
         if any(f < 0 for f in self.fractions):
             raise SplitError(f"fractions must be non-negative, got {self.fractions}")
         if abs(sum(self.fractions) - 1.0) > 1e-9:

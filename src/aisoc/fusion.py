@@ -17,6 +17,7 @@ import numpy as np
 
 from .corpus.records import Label
 from .errors import TuningError
+from .metrics import macro_average, precision_recall_f1
 
 
 class TriageLabel(IntEnum):
@@ -89,21 +90,12 @@ def fuse(pair: CalibratedScorePair, config: FusionConfig) -> TriageLabel:
 
 
 def derive_truth_triage(malware_label, log_label) -> TriageLabel:
-    """Apply the fusion rule's structure to ground-truth component labels."""
-    flags = []
-    for value in (malware_label, log_label):
-        if value is None:
-            raise ValueError("both component labels are required to derive triage truth")
-        if isinstance(value, Label):
-            flags.append(value is Label.MALICIOUS)
-        else:
-            flags.append(bool(value))
-    malicious_m, malicious_l = flags
-    if malicious_m and malicious_l:
-        return TriageLabel.HIGH_CONFIDENCE_ATTACK
-    if malicious_m or malicious_l:
-        return TriageLabel.SUSPICIOUS
-    return TriageLabel.NORMAL
+    """The fusion rule on ground-truth component labels as 0/1 scores."""
+    if malware_label is None or log_label is None:
+        raise ValueError("both component labels are required to derive triage truth")
+    m, l = (float(v is Label.MALICIOUS if isinstance(v, Label) else bool(v))
+            for v in (malware_label, log_label))
+    return fuse_scores(m, l, 1.0, 1.0)
 
 
 def threshold_grid(grid_step: float) -> np.ndarray:
@@ -138,16 +130,8 @@ def macro_f1_grid(pairs: list[CalibratedScorePair], truth: list[TriageLabel],
         counts[t, 2] = both
         counts[t, 0] = neither
         counts[t, 1] = float(mask.sum()) - both - neither
-    f1_sum = np.zeros((len(grid_m), len(grid_l)))
-    for c in range(3):
-        tp = counts[c, c]
-        pred_c = counts[:, c].sum(axis=0)
-        true_c = counts[c].sum(axis=0)
-        precision = np.where(pred_c > 0, tp / np.maximum(pred_c, 1.0), 0.0)
-        recall = np.where(true_c > 0, tp / np.maximum(true_c, 1.0), 0.0)
-        pr = precision + recall
-        f1_sum += np.where(pr > 0, 2.0 * precision * recall / np.maximum(pr, 1e-300), 0.0)
-    return f1_sum / 3.0
+    return macro_average([precision_recall_f1(counts[c, c], counts[:, c].sum(axis=0),
+                                              counts[c].sum(axis=0))[2] for c in range(3)])
 
 
 def tune_thresholds(validation_pairs: list[CalibratedScorePair],

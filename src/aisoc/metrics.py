@@ -4,7 +4,9 @@ Precision and recall use the explicit zero-division convention: a class
 with an empty denominator scores 0 and is recorded in the report's
 ``zero_division_classes`` flag list. ROC AUC is the Mann-Whitney statistic
 with ties counted 0.5; PR AUC is average precision with step-wise
-interpolation (no trapezoids).
+interpolation (no trapezoids). ``tie_groups`` and ``precision_recall_f1``
+are the one implementation of tied-score runs and of F1 from counts; the
+threshold grid search and isotonic calibration use them too.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ class ClassMetrics:
 class EvalReport:
     setting: str
     split: str
-    class_names: list[str]
     per_class: list[ClassMetrics]
     macro_precision: float
     macro_recall: float
@@ -90,6 +91,25 @@ def _class_name(cls) -> str:
     return getattr(cls, "name", None) or getattr(cls, "value", None) or str(cls)
 
 
+def precision_recall_f1(tp, predicted, actual):
+    """Elementwise precision, recall and F1 from true-positive, predicted and
+    actual counts; an empty denominator (or P + R = 0) gives 0."""
+    tp, predicted, actual = (np.asarray(a, dtype=float) for a in (tp, predicted, actual))
+    precision = np.where(predicted > 0, tp / np.maximum(predicted, 1.0), 0.0)
+    recall = np.where(actual > 0, tp / np.maximum(actual, 1.0), 0.0)
+    pr = precision + recall
+    f1 = np.where(pr > 0, 2.0 * precision * recall / np.maximum(pr, 1e-300), 0.0)
+    return precision, recall, f1
+
+
+def macro_average(per_class):
+    """Mean over the first axis as a running total from 0.0 in class order."""
+    total = 0.0
+    for value in per_class:
+        total = total + value
+    return total / len(per_class)
+
+
 def classification_report(predictions, truth, class_set, setting: str = "",
                           split: str = "", seeds: list[int] | None = None,
                           fingerprints: dict | None = None) -> EvalReport:
@@ -100,45 +120,28 @@ def classification_report(predictions, truth, class_set, setting: str = "",
         raise MetricError(f"got {len(predictions)} predictions but {len(truth)} truths")
     class_set = list(class_set)
     index = {c: i for i, c in enumerate(class_set)}
-    for value in predictions:
-        if value not in index:
-            raise MetricError(f"prediction {value!r} not in class set")
-    for value in truth:
-        if value not in index:
-            raise MetricError(f"truth {value!r} not in class set")
+    for kind, values in (("prediction", predictions), ("truth", truth)):
+        for value in values:
+            if value not in index:
+                raise MetricError(f"{kind} {value!r} not in class set")
 
     k = len(class_set)
-    confusion = [[0] * k for _ in range(k)]
-    for pred, true in zip(predictions, truth):
-        confusion[index[true]][index[pred]] += 1
-
-    per_class = []
-    zero_division = []
-    f1_sum = 0.0
-    precision_sum = 0.0
-    recall_sum = 0.0
-    for i, cls in enumerate(class_set):
-        tp = confusion[i][i]
-        pred_total = sum(confusion[r][i] for r in range(k))
-        true_total = sum(confusion[i])
-        if pred_total == 0 or true_total == 0:
-            zero_division.append(_class_name(cls))
-        precision = tp / pred_total if pred_total > 0 else 0.0
-        recall = tp / true_total if true_total > 0 else 0.0
-        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
-        per_class.append(ClassMetrics(name=_class_name(cls), precision=precision,
-                                      recall=recall, f1=f1, support=true_total))
-        precision_sum += precision
-        recall_sum += recall
-        f1_sum += f1
-
+    cells = [index[t] * k + index[p] for p, t in zip(predictions, truth)]
+    confusion = np.bincount(np.array(cells, dtype=np.int64), minlength=k * k).reshape(k, k)
+    predicted, actual = confusion.sum(axis=0), confusion.sum(axis=1)
+    precision, recall, f1 = precision_recall_f1(np.diag(confusion), predicted, actual)
+    names = [_class_name(c) for c in class_set]
+    per_class = [ClassMetrics(name=name, precision=p, recall=r, f1=f, support=s)
+                 for name, p, r, f, s in zip(names, precision.tolist(), recall.tolist(),
+                                             f1.tolist(), actual.tolist())]
     return EvalReport(
-        setting=setting, split=split,
-        class_names=[_class_name(c) for c in class_set], per_class=per_class,
-        macro_precision=precision_sum / k, macro_recall=recall_sum / k,
-        macro_f1=f1_sum / k, confusion=confusion,
+        setting=setting, split=split, per_class=per_class,
+        macro_precision=float(macro_average(precision)),
+        macro_recall=float(macro_average(recall)), macro_f1=float(macro_average(f1)),
+        confusion=confusion.tolist(),
         seeds=list(seeds or []), fingerprints=dict(fingerprints or {}),
-        zero_division_classes=zero_division)
+        zero_division_classes=[name for name, p, a in zip(names, predicted, actual)
+                               if p == 0 or a == 0])
 
 
 def _check_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
@@ -153,19 +156,22 @@ def _check_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
     return s, y
 
 
+def tie_groups(sorted_values) -> tuple[np.ndarray, np.ndarray]:
+    """First index and size of each run of equal values in a sorted array.
+
+    A run ends where a value ``!=`` the next, so NaNs never group."""
+    v = np.asarray(sorted_values)
+    starts = np.flatnonzero(np.append(len(v) > 0, v[1:] != v[:-1]))
+    return starts, np.diff(np.append(starts, len(v)))
+
+
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg), ties counted 0.5."""
     s, y = _check_scores(scores, labels)
     order = np.argsort(s, kind="mergesort")
-    sorted_scores = s[order]
+    starts, sizes = tie_groups(s[order])
     ranks = np.empty(len(s))
-    i = 0
-    while i < len(s):
-        j = i
-        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((2 * starts + sizes - 1) / 2.0 + 1.0, sizes)  # mean 1-based rank
     n_pos = int(y.sum())
     n_neg = len(y) - n_pos
     return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
@@ -175,26 +181,13 @@ def pr_auc(scores, labels) -> float:
     """Average precision: step-wise interpolated area under the PR curve."""
     s, y = _check_scores(scores, labels)
     order = np.argsort(-s, kind="mergesort")
-    s_desc = s[order]
-    y_desc = y[order]
-    n_pos = int(y.sum())
-    ap = 0.0
-    tp = 0
-    fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < len(s_desc):
-        j = i
-        while j + 1 < len(s_desc) and s_desc[j + 1] == s_desc[i]:
-            j += 1
-        tp += int(y_desc[i:j + 1].sum())
-        fp += (j - i + 1) - int(y_desc[i:j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        ap += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(ap)
+    starts, sizes = tie_groups(s[order])
+    ends = starts + sizes
+    tp = np.cumsum(y[order])[ends - 1]
+    recall = tp / int(y.sum())
+    precision = tp / ends
+    steps = (recall - np.append(0.0, recall[:-1])) * precision
+    return float(np.add.accumulate(np.append(0.0, steps))[-1])
 
 
 def log_loss(probs, labels, eps: float = 1e-12) -> float:

@@ -68,7 +68,6 @@ class ExperimentConfig:
     # training-side augmentation
     augment_ops: tuple[str, ...] = ("KEYWORD_OBFUSCATION", "CHAR_NOISE", "SYNONYM_REPLACEMENT")
     augment_rate: float = 0.5
-    augment_train: bool = True
     # malware corpus
     malware_benign: int = 300
     malware_malicious: int = 300
@@ -208,7 +207,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     log_split = split(logs, SplitSpec(kind=SplitKind.TIME_ORDERED,
                                       fractions=config.log_fractions))
     train_logs = log_split.train
-    if config.augment_train and config.augment_rate > 0:
+    if config.augment_rate > 0:
         train_logs = augment(train_logs, [AugmentOp(op) for op in config.augment_ops],
                              rate=config.augment_rate,
                              seed=derive_seed(config.seed, "augment-train"))

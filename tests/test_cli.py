@@ -232,6 +232,29 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err.startswith("error: ")
         assert not logs.exists() and not malware.exists()
 
+    @pytest.mark.parametrize("flags", [["--duration-s", "1e300"],
+                                       ["--benign-hosts", "100000000000"],
+                                       ["--malware-benign", "100000000000"],
+                                       ["--malware-features", "100000000000"]])
+    def test_generate_refuses_oversized_scenarios(self, tmp_path, capsys, flags):
+        logs, malware = tmp_path / "logs.ndjson", tmp_path / "malware.csv"
+        assert main(["generate", "--out-logs", str(logs), "--out-malware", str(malware),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "limit" in err
+        assert not logs.exists() and not malware.exists()
+
+    @pytest.mark.parametrize("fractions,with_malware", [("0.6,0.2,nan", True),
+                                                         ("nan,0.2,0.2", False)])
+    def test_split_rejects_nan_fractions(self, workspace, tmp_path, capsys, fractions,
+                                         with_malware):
+        out = tmp_path / "splits"
+        extra = ["--malware", str(workspace / "malware.csv")] if with_malware else []
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"), *extra,
+                     "--out-dir", str(out), "--fractions", fractions]) == 2
+        assert capsys.readouterr().err.startswith("error: fractions must be finite")
+        assert not (out / "logs_train.ndjson").exists()
+
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_train_log_rejects_non_finite_l2(self, workspace, tmp_path, capsys, value):
         artifact = tmp_path / "artifact.json"

@@ -20,6 +20,7 @@ from aisoc.corpus import (
     message_tokens,
     mutate_message,
 )
+from aisoc.corpus.generate import MAX_GENERATED_ITEMS
 from aisoc.errors import ConfigError
 
 
@@ -84,6 +85,30 @@ class TestGenerate:
     def test_invalid_scenario_is_config_error(self, kwargs):
         with pytest.raises(ConfigError):
             generate_corpus(ScenarioConfig(seed=1, **kwargs))
+
+    @pytest.mark.parametrize("kwargs", [
+        {"benign_hosts": 10**11, "attack_sessions": 0, "duration_s": 60},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": 1e300},
+        {"benign_hosts": 1, "attack_sessions": 0, "duration_s": 60,
+         "benign_rate_per_host": 1e12},
+        {"benign_hosts": 1, "attack_sessions": 200_000, "duration_s": 4e6,
+         "benign_rate_per_host": 1e-9},
+    ])
+    def test_oversized_scenario_is_config_error_before_any_record(self, kwargs):
+        with pytest.raises(ConfigError, match=f"limit is {MAX_GENERATED_ITEMS}"):
+            generate_corpus(ScenarioConfig(seed=1, **kwargs))
+
+    def test_duration_past_the_millisecond_range_is_config_error(self):
+        with pytest.raises(ConfigError, match="finite in milliseconds"):
+            generate_corpus(ScenarioConfig(benign_hosts=1, attack_sessions=0, duration_s=1e306,
+                                           seed=1, benign_rate_per_host=1e-310))
+
+    @pytest.mark.parametrize("benign,malicious,features", [
+        (10**11, 5, 8), (5, 5, 10**11), (2_000, 2_000, 300)])
+    def test_oversized_malware_table_is_config_error(self, benign, malicious, features):
+        with pytest.raises(ConfigError, match=f"limit of {MAX_GENERATED_ITEMS}"):
+            generate_malware(MalwareScenario(benign_samples=benign, malicious_samples=malicious,
+                                             seed=1, n_features=features))
 
     @pytest.mark.parametrize("separation", [math.nan, math.inf, -math.inf])
     def test_non_finite_malware_separation_is_config_error(self, separation):

@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from aisoc.corpus import Label
 from aisoc.errors import TuningError
+from aisoc.evaluate import build_manifest
 from aisoc.fusion import (
     TRIAGE_CLASSES,
     CalibratedScorePair,
@@ -18,6 +19,8 @@ from aisoc.fusion import (
     tuning_macro_f1,
 )
 from aisoc.metrics import classification_report
+from aisoc.pipeline import validation_pairs
+from aisoc.seeding import derive_seed
 
 PAPER_CONFIG = FusionConfig(t_m=0.10, t_l=0.42)
 
@@ -170,3 +173,20 @@ class TestTuneThresholds:
                 preds = [fuse_scores(p.s_m, p.s_l, t_m, t_l) for p in pairs]
                 report = classification_report(preds, truth, TRIAGE_CLASSES)
                 assert report.macro_f1 <= best + 1e-12
+
+
+def test_tuning_f1_is_the_reported_f1_at_every_grid_cell(demo_config, demo_result):
+    """Thresholds are chosen on the macro-F1 the fused report prints."""
+    val_items = build_manifest(demo_result.log_split.validation,
+                               demo_result.malware_split.validation,
+                               supports=demo_config.val_supports,
+                               seed=derive_seed(demo_config.seed, "manifest-validation"))
+    pairs, truth = validation_pairs(demo_result.artifact, val_items)
+    grid = threshold_grid(0.1)
+    assert len(grid) == 11
+    for t_m in grid:
+        for t_l in grid:
+            config = FusionConfig(t_m=float(t_m), t_l=float(t_l))
+            report = classification_report([fuse(p, config) for p in pairs], truth,
+                                            TRIAGE_CLASSES)
+            assert tuning_macro_f1(pairs, truth, config).hex() == report.macro_f1.hex()

@@ -1,14 +1,24 @@
 import json
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aisoc import calibrate
 from aisoc.errors import MetricError
 from aisoc.fusion import TRIAGE_CLASSES, TriageLabel
-from aisoc.metrics import classification_report, log_loss, pr_auc, roc_auc
+from aisoc.metrics import (
+    classification_report,
+    log_loss,
+    macro_average,
+    pr_auc,
+    precision_recall_f1,
+    roc_auc,
+    tie_groups,
+)
 
 
 def brute_force_roc_auc(scores, labels):
@@ -23,6 +33,183 @@ def brute_force_roc_auc(scores, labels):
             elif p == n:
                 total += 0.5
     return total / (len(pos) * len(neg))
+
+
+def reference_roc_auc(scores, labels):
+    """The rank loop ``roc_auc`` had before tie grouping was shared."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    order = np.argsort(s, kind="mergesort")
+    sorted_scores = s[order]
+    ranks = np.empty(len(s))
+    i = 0
+    while i < len(s):
+        j = i
+        while j + 1 < len(s) and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    n_pos = int(y.sum())
+    n_neg = len(y) - n_pos
+    return float((ranks[y == 1].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+
+
+def reference_pr_auc(scores, labels):
+    """The average-precision loop ``pr_auc`` had before tie grouping was shared."""
+    s = np.asarray(scores, dtype=float)
+    y = np.asarray(labels, dtype=int)
+    order = np.argsort(-s, kind="mergesort")
+    s_desc = s[order]
+    y_desc = y[order]
+    n_pos = int(y.sum())
+    ap = 0.0
+    tp = 0
+    fp = 0
+    prev_recall = 0.0
+    i = 0
+    while i < len(s_desc):
+        j = i
+        while j + 1 < len(s_desc) and s_desc[j + 1] == s_desc[i]:
+            j += 1
+        tp += int(y_desc[i:j + 1].sum())
+        fp += (j - i + 1) - int(y_desc[i:j + 1].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        ap += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return float(ap)
+
+
+def reference_report(predictions, truth, class_set):
+    """The per-class loop ``classification_report`` had before F1 from counts
+    was shared: (per-class (P, R, F1, support), macro (P, R, F1), confusion,
+    zero-division classes)."""
+    index = {c: i for i, c in enumerate(class_set)}
+    k = len(class_set)
+    confusion = [[0] * k for _ in range(k)]
+    for pred, true in zip(predictions, truth):
+        confusion[index[true]][index[pred]] += 1
+    per_class, zero_division = [], []
+    f1_sum = precision_sum = recall_sum = 0.0
+    for i, cls in enumerate(class_set):
+        tp = confusion[i][i]
+        pred_total = sum(confusion[r][i] for r in range(k))
+        true_total = sum(confusion[i])
+        if pred_total == 0 or true_total == 0:
+            zero_division.append(str(cls))
+        precision = tp / pred_total if pred_total > 0 else 0.0
+        recall = tp / true_total if true_total > 0 else 0.0
+        f1 = 2.0 * precision * recall / (precision + recall) if precision + recall > 0 else 0.0
+        per_class.append((precision, recall, f1, true_total))
+        precision_sum += precision
+        recall_sum += recall
+        f1_sum += f1
+    return (per_class, (precision_sum / k, recall_sum / k, f1_sum / k), confusion,
+            zero_division)
+
+
+def reference_pool_ties(scores, labels):
+    """The ``np.unique`` tie pooling ``fit_isotonic`` used before tie grouping
+    was shared (it differs only in merging NaN scores, which never occur)."""
+    order = np.argsort(scores, kind="mergesort")
+    s, y = scores[order], labels[order]
+    uniq, start = np.unique(s, return_index=True)
+    boundaries = np.append(start, len(s))
+    targets = np.array([y[boundaries[i]:boundaries[i + 1]].mean() for i in range(len(uniq))])
+    weights = np.diff(boundaries).astype(float)
+    return uniq, targets, weights
+
+
+@st.composite
+def tied_scores(draw):
+    """(scores, labels): integer levels 0..L-1 (L in 1..12) times a scale, with
+    some zeros negated, and both label classes present."""
+    n = draw(st.integers(2, 40))
+    levels = draw(st.integers(1, 12))
+    scale = draw(st.sampled_from([1.0, 1 / 3, 1e-300, 1e300]))
+    ints = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    negate = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    if len(set(labels)) < 2:
+        labels[0], labels[1] = 0, 1
+    scores = [-(i * scale) if neg else i * scale for i, neg in zip(ints, negate)]
+    return scores, labels
+
+
+def _hex(values):
+    return [float(v).hex() for v in values]
+
+
+class TestSharedCore:
+    def test_tie_groups_runs(self):
+        starts, sizes = tie_groups([0.1, 0.1, 0.2, 0.3, 0.3, 0.3])
+        assert starts.tolist() == [0, 2, 3] and sizes.tolist() == [2, 1, 3]
+        starts, sizes = tie_groups([])
+        assert starts.tolist() == [] and sizes.tolist() == []
+
+    def test_tie_groups_merges_signed_zeros_but_never_nans(self):
+        starts, sizes = tie_groups([-0.0, 0.0, -0.0, 1.0, np.nan, np.nan])
+        assert starts.tolist() == [0, 3, 4, 5] and sizes.tolist() == [3, 1, 1, 1]
+
+    def test_precision_recall_f1_elementwise_with_empty_denominators(self):
+        precision, recall, f1 = precision_recall_f1([3, 0, 0, 2], [4, 0, 2, 2], [4, 5, 0, 2])
+        assert precision.tolist() == [0.75, 0.0, 0.0, 1.0]
+        assert recall.tolist() == [0.75, 0.0, 0.0, 1.0]
+        assert f1.tolist() == [0.75, 0.0, 0.0, 1.0]
+
+    def test_macro_average_is_an_uncompensated_running_total(self):
+        # 1e16 + 1.0 rounds back to 1e16; a compensated sum would keep the 1.0
+        assert macro_average([1e16, 1.0, -1e16]) == 0.0
+        rows = np.array([[1e16, 0.3], [1.0, 0.3], [-1e16, 0.3]])
+        assert macro_average(rows).tolist() == [0.0, ((0.0 + 0.3) + 0.3 + 0.3) / 3]
+
+    @settings(max_examples=400, deadline=None)
+    @given(tied_scores())
+    @example(([0.5, 0.5], [0, 1]))
+    @example(([0.25, 0.75], [1, 0]))
+    @example(([7e300] * 6, [0, 1, 1, 0, 1, 0]))
+    @example(([0.0, -0.0, 0.0, -0.0, 1 / 3], [1, 0, 0, 1, 1]))
+    def test_rank_aucs_match_the_loops_bit_for_bit(self, case):
+        scores, labels = case
+        assert roc_auc(scores, labels).hex() == reference_roc_auc(scores, labels).hex()
+        assert pr_auc(scores, labels).hex() == reference_pr_auc(scores, labels).hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(tied_scores())
+    @example(([0.0, -0.0, -0.0, 0.0, 1.0], [1, 0, 1, 0, 1]))
+    def test_isotonic_pooling_and_knots_match_np_unique_bit_for_bit(self, case):
+        scores, labels = np.array(case[0]), np.array(case[1], dtype=float)
+        for new, old in zip(calibrate._pool_ties(scores, labels),
+                            reference_pool_ties(scores, labels)):
+            assert new.tobytes() == old.tobytes()
+        fitted = calibrate.fit_isotonic(scores, labels)
+        with mock.patch.object(calibrate, "_pool_ties", reference_pool_ties):
+            reference = calibrate.fit_isotonic(scores, labels)
+        assert fitted.knot_scores.tobytes() == reference.knot_scores.tobytes()
+        assert fitted.knot_values.tobytes() == reference.knot_values.tobytes()
+
+    @settings(max_examples=300, deadline=None)
+    @given(k=st.integers(2, 4), data=st.data())
+    @example(k=3, data=None)
+    def test_report_matches_the_per_class_loop_bit_for_bit(self, k, data):
+        class_set = list(range(k))
+        if data is None:  # class 2 has no truth and no predictions
+            preds, truth = [0, 1, 1, 0], [0, 1, 0, 0]
+        else:
+            used = st.integers(0, data.draw(st.integers(1, k - 1)))
+            n = data.draw(st.integers(1, 30))
+            preds = data.draw(st.lists(used, min_size=n, max_size=n))
+            truth = data.draw(st.lists(used, min_size=n, max_size=n))
+        per_class, macro, confusion, zero_division = reference_report(preds, truth, class_set)
+        report = classification_report(preds, truth, class_set)
+        assert [_hex([c.precision, c.recall, c.f1]) for c in report.per_class] \
+            == [_hex(p_r_f1) for *p_r_f1, _ in per_class]
+        assert [c.support for c in report.per_class] == [s for *_, s in per_class]
+        assert _hex([report.macro_precision, report.macro_recall, report.macro_f1]) \
+            == _hex(macro)
+        assert report.confusion == confusion
+        assert report.zero_division_classes == zero_division
 
 
 class TestClassificationReport:

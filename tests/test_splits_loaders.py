@@ -110,6 +110,14 @@ class TestKFold:
             SplitSpec(kind=SplitKind.K_FOLD, folds=1)
 
 
+@pytest.mark.parametrize("kind", [SplitKind.TIME_ORDERED, SplitKind.STRATIFIED_RANDOM])
+@pytest.mark.parametrize("fractions", [(0.6, 0.2, float("nan")), (float("nan"), 0.2, 0.2),
+                                       (0.6, float("inf"), 0.2), (float("-inf"), 0.2, 0.2)])
+def test_non_finite_fractions_are_split_errors(kind, fractions):
+    with pytest.raises(SplitError, match="finite"):
+        SplitSpec(kind=kind, fractions=fractions)
+
+
 class TestLogNdjson:
     def test_schema_echo(self, tmp_path):
         path = tmp_path / "one.ndjson"
