@@ -4,9 +4,12 @@ Every subcommand reads an optional flat JSON config file (``--config``)
 whose keys mirror the long flag names; explicit flags override the file,
 which overrides built-in defaults. Artifacts are built up stage by stage,
 each subcommand running one stage function of ``pipeline`` (the same ones
-``run_experiment`` runs): ``train-log`` and ``train-malware`` write PARTIAL
-artifacts, ``calibrate`` adds the calibrators, and ``tune`` adds the fusion
-thresholds, after which the artifact is SERVING-complete.
+``run_experiment`` runs) and saving the new artifact it returns:
+``train-log`` and ``train-malware`` write PARTIAL artifacts, ``calibrate``
+adds the calibrators, and ``tune`` adds the fusion thresholds, after which
+the artifact is SERVING-complete. A stage drops what was fitted on the
+components it replaces, so re-running one leaves the artifact PARTIAL until
+the later stages run again.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .corpus import (
@@ -52,7 +56,6 @@ from .service import (
     score_batch,
     serve,
 )
-from .service.artifact import build_artifact
 
 _OPS_ALL = "KEYWORD_OBFUSCATION,CHAR_NOISE,SYNONYM_REPLACEMENT"
 _SEED = ("--seed", 7, {"type": int, "help": "random seed"})
@@ -267,7 +270,7 @@ def _load_malware(opts: dict, path: str):
 def _load_or_new_artifact(path: str) -> ModelArtifact:
     if Path(path).exists():
         return load_artifact(path)
-    return build_artifact(created_at=EPOCH_MS)
+    return ModelArtifact(created_at=EPOCH_MS)
 
 
 def _cmd_generate(opts: dict) -> int:
@@ -354,10 +357,11 @@ def _cmd_train_log(opts: dict) -> int:
                                       epochs=opts["epochs"], seed=opts["seed"],
                                       class_weight=class_weight)
     artifact = _load_or_new_artifact(opts["artifact"])
-    artifact.vocabulary = vocab
-    artifact.logistic = model
-    artifact.fingerprints["logs_data"] = corpus_fingerprint(loaded.records)
-    artifact.fingerprints["logs_seed"] = str(opts["seed"])
+    fingerprints = {**artifact.fingerprints, "logs_data": corpus_fingerprint(loaded.records),
+                    "logs_seed": str(opts["seed"])}
+    # the log calibrator and the thresholds were fitted on the old model's scores
+    artifact = replace(artifact, vocabulary=vocab, logistic=model, calibrator_logs=None,
+                       fusion=None, fingerprints=fingerprints)
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"trained log model on {len(loaded.records)} records (vocab {vocab.size}); "
           f"artifact {artifact.status} {checksum[:19]}")
@@ -371,10 +375,11 @@ def _cmd_train_malware(opts: dict) -> int:
         loaded.samples, n_trees=opts["trees"], max_depth=opts["max_depth"],
         min_samples_leaf=opts["min_leaf"], seed=opts["seed"])
     artifact = _load_or_new_artifact(opts["artifact"])
-    artifact.standardizer = standardizer
-    artifact.forest = forest
-    artifact.fingerprints["malware_data"] = malware_fingerprint(loaded.samples)
-    artifact.fingerprints["malware_seed"] = str(opts["seed"])
+    fingerprints = {**artifact.fingerprints, "malware_data": malware_fingerprint(loaded.samples),
+                    "malware_seed": str(opts["seed"])}
+    # the malware calibrator and the thresholds were fitted on the old model's scores
+    artifact = replace(artifact, standardizer=standardizer, forest=forest,
+                       calibrator_malware=None, fusion=None, fingerprints=fingerprints)
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"trained malware model on {len(loaded.samples)} samples; "
           f"artifact {artifact.status} {checksum[:19]}")
@@ -386,7 +391,7 @@ def _cmd_calibrate(opts: dict) -> int:
     artifact = load_artifact(opts["artifact"])
     logs = _loaded(load_log_ndjson(opts["val_logs"]), "validation log line(s)").records
     samples = _loaded(_load_malware(opts, opts["val_malware"]), "validation malware row(s)").samples
-    calibrate_detectors(artifact, logs, samples, opts["method"])
+    artifact = calibrate_detectors(artifact, logs, samples, opts["method"])
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"calibrators: logs={artifact.calibrator_logs.method.value} "
           f"malware={artifact.calibrator_malware.method.value}; "
@@ -400,7 +405,7 @@ def _cmd_tune(opts: dict) -> int:
     pairs, truth = validation_pairs(artifact, read_manifest(opts["manifest"]))
     config, macro = tune_fusion(pairs, truth, grid_step=opts["grid_step"],
                                 tuned_on=Path(opts["manifest"]).name, version=opts["version"])
-    artifact.fusion = config
+    artifact = replace(artifact, fusion=config)
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"selected thresholds t_m={config.t_m:.2f} t_l={config.t_l:.2f} "
           f"(validation macro-F1 {macro:.4f}); artifact {artifact.status} {checksum[:19]}")
@@ -444,7 +449,7 @@ def _cmd_save(opts: dict) -> int:
     _require(opts, "artifact", "out")
     artifact = load_artifact(opts["artifact"])
     if opts["created_at"] is not None:
-        artifact.created_at = int(opts["created_at"])
+        artifact = replace(artifact, created_at=int(opts["created_at"]))
     checksum = save_artifact(artifact, opts["out"])
     print(f"saved {artifact.status} artifact to {opts['out']} ({checksum[:19]})")
     return 0

@@ -128,6 +128,10 @@ def _messages(corpus: Iterable) -> list[str]:
 def fit_vocabulary(corpus: Iterable, min_df: int = DEFAULT_MIN_DF,
                    max_features: int | None = DEFAULT_MAX_FEATURES) -> Vocabulary:
     """Fit a vocabulary on the training corpus (records or raw messages)."""
+    if min_df < 1:
+        raise TrainingError(f"min_df must be >= 1, got {min_df}")
+    if max_features is not None and max_features < 1:
+        raise TrainingError(f"max_features must be None or >= 1, got {max_features}")
     messages = _messages(corpus)
     if not messages:
         raise TrainingError("cannot fit a vocabulary on an empty corpus")

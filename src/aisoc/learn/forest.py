@@ -459,8 +459,11 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
         raise TrainingError(f"labels must be binary 0/1, got {sorted(classes)}")
     if len(classes) < 2:
         raise TrainingError("training data contains a single class")
-    if n_trees < 1:
-        raise TrainingError(f"n_trees must be >= 1, got {n_trees}")
+    for name, value in (("n_trees", n_trees), ("max_depth", max_depth),
+                        ("min_samples_leaf", min_samples_leaf),
+                        ("features_per_split", features_per_split)):
+        if value is not None and value < 1:
+            raise TrainingError(f"{name} must be >= 1, got {value}")
     d = X.shape[1]
     if features_per_split is None:
         features_per_split = math.ceil(math.sqrt(d))

@@ -163,6 +163,8 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
         raise TrainingError("training data contains a single class")
     if not (math.isfinite(l2) and l2 >= 0):
         raise TrainingError(f"l2 must be a finite number >= 0, got {l2}")
+    if epochs < 1:
+        raise TrainingError(f"epochs must be >= 1, got {epochs}")
     if class_weight not in (None, "balanced"):
         raise TrainingError(f"class_weight must be None or 'balanced', got {class_weight!r}")
     sample_weight = balanced_weights(y_arr) if class_weight == "balanced" else None

@@ -5,6 +5,10 @@ a fixed seed reproduces the whole run byte-for-byte, artifacts included.
 ``created_at`` on the artifact is pinned to the telemetry epoch for the
 same reason; pass your own value if wall-clock stamping matters more than
 reproducibility.
+
+Artifacts are immutable values: a stage that fits a component returns a
+new artifact, and ``run_experiment`` builds its artifact once both
+detectors exist.
 """
 
 from __future__ import annotations
@@ -49,7 +53,7 @@ from .learn.forest import score_forest, train_forest
 from .learn.logistic import score_logistic, train_logistic
 from .metrics import EvalReport, classification_report
 from .seeding import derive_seed
-from .service.artifact import ModelArtifact, build_artifact
+from .service.artifact import ModelArtifact
 from .service.scorer import Scorer
 
 
@@ -155,19 +159,23 @@ def train_malware_detector(train_samples: list[MalwareSample], *, n_trees: int,
 
 
 def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
-                        val_samples: list[MalwareSample], method: str) -> None:
-    """Fit both calibrators of ``artifact``; ``method`` "auto" selects per detector."""
+                        val_samples: list[MalwareSample], method: str) -> ModelArtifact:
+    """``artifact`` with both calibrators fitted; ``method`` "auto" selects per detector.
+
+    The fusion thresholds are cleared: they were tuned on the old calibrators' scores.
+    """
     for component in ("vocabulary", "logistic", "standardizer", "forest"):
         if getattr(artifact, component) is None:
             raise ConfigError(f"artifact is missing {component}; train both models first")
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
     raw_log = score_logistic(artifact.logistic,
                              [transform_text(r.message, artifact.vocabulary) for r in val_logs])
-    artifact.calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
+    calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
     std = artifact.standardizer
     raw_mw = score_forest(artifact.forest, transform_dense(feature_matrix(val_samples, std), std))
-    artifact.calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples),
-                                                           chosen)
+    calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples), chosen)
+    return replace(artifact, calibrator_logs=calibrator_logs,
+                   calibrator_malware=calibrator_malware, fusion=None)
 
 
 def validation_pairs(artifact: ModelArtifact, items: list[ManifestItem]
@@ -225,15 +233,16 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         "malware_data": malware_fingerprint(malware),
         "seed": str(config.seed),
     }
-    artifact = build_artifact(fingerprints=fingerprints, created_at=EPOCH_MS)
 
     # Detectors, then their calibrators on the validation splits.
-    artifact.vocabulary, artifact.logistic = _train_logs(train_logs, config)
-    artifact.standardizer, artifact.forest = train_malware_detector(
+    vocabulary, logistic = _train_logs(train_logs, config)
+    standardizer, forest = train_malware_detector(
         malware_split.train, n_trees=config.forest_trees, max_depth=config.forest_depth,
         min_samples_leaf=config.forest_min_leaf, seed=derive_seed(config.seed, "train-forest"))
-    calibrate_detectors(artifact, log_split.validation, malware_split.validation,
-                        config.calibration)
+    artifact = calibrate_detectors(
+        ModelArtifact(created_at=EPOCH_MS, vocabulary=vocabulary, logistic=logistic,
+                      standardizer=standardizer, forest=forest, fingerprints=fingerprints),
+        log_split.validation, malware_split.validation, config.calibration)
 
     # Threshold selection on a validation manifest.
     val_items = build_manifest(log_split.validation, malware_split.validation,
@@ -249,7 +258,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
         fusion_config = FusionConfig(t_m=t_m, t_l=t_l, grid_step=config.grid_step,
                                      tuned_on="fixed", version=config.artifact_version_tag)
         validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion_config)
-    artifact.fusion = fusion_config
+    artifact = replace(artifact, fusion=fusion_config)
     scorer = artifact.to_scorer()
 
     # Final evaluation manifest and the three baseline settings.

@@ -3,7 +3,6 @@
 from .artifact import (
     FORMAT_VERSION,
     ModelArtifact,
-    build_artifact,
     canonical_json_bytes,
     load_artifact,
     save_artifact,
@@ -18,7 +17,6 @@ __all__ = [
     "RequestError",
     "Scorer",
     "ScoringService",
-    "build_artifact",
     "canonical_json_bytes",
     "load_artifact",
     "save_artifact",

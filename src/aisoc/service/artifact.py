@@ -7,6 +7,10 @@ so fixed-seed pipelines reproduce artifacts exactly. An artifact missing
 components is saved with status PARTIAL and is refused by the scorer and
 the HTTP service.
 
+An artifact is an immutable value: a stage that fits a component returns
+a new artifact (``dataclasses.replace``), so each value hashes its payload
+at most once.
+
 Format 2 stores each tree as the forest's flat node lists. Format 1 stored
 each tree as nested node objects; such a file still loads, converted to
 the same lists, and is written back as format 2.
@@ -20,7 +24,10 @@ import os
 import secrets
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -38,6 +45,9 @@ PARTIAL = "PARTIAL"
 
 _COMPONENTS = ("vocabulary", "logistic", "calibrator_logs", "standardizer",
                "forest", "calibrator_malware", "fusion")
+# the keys ``ModelArtifact.to_payload`` writes
+_PAYLOAD_KEYS = frozenset(("format_version", "created_at", "status", "vocabulary", "logistic",
+                           "calibrators", "standardizer", "forest", "fusion", "fingerprints"))
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -49,10 +59,17 @@ def checksum_of(payload: dict) -> str:
     return "sha256:" + hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelArtifact:
+    """Fitted components, each ``None`` until its stage has run.
+
+    ``created_at`` (epoch ms) defaults to the wall clock; reproducible
+    pipelines pass their own so two runs write byte-identical files.
+    ``dataclasses.replace`` shares the components, so never edit one.
+    """
+
     format_version = FORMAT_VERSION  # the only format written
-    created_at: int = 0  # epoch ms
+    created_at: int = field(default_factory=lambda: time.time_ns() // 1_000_000)
     vocabulary: Vocabulary | None = None
     logistic: LogisticModel | None = None
     calibrator_logs: Calibrator | None = None
@@ -60,7 +77,10 @@ class ModelArtifact:
     forest: ForestModel | None = None
     calibrator_malware: Calibrator | None = None
     fusion: FusionConfig | None = None
-    fingerprints: dict = field(default_factory=dict)
+    fingerprints: Mapping[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fingerprints", MappingProxyType(dict(self.fingerprints)))
 
     def missing_components(self) -> list[str]:
         return [name for name in _COMPONENTS if getattr(self, name) is None]
@@ -84,10 +104,10 @@ class ModelArtifact:
             "standardizer": _opt(self.standardizer),
             "forest": _opt(self.forest),
             "fusion": _opt(self.fusion),
-            "fingerprints": self.fingerprints,
+            "fingerprints": dict(self.fingerprints),
         }
 
-    @property
+    @cached_property
     def checksum(self) -> str:
         return checksum_of(self.to_payload())
 
@@ -103,7 +123,7 @@ class ModelArtifact:
 
         calibrators = payload.get("calibrators", {})
         return cls(
-            created_at=int(payload["created_at"]),
+            created_at=payload["created_at"],
             vocabulary=_opt(payload.get("vocabulary"), Vocabulary.from_dict),
             logistic=_opt(payload.get("logistic"), LogisticModel.from_dict),
             calibrator_logs=_opt(calibrators.get("logs"), Calibrator.from_dict),
@@ -111,7 +131,7 @@ class ModelArtifact:
             forest=_opt(payload.get("forest"), ForestModel.from_dict),
             calibrator_malware=_opt(calibrators.get("malware"), Calibrator.from_dict),
             fusion=_opt(payload.get("fusion"), FusionConfig.from_dict),
-            fingerprints=dict(payload.get("fingerprints", {})),
+            fingerprints=payload.get("fingerprints", {}),
         )
 
     def to_scorer(self) -> Scorer:
@@ -124,24 +144,6 @@ class ModelArtifact:
                       standardizer=self.standardizer, forest=self.forest,
                       calibrator_malware=self.calibrator_malware,
                       fusion_config=self.fusion, artifact_version=self.version)
-
-
-def build_artifact(vocabulary=None, logistic=None, calibrator_logs=None,
-                   standardizer=None, forest=None, calibrator_malware=None,
-                   fusion=None, fingerprints=None,
-                   created_at: int | None = None) -> ModelArtifact:
-    """Assemble an artifact; ``created_at=None`` stamps the wall clock.
-
-    Reproducible pipelines must pass an explicit ``created_at`` so two runs
-    of the same experiment produce byte-identical files.
-    """
-    if created_at is None:
-        created_at = time.time_ns() // 1_000_000
-    return ModelArtifact(created_at=int(created_at), vocabulary=vocabulary,
-                         logistic=logistic, calibrator_logs=calibrator_logs,
-                         standardizer=standardizer, forest=forest,
-                         calibrator_malware=calibrator_malware, fusion=fusion,
-                         fingerprints=dict(fingerprints or {}))
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
@@ -176,7 +178,7 @@ def _replace_file(path: Path, data: bytes) -> None:
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    """Load and verify a container file (checksum, format, completeness, consistency)."""
+    """Load and verify a container file (checksum, format, keys, completeness, consistency)."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -203,6 +205,17 @@ def load_artifact(path: str | Path) -> ModelArtifact:
     if version not in (FORMAT_VERSION, "1"):
         raise ArtifactError(
             f"{path}: unknown format_version {version!r}, expected {FORMAT_VERSION!r} or '1'")
+    # A payload that does not round-trip would hash differently once re-encoded.
+    keys = set(payload)
+    if keys - _PAYLOAD_KEYS:
+        raise ArtifactError(f"{path}: unknown payload key(s) {sorted(keys - _PAYLOAD_KEYS)}")
+    if _PAYLOAD_KEYS - keys:
+        raise ArtifactError(f"{path}: payload lacks key(s) {sorted(_PAYLOAD_KEYS - keys)}")
+    created_at, status = payload["created_at"], payload["status"]
+    if not isinstance(created_at, int) or isinstance(created_at, bool):
+        raise ArtifactError(f"{path}: created_at must be an integer (epoch ms), got {created_at!r}")
+    if status not in (SERVING, PARTIAL):
+        raise ArtifactError(f"{path}: status must be {SERVING} or {PARTIAL}, got {status!r}")
     try:
         if version == "1" and payload.get("forest") is not None:
             forest = payload["forest"]
@@ -211,10 +224,10 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         artifact = ModelArtifact.from_payload(payload)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path}: malformed component payload: {exc}") from exc
-    missing = artifact.missing_components()
-    if payload.get("status") == SERVING and missing:
-        raise ArtifactError(
-            f"{path}: SERVING artifact is missing components: {', '.join(missing)}")
+    if status != artifact.status:
+        missing = ", ".join(artifact.missing_components()) or "none"
+        raise ArtifactError(f"{path}: status {status} disagrees with the components; "
+                            f"missing components: {missing}")
     problems = _inconsistencies(artifact)
     if problems:
         raise ArtifactError(f"{path}: inconsistent artifact: {'; '.join(problems)}")

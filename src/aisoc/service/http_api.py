@@ -82,11 +82,8 @@ class _Handler(BaseHTTPRequestHandler):
     @_answer_500
     def do_GET(self) -> None:  # noqa: N802 - stdlib handler naming
         artifact = self.server.artifact  # type: ignore[attr-defined]
-        scorer = self.server.scorer  # type: ignore[attr-defined]
         replies = {
-            # the version ``to_scorer`` hashed once at start; ``artifact.version``
-            # would serialize and hash the whole payload again on every call
-            "/v1/health": {"status": "ok", "artifact_version": scorer.artifact_version},
+            "/v1/health": {"status": "ok", "artifact_version": artifact.version},
             "/v1/model-info": {
                 "format_version": artifact.format_version,
                 "thresholds": {"t_m": artifact.fusion.t_m, "t_l": artifact.fusion.t_l},
@@ -94,7 +91,7 @@ class _Handler(BaseHTTPRequestHandler):
                     "malware": artifact.calibrator_malware.method.value,
                     "logs": artifact.calibrator_logs.method.value,
                 },
-                "fingerprints": artifact.fingerprints,
+                "fingerprints": dict(artifact.fingerprints),
             },
         }
         if self.path in replies:
@@ -159,7 +156,7 @@ class ScoringService:
 
     @property
     def artifact_version(self) -> str:
-        return self._server.scorer.artifact_version  # type: ignore[attr-defined]
+        return self._server.artifact.version  # type: ignore[attr-defined]
 
     @property
     def address(self) -> tuple[str, int]:

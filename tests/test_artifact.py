@@ -14,9 +14,9 @@ from aisoc.cli import main as cli_main
 from aisoc.errors import ArtifactError
 from aisoc.fusion import FusionConfig
 from aisoc.learn import train_forest
-from aisoc.pipeline import ExperimentConfig, run_experiment
+from aisoc.pipeline import ExperimentConfig, calibrate_detectors, run_experiment
 from aisoc.service import artifact as artifact_module
-from aisoc.service import build_artifact, load_artifact, save_artifact
+from aisoc.service import ModelArtifact, load_artifact, save_artifact
 from aisoc.service.artifact import (FORMAT_VERSION, PARTIAL, SERVING, canonical_json_bytes,
                                     checksum_of)
 
@@ -52,18 +52,13 @@ class TestRoundTrip:
         assert load_artifact(path).version == checksum.split(":")[1][:12]
 
     def test_fusion_thresholds_exposed_verbatim(self, tmp_path, demo_result):
-        artifact = demo_result.artifact
-        original_fusion = artifact.fusion
-        artifact.fusion = FusionConfig(t_m=0.10, t_l=0.42, grid_step=0.01,
-                                       tuned_on="validation", version="1")
-        try:
-            path = tmp_path / "artifact.json"
-            save_artifact(artifact, path)
-            loaded = load_artifact(path)
-            assert loaded.fusion.t_m == 0.10
-            assert loaded.fusion.t_l == 0.42
-        finally:
-            artifact.fusion = original_fusion
+        artifact = dataclasses.replace(demo_result.artifact, fusion=FusionConfig(
+            t_m=0.10, t_l=0.42, grid_step=0.01, tuned_on="validation", version="1"))
+        path = tmp_path / "artifact.json"
+        save_artifact(artifact, path)
+        loaded = load_artifact(path)
+        assert loaded.fusion.t_m == 0.10
+        assert loaded.fusion.t_l == 0.42
 
 
 class TestCorruption:
@@ -119,9 +114,9 @@ class TestCorruption:
 
 class TestPartialArtifacts:
     def test_partial_roundtrip_and_refusal_to_score(self, tmp_path, demo_result):
-        partial = build_artifact(vocabulary=demo_result.artifact.vocabulary,
-                                 logistic=demo_result.artifact.logistic,
-                                 created_at=0)
+        partial = ModelArtifact(vocabulary=demo_result.artifact.vocabulary,
+                                logistic=demo_result.artifact.logistic,
+                                created_at=0)
         assert partial.status == PARTIAL
         path = tmp_path / "partial.json"
         save_artifact(partial, path)
@@ -135,8 +130,86 @@ class TestPartialArtifacts:
         assert demo_result.artifact.missing_components() == []
 
     def test_created_at_wall_clock_default(self):
-        artifact = build_artifact()
+        artifact = ModelArtifact()
         assert artifact.created_at > 0
+
+
+class TestImmutableValue:
+    def test_an_artifact_is_a_value(self):
+        artifact = ModelArtifact(created_at=0, fingerprints={"seed": "7"})
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            artifact.created_at = 1
+        with pytest.raises(TypeError):
+            artifact.fingerprints["seed"] = "8"
+        before = artifact.checksum
+        later = dataclasses.replace(artifact, fingerprints={**artifact.fingerprints, "seed": "8"})
+        assert later.checksum != before
+        assert artifact.checksum == checksum_of(artifact.to_payload()) == before
+        assert artifact.fingerprints == {"seed": "7"} and later.fingerprints == {"seed": "8"}
+
+    def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch):
+        artifact = dataclasses.replace(demo_result.artifact)  # a new value, not hashed yet
+        calls = []
+        original = artifact_module.checksum_of
+
+        def counting(payload):
+            calls.append(1)
+            return original(payload)
+
+        monkeypatch.setattr(artifact_module, "checksum_of", counting)
+        version = artifact.version
+        assert artifact.to_scorer().artifact_version == version == demo_result.artifact.version
+        assert len(calls) == 1
+
+    def test_calibrating_clears_the_thresholds_tuned_on_the_old_calibrators(self, demo_result):
+        tuned = demo_result.artifact
+        calibrated = calibrate_detectors(tuned, demo_result.log_split.validation,
+                                         demo_result.malware_split.validation, "auto")
+        assert calibrated.fusion is None and calibrated.status == PARTIAL
+        for name in ("calibrator_logs", "calibrator_malware"):
+            assert getattr(calibrated, name).to_dict() == getattr(tuned, name).to_dict()
+        assert tuned.fusion is demo_result.fusion_config
+        assert checksum_of(tuned.to_payload()) == tuned.checksum
+
+
+class TestSelfDescription:
+    """A payload is refused when its own fields misdescribe it, checksum or not."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory, demo_result):
+        path = tmp_path_factory.mktemp("described") / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        return json.loads(path.read_text())["payload"]
+
+    def test_unknown_key_is_refused(self, tmp_path, payload):
+        _write(tmp_path / "a.json", {**payload, "comment": "hand-edited"})
+        with pytest.raises(ArtifactError, match=r"unknown payload key\(s\) \['comment'\]"):
+            load_artifact(tmp_path / "a.json")
+
+    def test_missing_key_is_refused(self, tmp_path, payload):
+        broken = {key: value for key, value in payload.items() if key != "status"}
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=r"payload lacks key\(s\) \['status'\]"):
+            load_artifact(tmp_path / "a.json")
+
+    @pytest.mark.parametrize("created_at", ["1735689600000", 5.0, True, None])
+    def test_created_at_that_is_not_an_integer_is_refused(self, tmp_path, payload, created_at):
+        _write(tmp_path / "a.json", {**payload, "created_at": created_at})
+        with pytest.raises(ArtifactError, match="created_at must be an integer"):
+            load_artifact(tmp_path / "a.json")
+
+    @pytest.mark.parametrize("status", ["READY", "serving", None])
+    def test_unknown_status_is_refused(self, tmp_path, payload, status):
+        _write(tmp_path / "a.json", {**payload, "status": status})
+        with pytest.raises(ArtifactError, match="status must be SERVING or PARTIAL"):
+            load_artifact(tmp_path / "a.json")
+
+    def test_partial_status_with_every_component_is_refused(self, tmp_path, payload):
+        _write(tmp_path / "a.json", {**payload, "status": PARTIAL})
+        with pytest.raises(ArtifactError,
+                           match="status PARTIAL disagrees with the components; "
+                                 "missing components: none"):
+            load_artifact(tmp_path / "a.json")
 
 
 def _write(path, payload, checksum=None) -> None:
@@ -445,7 +518,7 @@ class TestSave:
         path = tmp_path / "a.json"
         path.write_bytes(b"previous")
         with pytest.raises(ArtifactError, match="not saved.*forest holds a non-finite number"):
-            save_artifact(build_artifact(forest=forest, created_at=0), path)
+            save_artifact(ModelArtifact(forest=forest, created_at=0), path)
         assert path.read_bytes() == b"previous"
         assert sorted(tmp_path.iterdir()) == [path]
 

@@ -7,12 +7,25 @@ from pathlib import Path
 import pytest
 
 from aisoc.cli import main
+from aisoc.errors import ArtifactError
+from aisoc.service import load_artifact
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def sha(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def training_stages(splits: Path, artifact: Path) -> list[list[str]]:
+    """The workspace's train-log -> train-malware -> calibrate -> tune commands."""
+    return [[*argv, "--artifact", str(artifact), "--seed", "7"] for argv in (
+        ["train-log", "--train", str(splits / "logs_train.ndjson")],
+        ["train-malware", "--train", str(splits / "malware_train.csv"), "--trees", "20"],
+        ["calibrate", "--val-logs", str(splits / "logs_validation.ndjson"),
+         "--val-malware", str(splits / "malware_validation.csv")],
+        ["tune", "--manifest", str(splits / "manifest_validation.ndjson")],
+    )]
 
 
 @pytest.fixture(scope="module")
@@ -22,24 +35,20 @@ def workspace(tmp_path_factory):
     logs = root / "logs.ndjson"
     malware = root / "malware.csv"
     splits = root / "splits"
-    artifact = root / "artifact.json"
     assert main(["generate", "--out-logs", str(logs), "--out-malware", str(malware),
                  "--seed", "7", "--attack-sessions", "10", "--duration-s", "1500",
                  "--malware-benign", "200", "--malware-malicious", "200"]) == 0
     assert main(["split", "--logs", str(logs), "--malware", str(malware),
                  "--out-dir", str(splits), "--seed", "7"]) == 0
-    assert main(["train-log", "--train", str(splits / "logs_train.ndjson"),
-                 "--artifact", str(artifact), "--seed", "7"]) == 0
-    assert main(["train-malware", "--train", str(splits / "malware_train.csv"),
-                 "--artifact", str(artifact), "--trees", "20", "--seed", "7"]) == 0
-    assert main(["calibrate", "--artifact", str(artifact),
-                 "--val-logs", str(splits / "logs_validation.ndjson"),
-                 "--val-malware", str(splits / "malware_validation.csv"),
-                 "--seed", "7"]) == 0
-    assert main(["tune", "--artifact", str(artifact),
-                 "--manifest", str(splits / "manifest_validation.ndjson"),
-                 "--seed", "7"]) == 0
+    for argv in training_stages(splits, root / "artifact.json"):
+        assert main(argv) == 0
     return root
+
+
+def copied_artifact(workspace: Path, tmp_path: Path) -> Path:
+    artifact = tmp_path / "artifact.json"
+    artifact.write_bytes((workspace / "artifact.json").read_bytes())
+    return artifact
 
 
 class TestPipelineCommands:
@@ -130,6 +139,34 @@ def run_chain(root: Path) -> None:
          "--json-out", root / "report.json"],
     ):
         assert main([str(a) for a in argv] + ["--seed", "7"]) == 0
+
+
+def test_rerunning_the_training_stages_reproduces_the_artifact(workspace, tmp_path):
+    artifact = copied_artifact(workspace, tmp_path)
+    for argv in training_stages(workspace / "splits", artifact):
+        assert main(argv) == 0
+    assert artifact.read_bytes() == (workspace / "artifact.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, stale", [
+    (["train-log", "--train", "logs_train.ndjson", "--l2", "0.5", "--epochs", "5"],
+     ["calibrator_logs", "fusion"]),
+    (["train-malware", "--train", "malware_train.csv", "--trees", "5"],
+     ["calibrator_malware", "fusion"]),
+    (["calibrate", "--val-logs", "logs_validation.ndjson",
+      "--val-malware", "malware_validation.csv", "--method", "platt"], ["fusion"]),
+], ids=["train-log", "train-malware", "calibrate"])
+def test_rerunning_a_stage_clears_the_components_it_makes_stale(workspace, tmp_path, capsys,
+                                                                argv, stale):
+    artifact = copied_artifact(workspace, tmp_path)
+    argv = [str(workspace / "splits" / a) if a.endswith((".ndjson", ".csv")) else a
+            for a in argv]
+    assert main([*argv, "--artifact", str(artifact), "--seed", "7"]) == 0
+    assert "artifact PARTIAL" in capsys.readouterr().out
+    rerun = load_artifact(artifact)
+    assert rerun.missing_components() == stale
+    with pytest.raises(ArtifactError, match="PARTIAL"):
+        rerun.to_scorer()
 
 
 def test_chain_outputs_do_not_depend_on_the_directory(tmp_path, capsys):
@@ -261,6 +298,23 @@ class TestConfigAndErrors:
         assert main(["train-log", "--train", str(workspace / "splits" / "logs_train.ndjson"),
                      "--artifact", str(artifact), "--l2", value]) == 2
         assert capsys.readouterr().err.startswith("error: l2 must be a finite number")
+        assert not artifact.exists()
+
+    @pytest.mark.parametrize("command, flags, match", [
+        ("train-log", ["--epochs", "-3"], "epochs must be >= 1, got -3"),
+        ("train-log", ["--max-features", "-1"], "max_features must be None or >= 1, got -1"),
+        ("train-log", ["--min-df", "-4"], "min_df must be >= 1, got -4"),
+        ("train-malware", ["--max-depth", "-1"], "max_depth must be >= 1, got -1"),
+        ("train-malware", ["--min-leaf", "0"], "min_samples_leaf must be >= 1, got 0"),
+        ("train-malware", ["--min-leaf", "-5"], "min_samples_leaf must be >= 1, got -5"),
+    ])
+    def test_training_rejects_sizes_below_one(self, workspace, tmp_path, capsys, command,
+                                              flags, match):
+        train = "logs_train.ndjson" if command == "train-log" else "malware_train.csv"
+        artifact = tmp_path / "artifact.json"
+        assert main([command, "--train", str(workspace / "splits" / train),
+                     "--artifact", str(artifact), *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {match}")
         assert not artifact.exists()
 
     def test_module_entrypoint_subprocess(self, tmp_path):

@@ -82,6 +82,16 @@ class TestVocabulary:
         with pytest.raises(TrainingError):
             fit_vocabulary([])
 
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"min_df": 0}, "min_df must be >= 1, got 0"),
+        ({"min_df": -4}, "min_df must be >= 1, got -4"),
+        ({"max_features": 0}, "max_features must be None or >= 1, got 0"),
+        ({"max_features": -1}, "max_features must be None or >= 1, got -1"),
+    ])
+    def test_sizes_below_one_rejected(self, kwargs, match):
+        with pytest.raises(TrainingError, match=match):
+            fit_vocabulary(["alpha beta", "alpha gamma"], **{"min_df": 1, **kwargs})
+
     def test_fit_accepts_records(self):
         from aisoc.corpus import Channel, Label, LogRecord
         records = [LogRecord(timestamp=0, host="h", channel=Channel.AUTH,

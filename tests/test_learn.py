@@ -129,6 +129,11 @@ class TestLogistic:
         with pytest.raises(TrainingError):
             train_logistic([sv([1.0]), sv([2.0])], [1, 1])
 
+    @pytest.mark.parametrize("epochs", [0, -3])
+    def test_epochs_below_one_rejected(self, epochs):
+        with pytest.raises(TrainingError, match=f"epochs must be >= 1, got {epochs}"):
+            train_logistic([sv([-1.0]), sv([1.0])], [0, 1], epochs=epochs)
+
     def test_balanced_class_weight_lifts_minority_probability(self):
         # 1 positive vs 9 negatives at the same point x=1: the unweighted fit
         # leans benign; balanced weights must pull p(x=1) up toward 0.5
@@ -285,6 +290,12 @@ class TestForest:
     def test_single_class_rejected(self):
         with pytest.raises(TrainingError):
             train_forest(np.zeros((4, 2)), [1, 1, 1, 1])
+
+    @pytest.mark.parametrize("name", ["max_depth", "min_samples_leaf", "features_per_split"])
+    @pytest.mark.parametrize("value", [0, -1, -5])
+    def test_size_below_one_rejected(self, name, value):
+        with pytest.raises(TrainingError, match=f"{name} must be >= 1, got {value}"):
+            train_forest(np.array([[0.0], [1.0]]), [0, 1], n_trees=1, **{name: value})
 
     def test_score_dimension_check(self):
         model = forest_of([leaf(1, 1)])

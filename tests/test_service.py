@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from aisoc.errors import ArtifactError, LoadError
 from aisoc.fusion import fuse_scores
 from aisoc.pipeline import ExperimentConfig
-from aisoc.service import RequestError, ScoringService, build_artifact, score_lines, serve
+from aisoc.service import ModelArtifact, RequestError, ScoringService, score_lines, serve
 from aisoc.service import artifact as artifact_module
 from aisoc.service import batch as batch_module
 from aisoc.service.http_api import MAX_BODY_BYTES, _Handler
@@ -247,7 +247,7 @@ class TestHttpTransport:
 
 class TestServiceLifecycle:
     def test_partial_artifact_refused_at_startup(self, demo_result):
-        partial = build_artifact(vocabulary=demo_result.artifact.vocabulary, created_at=0)
+        partial = ModelArtifact(vocabulary=demo_result.artifact.vocabulary, created_at=0)
         with pytest.raises(ArtifactError, match="PARTIAL"):
             ScoringService(partial, port=0)
 
