@@ -462,7 +462,7 @@ def _cmd_serve(opts: dict) -> int:
     if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
         raise ConfigError(f"--bind must be host:port, got {opts['bind']!r}")
     service = serve(artifact, (host, int(port)))
-    print(f"serving artifact {service.artifact_version} on {service.url}", flush=True)
+    print(f"serving artifact {artifact.version} on {service.url}", flush=True)
     try:
         service.serve_forever()
     except KeyboardInterrupt:

@@ -155,7 +155,7 @@ def _baseline_reports(scorer: Scorer, items: Sequence[ManifestItem],
                       fingerprints: dict | None = None) -> dict[str, EvalReport]:
     if not items:
         raise MetricError("cannot evaluate an empty manifest")
-    cfg = scorer.fusion_config
+    cfg = scorer.fusion
     fingerprints = dict(fingerprints or {})
     fingerprints.setdefault("manifest", manifest_fingerprint(items))
     fingerprints.setdefault("thresholds", f"t_m={cfg.t_m},t_l={cfg.t_l}")
@@ -248,7 +248,7 @@ def robustness_probe(scorer: Scorer, items: Sequence[ManifestItem],
     for p_before, p_after in zip(pairs_before, pairs_after):
         if scorer.triage(p_before.s_m, p_before.s_l) is not TriageLabel.HIGH_CONFIDENCE_ATTACK:
             continue
-        if p_after.s_m >= scorer.fusion_config.t_m:  # malware evidence unchanged
+        if p_after.s_m >= scorer.fusion.t_m:  # malware evidence unchanged
             high_stable += 1
             if scorer.triage(p_after.s_m, p_after.s_l) is TriageLabel.NORMAL:
                 degraded_to_normal += 1

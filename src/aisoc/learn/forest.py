@@ -54,6 +54,10 @@ from ..errors import DimensionError, TrainingError
 # -1 and threshold 0.0; JSON has no infinity, so these are the stored values.
 NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                "right": np.intp, "negatives": np.int64, "positives": np.int64}
+# Integer fields of a stored forest and the least value training gives each;
+# ``n_trees`` is left to the artifact check, which counts the trees held.
+_INTEGER_FIELDS = {"n_features": 1, "n_trees": 0, "max_depth": 1, "min_samples_leaf": 1,
+                   "features_per_split": 1, "seed": 0}
 
 
 @dataclass
@@ -155,13 +159,14 @@ class ForestModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ForestModel":
-        return cls(**_node_arrays(payload["trees"]),
-                   n_features=int(payload["n_features"]),
-                   n_trees=int(payload["n_trees"]),
-                   max_depth=int(payload["max_depth"]),
-                   min_samples_leaf=int(payload["min_samples_leaf"]),
-                   features_per_split=int(payload["features_per_split"]),
-                   seed=int(payload["seed"]),
+        """The model ``to_dict`` wrote; each integer field must be a JSON
+        integer within training's bounds (``ValueError`` otherwise)."""
+        sizes = {}
+        for name, least in _INTEGER_FIELDS.items():
+            value = sizes[name] = payload[name]
+            if not isinstance(value, int) or isinstance(value, bool) or value < least:
+                raise ValueError(f"forest {name} must be an integer >= {least}, got {value!r}")
+        return cls(**_node_arrays(payload["trees"]), **sizes,
                    training_meta=dict(payload.get("training_meta", {})))
 
     @cached_property

@@ -213,25 +213,20 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
     return LogisticModel(weights=w, bias=b, regularization=l2, training_meta=meta)
 
 
-def _margin(model: LogisticModel, x) -> float:
-    if isinstance(x, SparseVector):
-        if x.dim != model.dimension:
-            raise DimensionError(f"vector dim {x.dim} != model dim {model.dimension}")
-        return float(model.weights[x.indices] @ x.values) + model.bias
-    arr = np.asarray(x, dtype=float)
-    if arr.shape != (model.dimension,):
-        raise DimensionError(f"vector dim {arr.shape} != model dim {model.dimension}")
-    return float(model.weights @ arr) + model.bias
+def _margin(model: LogisticModel, x: SparseVector) -> float:
+    if x.dim != model.dimension:
+        raise DimensionError(f"vector dim {x.dim} != model dim {model.dimension}")
+    return float(model.weights[x.indices] @ x.values) + model.bias
 
 
 def score_logistic(model: LogisticModel, x):
-    """Raw probability sigmoid(w.x + b) for one feature vector, or for each of a list.
+    """Raw probability sigmoid(w.x + b) for one SparseVector, or for each of a list.
 
-    One SparseVector (or dense row) gives a float, a list of SparseVectors
-    an array. Each margin is its own row's ``weights[indices] @ values``
-    (a CSR product sums in another order), so a list scores bit for bit
-    like its vectors one at a time; the sigmoid then runs once over all.
+    One vector gives a float, a list of them an array. Each margin is its
+    own row's ``weights[indices] @ values`` (a CSR product sums in another
+    order), so a list scores bit for bit like its vectors one at a time;
+    the sigmoid then runs once over all.
     """
-    single = isinstance(x, SparseVector) or (len(x) > 0 and not isinstance(x[0], SparseVector))
+    single = isinstance(x, SparseVector)
     p = sigmoid(np.array([_margin(model, v) for v in ([x] if single else x)], dtype=float))
     return float(p[0]) if single else p

@@ -8,7 +8,8 @@ reproducibility.
 
 Artifacts are immutable values: a stage that fits a component returns a
 new artifact, and ``run_experiment`` builds its artifact once both
-detectors exist.
+detectors exist. An artifact is also its own scorer: calibration fits on
+its raw scores, and threshold tuning on its calibrated ones.
 """
 
 from __future__ import annotations
@@ -49,12 +50,11 @@ from .fusion import (
     tune_thresholds,
     tuning_macro_f1,
 )
-from .learn.forest import score_forest, train_forest
+from .learn.forest import train_forest
 from .learn.logistic import score_logistic, train_logistic
 from .metrics import EvalReport, classification_report
 from .seeding import derive_seed
-from .service.artifact import ModelArtifact
-from .service.scorer import Scorer
+from .service.artifact import PAIR_COMPONENTS, ModelArtifact
 
 
 @dataclass(frozen=True)
@@ -103,14 +103,19 @@ class ExperimentConfig:
 class ExperimentResult:
     config: ExperimentConfig
     artifact: ModelArtifact
-    scorer: Scorer
-    fusion_config: FusionConfig
     validation_macro_f1: float
     reports: dict[str, EvalReport]
     test_items: list[ManifestItem]
     log_split: object
     malware_split: object
-    fingerprints: dict
+
+    @property
+    def scorer(self) -> ModelArtifact:
+        return self.artifact
+
+    @property
+    def fusion_config(self) -> FusionConfig:
+        return self.artifact.fusion
 
 
 def corpus_fingerprint(records: list[LogRecord]) -> str:
@@ -168,11 +173,9 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
         if getattr(artifact, component) is None:
             raise ConfigError(f"artifact is missing {component}; train both models first")
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
-    raw_log = score_logistic(artifact.logistic,
-                             [transform_text(r.message, artifact.vocabulary) for r in val_logs])
+    raw_log = artifact.raw_log_score([r.message for r in val_logs])
     calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
-    std = artifact.standardizer
-    raw_mw = score_forest(artifact.forest, transform_dense(feature_matrix(val_samples, std), std))
+    raw_mw = artifact.raw_malware_score(feature_matrix(val_samples, artifact.standardizer))
     calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples), chosen)
     return replace(artifact, calibrator_logs=calibrator_logs,
                    calibrator_malware=calibrator_malware, fusion=None)
@@ -181,9 +184,7 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
 def validation_pairs(artifact: ModelArtifact, items: list[ManifestItem]
                      ) -> tuple[list[CalibratedScorePair], list[TriageLabel]]:
     """Calibrated score pairs and triage truth of ``items`` before thresholds exist."""
-    # Pair scores do not depend on the thresholds, so placeholders serve.
-    scorer = replace(artifact, fusion=FusionConfig(t_m=0.5, t_l=0.5)).to_scorer()
-    return score_items(scorer, items), [item.truth for item in items]
+    return score_items(artifact.to_scorer(PAIR_COMPONENTS), items), [item.truth for item in items]
 
 
 def tune_fusion(pairs: list[CalibratedScorePair], truth: list[TriageLabel], *,
@@ -250,28 +251,25 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                seed=derive_seed(config.seed, "manifest-validation"))
     val_pairs, val_truth = validation_pairs(artifact, val_items)
     if config.fixed_thresholds is None:
-        fusion_config, validation_macro_f1 = tune_fusion(
+        fusion, validation_macro_f1 = tune_fusion(
             val_pairs, val_truth, grid_step=config.grid_step, tuned_on="validation",
             version=config.artifact_version_tag)
     else:
         t_m, t_l = config.fixed_thresholds
-        fusion_config = FusionConfig(t_m=t_m, t_l=t_l, grid_step=config.grid_step,
-                                     tuned_on="fixed", version=config.artifact_version_tag)
-        validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion_config)
-    artifact = replace(artifact, fusion=fusion_config)
-    scorer = artifact.to_scorer()
+        fusion = FusionConfig(t_m=t_m, t_l=t_l, grid_step=config.grid_step,
+                              tuned_on="fixed", version=config.artifact_version_tag)
+        validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion)
+    artifact = replace(artifact, fusion=fusion)
 
     # Final evaluation manifest and the three baseline settings.
     test_items = build_manifest(log_split.test, malware_split.test,
                                 supports=config.test_supports,
                                 seed=derive_seed(config.seed, "manifest-test"))
-    reports = run_baselines(scorer, test_items, split="test", fingerprints=fingerprints)
-    return ExperimentResult(config=config, artifact=artifact, scorer=scorer,
-                            fusion_config=fusion_config,
+    reports = run_baselines(artifact, test_items, split="test", fingerprints=fingerprints)
+    return ExperimentResult(config=config, artifact=artifact,
                             validation_macro_f1=validation_macro_f1,
                             reports=reports, test_items=test_items,
-                            log_split=log_split, malware_split=malware_split,
-                            fingerprints=fingerprints)
+                            log_split=log_split, malware_split=malware_split)
 
 
 @dataclass

@@ -9,7 +9,10 @@ the HTTP service.
 
 An artifact is an immutable value: a stage that fits a component returns
 a new artifact (``dataclasses.replace``), so each value hashes its payload
-at most once.
+at most once, and the components' arrays are read-only, since values share
+them. An artifact is also its own scorer: ``ModelArtifact`` inherits the
+scoring methods of ``Scorer``, and ``to_scorer()`` is the SERVING check,
+which returns the artifact itself or refuses a PARTIAL one.
 
 Format 2 stores each tree as the forest's flat node lists. Format 1 stored
 each tree as nested node objects; such a file still loads, converted to
@@ -45,6 +48,7 @@ PARTIAL = "PARTIAL"
 
 _COMPONENTS = ("vocabulary", "logistic", "calibrator_logs", "standardizer",
                "forest", "calibrator_malware", "fusion")
+PAIR_COMPONENTS = _COMPONENTS[:-1]  # what scores a pair; ``fusion`` only triages it
 # the keys ``ModelArtifact.to_payload`` writes
 _PAYLOAD_KEYS = frozenset(("format_version", "created_at", "status", "vocabulary", "logistic",
                            "calibrators", "standardizer", "forest", "fusion", "fingerprints"))
@@ -60,12 +64,13 @@ def checksum_of(payload: dict) -> str:
 
 
 @dataclass(frozen=True)
-class ModelArtifact:
+class ModelArtifact(Scorer):
     """Fitted components, each ``None`` until its stage has run.
 
     ``created_at`` (epoch ms) defaults to the wall clock; reproducible
     pipelines pass their own so two runs write byte-identical files.
-    ``dataclasses.replace`` shares the components, so never edit one.
+    ``dataclasses.replace`` shares the components, so their arrays are
+    made read-only here.
     """
 
     format_version = FORMAT_VERSION  # the only format written
@@ -81,6 +86,11 @@ class ModelArtifact:
 
     def __post_init__(self):
         object.__setattr__(self, "fingerprints", MappingProxyType(dict(self.fingerprints)))
+        for name in _COMPONENTS:
+            component = getattr(self, name)
+            for value in () if component is None else vars(component).values():
+                if isinstance(value, np.ndarray):
+                    value.flags.writeable = False
 
     def missing_components(self) -> list[str]:
         return [name for name in _COMPONENTS if getattr(self, name) is None]
@@ -111,7 +121,7 @@ class ModelArtifact:
     def checksum(self) -> str:
         return checksum_of(self.to_payload())
 
-    @property
+    @cached_property
     def version(self) -> str:
         """Short content-derived identifier reported by the service."""
         return self.checksum.split(":", 1)[1][:12]
@@ -134,16 +144,14 @@ class ModelArtifact:
             fingerprints=payload.get("fingerprints", {}),
         )
 
-    def to_scorer(self) -> Scorer:
-        missing = self.missing_components()
+    def to_scorer(self, components: tuple[str, ...] = _COMPONENTS) -> "ModelArtifact":
+        """This artifact, which scores with its own components, if it holds
+        ``components``; by default all of them: the SERVING check."""
+        missing = [name for name in self.missing_components() if name in components]
         if missing:
             raise ArtifactError(
                 f"artifact is PARTIAL and cannot score; missing components: {', '.join(missing)}")
-        return Scorer(vocabulary=self.vocabulary, logistic=self.logistic,
-                      calibrator_logs=self.calibrator_logs,
-                      standardizer=self.standardizer, forest=self.forest,
-                      calibrator_malware=self.calibrator_malware,
-                      fusion_config=self.fusion, artifact_version=self.version)
+        return self
 
 
 def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:

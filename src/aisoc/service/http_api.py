@@ -7,8 +7,8 @@ Endpoints:
 * ``GET /v1/health`` — liveness plus artifact version.
 * ``GET /v1/model-info`` — thresholds, calibration methods, fingerprints.
 
-The loaded artifact is immutable, every request is scored independently,
-and the threaded server keeps no cross-request state.
+The loaded artifact is immutable and scores every request itself, each
+independently, and the threaded server keeps no cross-request state.
 
 Connections are HTTP/1.1 keep-alive. A request body needs a valid
 ``Content-Length`` of at most ``MAX_BODY_BYTES`` (400 or 413 otherwise,
@@ -136,7 +136,7 @@ class _Handler(BaseHTTPRequestHandler):
             self._send(400, {"error": f"malformed JSON request: {exc}"})
             return
         try:
-            self._send(200, self.server.scorer.score_request(request))  # type: ignore[attr-defined]
+            self._send(200, self.server.artifact.score_request(request))  # type: ignore[attr-defined]
         except RequestError as exc:
             self._send(400, {"error": str(exc)})
 
@@ -148,15 +148,10 @@ class ScoringService:
     """A running (or startable) scoring server bound to one artifact."""
 
     def __init__(self, artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 0):
-        scorer = artifact.to_scorer()  # refuses a PARTIAL artifact before binding
+        artifact = artifact.to_scorer()  # refuses a PARTIAL artifact before binding
         self._server = ThreadingHTTPServer((host, port), _Handler)
         self._server.artifact = artifact  # type: ignore[attr-defined]
-        self._server.scorer = scorer  # type: ignore[attr-defined]
         self._thread: threading.Thread | None = None
-
-    @property
-    def artifact_version(self) -> str:
-        return self._server.artifact.version  # type: ignore[attr-defined]
 
     @property
     def address(self) -> tuple[str, int]:

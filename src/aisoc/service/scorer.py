@@ -1,9 +1,13 @@
-"""Request scoring against a loaded artifact's models and calibrators.
+"""Request scoring, as methods of the artifact that holds the models.
 
-One kernel serves every caller. ``Scorer.score_log`` and ``score_malware``
-take one item and return a float, or a block (a list of messages, an
-(n, d) matrix of feature rows) and return an array; either way the feature
-transform, the detector and the calibrator each run once per call.
+``Scorer`` holds no fields: ``ModelArtifact`` inherits it, so an artifact
+scores with its own components, and ``ModelArtifact.to_scorer()`` only
+checks that it holds all of them. One kernel serves every caller.
+``Scorer.score_log`` and ``score_malware`` take one item and return a
+float, or a block (a list of messages, an (n, d) matrix of feature rows)
+and return an array; either way the feature transform, the detector and
+the calibrator each run once per call, and the detector's raw score is
+``raw_log_score`` or ``raw_malware_score``, the inputs calibration fits on.
 ``score_request`` (HTTP) scores one request and ``score_many`` (batch,
 evaluation) a block of them, through the same ``validate`` and the same
 response builder, so both paths give the same bits.
@@ -12,15 +16,14 @@ response builder, so both paths give the same bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 from .. import calibrate
 from ..errors import DimensionError
-from ..features import Standardizer, Vocabulary, transform_dense, transform_text
-from ..fusion import FusionConfig, TriageLabel, fuse_scores
-from ..learn.forest import ForestModel, score_forest
-from ..learn.logistic import LogisticModel, score_logistic
+from ..features import transform_dense, transform_text
+from ..fusion import TriageLabel, fuse_scores
+from ..learn.forest import score_forest
+from ..learn.logistic import score_logistic
 
 _REQUEST_FIELDS = {"log_message", "malware_features", "entity_id"}
 
@@ -43,32 +46,29 @@ class ScoreRequest(NamedTuple):
         return "logs_only" if self.malware_features is None else "fused"
 
 
-@dataclass
 class Scorer:
-    """Immutable scoring façade over a complete artifact component set."""
+    """Scoring methods of ``ModelArtifact``, over its components and ``version``."""
 
-    vocabulary: Vocabulary
-    logistic: LogisticModel
-    calibrator_logs: calibrate.Calibrator
-    standardizer: Standardizer
-    forest: ForestModel
-    calibrator_malware: calibrate.Calibrator
-    fusion_config: FusionConfig
-    artifact_version: str = "unversioned"
+    def raw_log_score(self, message):
+        """The logistic model's uncalibrated probability (an array for a list)."""
+        vectors = (transform_text(message, self.vocabulary) if isinstance(message, str)
+                   else [transform_text(m, self.vocabulary) for m in message])
+        return score_logistic(self.logistic, vectors)
+
+    def raw_malware_score(self, features):
+        """The forest's uncalibrated probability (an array for a matrix)."""
+        return score_forest(self.forest, transform_dense(features, self.standardizer))
 
     def score_log(self, message):
         """Calibrated probability that a log line is malicious (an array for a list)."""
-        vectors = (transform_text(message, self.vocabulary) if isinstance(message, str)
-                   else [transform_text(m, self.vocabulary) for m in message])
-        return calibrate.apply(self.calibrator_logs, score_logistic(self.logistic, vectors))
+        return calibrate.apply(self.calibrator_logs, self.raw_log_score(message))
 
     def score_malware(self, features):
         """Calibrated probability that a static-feature row is malicious (an array for a matrix)."""
-        raw = score_forest(self.forest, transform_dense(features, self.standardizer))
-        return calibrate.apply(self.calibrator_malware, raw)
+        return calibrate.apply(self.calibrator_malware, self.raw_malware_score(features))
 
     def triage(self, s_m: float, s_l: float) -> TriageLabel:
-        return fuse_scores(s_m, s_l, self.fusion_config.t_m, self.fusion_config.t_l)
+        return fuse_scores(s_m, s_l, self.fusion.t_m, self.fusion.t_l)
 
     def validate(self, request) -> ScoreRequest:
         """Check one decoded {log_message?, malware_features?, entity_id?} request.
@@ -129,7 +129,7 @@ class Scorer:
         response["label"] = self.triage(0.0 if s_m is None else s_m,
                                         0.0 if s_l is None else s_l).name
         response["modality"] = request.modality
-        response["artifact_version"] = self.artifact_version
+        response["artifact_version"] = self.version
         return response
 
     def score_request(self, request) -> dict:

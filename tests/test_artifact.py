@@ -149,6 +149,7 @@ class TestImmutableValue:
 
     def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch):
         artifact = dataclasses.replace(demo_result.artifact)  # a new value, not hashed yet
+        expected = demo_result.artifact.version
         calls = []
         original = artifact_module.checksum_of
 
@@ -158,8 +159,27 @@ class TestImmutableValue:
 
         monkeypatch.setattr(artifact_module, "checksum_of", counting)
         version = artifact.version
-        assert artifact.to_scorer().artifact_version == version == demo_result.artifact.version
+        assert artifact.to_scorer().version == version == expected
         assert len(calls) == 1
+
+    def test_component_arrays_are_read_only(self, tmp_path, demo_result):
+        path = tmp_path / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        loaded = load_artifact(path)  # edited below, so not the shared session artifact
+        version = loaded.version
+        with pytest.raises(ValueError, match="read-only"):
+            loaded.logistic.weights[0] += 1.0
+        assert checksum_of(loaded.to_payload()) == loaded.checksum and loaded.version == version
+        for artifact in (demo_result.artifact, loaded):
+            forest = artifact.forest
+            arrays = [artifact.vocabulary.idf, artifact.logistic.weights,
+                      artifact.standardizer.mean, artifact.standardizer.std, forest.feature,
+                      forest.threshold, forest.left, forest.right, forest.negatives,
+                      forest.positives, forest.tree_sizes]
+            for calibrator in (artifact.calibrator_logs, artifact.calibrator_malware):
+                arrays += [knots for knots in (calibrator.knot_scores, calibrator.knot_values)
+                           if knots is not None]
+            assert not any(array.flags.writeable for array in arrays)
 
     def test_calibrating_clears_the_thresholds_tuned_on_the_old_calibrators(self, demo_result):
         tuned = demo_result.artifact
@@ -451,6 +471,43 @@ class TestConsistency:
             load_artifact(tmp_path / "a.json")
 
 
+class TestComponentPayloads:
+    """A component field that would not be written back as stored is refused."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory, demo_result):
+        path = tmp_path_factory.mktemp("components") / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        return json.loads(path.read_text())["payload"]
+
+    @pytest.mark.parametrize("name, value", [
+        ("max_depth", 10.0), ("max_depth", 10.5), ("max_depth", 0), ("min_samples_leaf", -3),
+        ("features_per_split", True), ("n_features", "8"), ("seed", -1),
+    ], ids=["float", "fraction", "zero", "negative", "bool", "string", "negative-seed"])
+    def test_forest_integer_field_outside_training_bounds_is_refused(self, tmp_path, payload,
+                                                                     name, value):
+        broken = copy.deepcopy(payload)
+        broken["forest"][name] = value
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=f"malformed component payload: forest {name} "
+                                                f"must be an integer >= [01], got {value!r}"):
+            load_artifact(tmp_path / "a.json")
+
+    def test_fusion_with_an_unknown_key_is_refused(self, tmp_path, payload):
+        broken = copy.deepcopy(payload)
+        broken["fusion"]["note"] = "hand-edited"
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=r"fusion has unknown key\(s\) \['note'\]"):
+            load_artifact(tmp_path / "a.json")
+
+    def test_fusion_without_its_version_is_refused(self, tmp_path, payload):
+        broken = copy.deepcopy(payload)
+        del broken["fusion"]["version"]
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=r"fusion lacks key\(s\) \['version'\]"):
+            load_artifact(tmp_path / "a.json")
+
+
 class TestFormat1:
     """A format-1 file (nested node objects) loads as the trees the grower writes."""
 
@@ -460,7 +517,7 @@ class TestFormat1:
 
     def test_scores_bit_identically_to_a_fresh_run(self, retrained):
         loaded, fresh = load_artifact(FORMAT_1).to_scorer(), retrained.artifact.to_scorer()
-        assert loaded.artifact_version == fresh.artifact_version
+        assert loaded.version == fresh.version
         X = np.array([item.malware.features for item in retrained.test_items])
         assert loaded.score_malware(X).tobytes() == fresh.score_malware(X).tobytes()
         for row in X[:20]:

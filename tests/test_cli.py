@@ -2,13 +2,14 @@ import hashlib
 import json
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from aisoc.cli import main
 from aisoc.errors import ArtifactError
-from aisoc.service import load_artifact
+from aisoc.service import load_artifact, save_artifact
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -167,6 +168,18 @@ def test_rerunning_a_stage_clears_the_components_it_makes_stale(workspace, tmp_p
     assert rerun.missing_components() == stale
     with pytest.raises(ArtifactError, match="PARTIAL"):
         rerun.to_scorer()
+
+
+def test_tune_refuses_an_artifact_without_calibrators(workspace, tmp_path, capsys):
+    artifact = tmp_path / "artifact.json"
+    save_artifact(replace(load_artifact(workspace / "artifact.json"), calibrator_logs=None,
+                          calibrator_malware=None, fusion=None), artifact)
+    before = artifact.read_bytes()
+    assert main(["tune", "--manifest", str(workspace / "splits" / "manifest_validation.ndjson"),
+                 "--artifact", str(artifact)]) == 2
+    assert capsys.readouterr().err == ("error: artifact is PARTIAL and cannot score; missing "
+                                       "components: calibrator_logs, calibrator_malware\n")
+    assert artifact.read_bytes() == before
 
 
 def test_chain_outputs_do_not_depend_on_the_directory(tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 from aisoc.errors import ArtifactError, LoadError
 from aisoc.fusion import fuse_scores
 from aisoc.pipeline import ExperimentConfig
-from aisoc.service import ModelArtifact, RequestError, ScoringService, score_lines, serve
+from aisoc.service import (ModelArtifact, RequestError, Scorer, ScoringService, score_lines,
+                           serve)
 from aisoc.service import artifact as artifact_module
 from aisoc.service import batch as batch_module
 from aisoc.service.http_api import MAX_BODY_BYTES, _Handler
@@ -228,10 +229,10 @@ class TestHttpTransport:
         assert time.perf_counter() - start < CLIENT_TIMEOUT_S
 
     def test_unexpected_exception_in_post_gets_500(self, service, demo_result, monkeypatch):
-        def boom(request):
+        def boom(self, request):
             raise RuntimeError("injected")
 
-        monkeypatch.setattr(service._server.scorer, "score_request", boom)
+        monkeypatch.setattr(Scorer, "score_request", boom)
         status, payload = _post(service.url + "/v1/score",
                                 {"log_message": demo_result.test_items[0].log.message})
         assert status == 500
@@ -415,7 +416,6 @@ class TestHealthVersion:
             assert _get(service.url + "/v1/health") == {"status": "ok",
                                                        "artifact_version": expected}
         assert calls == []
-        assert service.artifact_version == expected
 
 
 class TestNestedBody:
