@@ -45,7 +45,7 @@ class CalibrationMethod(str, Enum):
     IDENTITY = "IDENTITY"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Calibrator:
     method: CalibrationMethod
     a: float | None = None
@@ -67,15 +67,14 @@ class Calibrator:
     @classmethod
     def from_dict(cls, payload: dict) -> "Calibrator":
         method = CalibrationMethod(payload["method"])
-        cal = cls(method=method, fit_meta=dict(payload.get("fit_meta", {})))
+        fitted = {}
         if method is CalibrationMethod.PLATT:
-            cal.a = float(payload["a"])
-            cal.b = float(payload["b"])
-            cal.flipped = bool(payload["flipped"])
+            fitted = dict(a=float(payload["a"]), b=float(payload["b"]),
+                          flipped=bool(payload["flipped"]))
         elif method is CalibrationMethod.ISOTONIC:
-            cal.knot_scores = np.asarray(payload["knot_scores"], dtype=float)
-            cal.knot_values = np.asarray(payload["knot_values"], dtype=float)
-        return cal
+            fitted = dict(knot_scores=np.asarray(payload["knot_scores"], dtype=float),
+                          knot_values=np.asarray(payload["knot_values"], dtype=float))
+        return cls(method=method, fit_meta=dict(payload.get("fit_meta", {})), **fitted)
 
 
 def identity_calibrator(reason: str = "") -> Calibrator:

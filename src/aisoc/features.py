@@ -91,7 +91,7 @@ class SparseVector:
     dim: int
 
 
-@dataclass
+@dataclass(frozen=True)
 class Vocabulary:
     """Fitted TF-IDF vocabulary: dense term indices plus smoothed IDF weights."""
 
@@ -171,7 +171,7 @@ def transform_text(message: str, vocab: Vocabulary) -> SparseVector:
     return SparseVector(indices=indices, values=values, dim=vocab.size)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Standardizer:
     """Per-feature centering/scaling parameters (population statistics)."""
 

@@ -10,7 +10,7 @@ a validation set, with ties broken toward the lexicographically smallest
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -68,15 +68,7 @@ class FusionConfig:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "FusionConfig":
-        """The config ``to_dict`` wrote: exactly its keys (``ValueError`` otherwise)."""
-        keys = {f.name for f in fields(cls)}
-        if set(payload) - keys:
-            raise ValueError(f"fusion has unknown key(s) {sorted(set(payload) - keys)}")
-        if keys - set(payload):
-            raise ValueError(f"fusion lacks key(s) {sorted(keys - set(payload))}")
-        return cls(t_m=float(payload["t_m"]), t_l=float(payload["t_l"]),
-                   grid_step=float(payload["grid_step"]), tuned_on=payload["tuned_on"],
-                   version=payload["version"])
+        return cls(**payload)
 
 
 def fuse_scores(s_m: float, s_l: float, t_m: float, t_l: float) -> TriageLabel:

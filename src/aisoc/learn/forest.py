@@ -95,7 +95,7 @@ def _node_arrays(trees: Sequence[dict]) -> dict[str, np.ndarray]:
     return arrays
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ForestModel:
     """Every tree's node arrays, laid end to end in tree order.
 

@@ -23,7 +23,7 @@ _MAX_BACKTRACKS = 60
 _GRAD_TOL = 1e-9
 
 
-@dataclass
+@dataclass(frozen=True)
 class LogisticModel:
     weights: np.ndarray
     bias: float

@@ -51,7 +51,7 @@ from .fusion import (
     tuning_macro_f1,
 )
 from .learn.forest import train_forest
-from .learn.logistic import score_logistic, train_logistic
+from .learn.logistic import train_logistic
 from .metrics import EvalReport, classification_report
 from .seeding import derive_seed
 from .service.artifact import PAIR_COMPONENTS, ModelArtifact
@@ -290,7 +290,8 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
         if len({r.label for r in train_records}) < 2:
             raise TrainingError(f"fold {k} training data is single-class")
         vocab, model = _train_logs(train_records, config)
-        p = score_logistic(model, [transform_text(r.message, vocab) for r in heldout])
+        p = ModelArtifact(vocabulary=vocab, logistic=model).raw_log_score(
+            [r.message for r in heldout])
         predictions = [Label.MALICIOUS if v >= 0.5 else Label.BENIGN for v in p]
         report = classification_report(predictions, [r.label for r in heldout],
                                        (Label.BENIGN, Label.MALICIOUS),

@@ -7,16 +7,29 @@ so fixed-seed pipelines reproduce artifacts exactly. An artifact missing
 components is saved with status PARTIAL and is refused by the scorer and
 the HTTP service.
 
+One rule loads a format-2 file: it must be the canonical encoding of the
+artifact it loads as. That artifact's payload is encoded once, and its
+checksum must equal the file's, so ``version`` is the hash of the file's
+payload. The stored payload is hashed only when they differ, to tell a
+corrupt file from one that does not round-trip. A wrong value that
+round-trips passes the rule (a ``created_at`` string, a ``max_depth`` of
+0), so the format version, an integer ``created_at``, the forest's integer
+fields and the components' agreement (``_inconsistencies``) are checked on
+their own.
+
 An artifact is an immutable value: a stage that fits a component returns
 a new artifact (``dataclasses.replace``), so each value hashes its payload
-at most once, and the components' arrays are read-only, since values share
-them. An artifact is also its own scorer: ``ModelArtifact`` inherits the
-scoring methods of ``Scorer``, and ``to_scorer()`` is the SERVING check,
-which returns the artifact itself or refuses a PARTIAL one.
+at most once; a load or a save takes that hash from the encode it does
+anyway. The components are frozen dataclasses whose arrays are read-only,
+since values share them. An artifact is also its own scorer:
+``ModelArtifact`` inherits the scoring methods of ``Scorer``, and
+``to_scorer()`` is the SERVING check, which returns the artifact itself or
+refuses a PARTIAL one.
 
 Format 2 stores each tree as the forest's flat node lists. Format 1 stored
 each tree as nested node objects; such a file still loads, converted to
-the same lists, and is written back as format 2.
+the same lists, and is written back as format 2. Its checksum must match
+its payload as stored, and its version is that of the format-2 re-encode.
 """
 
 from __future__ import annotations
@@ -49,9 +62,6 @@ PARTIAL = "PARTIAL"
 _COMPONENTS = ("vocabulary", "logistic", "calibrator_logs", "standardizer",
                "forest", "calibrator_malware", "fusion")
 PAIR_COMPONENTS = _COMPONENTS[:-1]  # what scores a pair; ``fusion`` only triages it
-# the keys ``ModelArtifact.to_payload`` writes
-_PAYLOAD_KEYS = frozenset(("format_version", "created_at", "status", "vocabulary", "logistic",
-                           "calibrators", "standardizer", "forest", "fusion", "fingerprints"))
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -168,6 +178,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
     except ValueError as exc:  # a non-finite number: the canonical form has none
         raise ArtifactError(f"{path}: not saved, payload holds a non-finite number: {exc}") from exc
     checksum = "sha256:" + hashlib.sha256(payload).hexdigest()
+    vars(artifact)["checksum"] = checksum  # seeds the cached property: one encode per save
     # the canonical envelope, spliced: sorted keys put "checksum" first
     _replace_file(Path(path), b'{"checksum":"%s","payload":%s}\n' % (checksum.encode(), payload))
     return checksum
@@ -186,7 +197,8 @@ def _replace_file(path: Path, data: bytes) -> None:
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    """Load and verify a container file (checksum, format, keys, completeness, consistency)."""
+    """Load and verify a container file: format 2 must be the canonical encoding of
+    the artifact it loads as (encoded once, for ``checksum``); format 1 is hashed as stored."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
@@ -201,29 +213,13 @@ def load_artifact(path: str | Path) -> ModelArtifact:
             or not isinstance(envelope["payload"], dict)):
         raise ArtifactError(f"{path}: not an artifact container (bad envelope keys)")
     payload = envelope["payload"]
-    try:
-        checksum = checksum_of(payload)
-    except ValueError as exc:  # NaN or Infinity: the canonical form has no such number
-        raise ArtifactError(f"{path}: payload holds a non-finite number: {exc}") from exc
-    except RecursionError as exc:  # parsed, but one level too deep to encode again
-        raise ArtifactError(f"{path}: payload nests too deep: {exc}") from exc
-    if checksum != envelope["checksum"]:
-        raise ArtifactError(f"{path}: checksum mismatch; file is corrupt")
     version = payload.get("format_version")
     if version not in (FORMAT_VERSION, "1"):
         raise ArtifactError(
             f"{path}: unknown format_version {version!r}, expected {FORMAT_VERSION!r} or '1'")
-    # A payload that does not round-trip would hash differently once re-encoded.
-    keys = set(payload)
-    if keys - _PAYLOAD_KEYS:
-        raise ArtifactError(f"{path}: unknown payload key(s) {sorted(keys - _PAYLOAD_KEYS)}")
-    if _PAYLOAD_KEYS - keys:
-        raise ArtifactError(f"{path}: payload lacks key(s) {sorted(_PAYLOAD_KEYS - keys)}")
-    created_at, status = payload["created_at"], payload["status"]
+    created_at = payload.get("created_at")  # a string would round-trip
     if not isinstance(created_at, int) or isinstance(created_at, bool):
         raise ArtifactError(f"{path}: created_at must be an integer (epoch ms), got {created_at!r}")
-    if status not in (SERVING, PARTIAL):
-        raise ArtifactError(f"{path}: status must be {SERVING} or {PARTIAL}, got {status!r}")
     try:
         if version == "1" and payload.get("forest") is not None:
             forest = payload["forest"]
@@ -232,14 +228,37 @@ def load_artifact(path: str | Path) -> ModelArtifact:
         artifact = ModelArtifact.from_payload(payload)
     except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ArtifactError(f"{path}: malformed component payload: {exc}") from exc
-    if status != artifact.status:
-        missing = ", ".join(artifact.missing_components()) or "none"
-        raise ArtifactError(f"{path}: status {status} disagrees with the components; "
-                            f"missing components: {missing}")
     problems = _inconsistencies(artifact)
     if problems:
         raise ArtifactError(f"{path}: inconsistent artifact: {'; '.join(problems)}")
+    stored = envelope["checksum"]
+    del envelope, payload  # so the parsed JSON is freed before the encode: a lower peak
+    try:
+        checksum = artifact.checksum
+    except (ValueError, RecursionError) as exc:  # NaN or Infinity, or nesting too deep
+        raise ArtifactError(f"{path}: payload has no canonical encoding: {exc}") from exc
+    if checksum != stored and (problem := _mismatch(json.loads(raw), artifact)):
+        raise ArtifactError(f"{path}: {problem}")
     return artifact
+
+
+def _mismatch(envelope: dict, artifact: ModelArtifact) -> str | None:
+    """Why a file that loads as ``artifact`` under another checksum (every format-1 file)
+    is refused: it is corrupt, else, in format 2, the keys ``artifact`` encodes otherwise."""
+    payload = envelope["payload"]
+    try:
+        if checksum_of(payload) != envelope["checksum"]:
+            return "checksum mismatch; file is corrupt"
+    except (ValueError, RecursionError):  # no canonical encoding, so no checksum matches
+        return "checksum mismatch; file is corrupt"
+    if payload["format_version"] == "1":
+        return None
+    stored, written = ({key: canonical_json_bytes(value) for key, value in p.items()}
+                       for p in (payload, artifact.to_payload()))
+    keys = sorted(k for k in stored.keys() | written.keys() if stored.get(k) != written.get(k))
+    missing = ", ".join(artifact.missing_components()) or "none"
+    return (f"payload is not the canonical encoding of the artifact it loads as: "
+            f"key(s) {keys} differ; missing components: {missing}")
 
 
 def _forest_problems(forest: ForestModel) -> list[str]:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisoc.cli import main as cli_main
+from aisoc.corpus import EPOCH_MS
 from aisoc.errors import ArtifactError
 from aisoc.fusion import FusionConfig
 from aisoc.learn import train_forest
@@ -181,6 +182,19 @@ class TestImmutableValue:
                            if knots is not None]
             assert not any(array.flags.writeable for array in arrays)
 
+    def test_components_refuse_field_assignment(self, tmp_path, demo_result):
+        path = tmp_path / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        loaded = load_artifact(path)
+        version = loaded.version
+        edits = [(loaded.vocabulary, "document_count", 1), (loaded.logistic, "bias", 0.0),
+                 (loaded.calibrator_logs, "knot_values", None), (loaded.standardizer, "std", None),
+                 (loaded.forest, "max_depth", 3), (loaded.calibrator_malware, "a", 1.0)]
+        for component, name, value in edits:
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(component, name, value)
+        assert checksum_of(loaded.to_payload()) == loaded.checksum and loaded.version == version
+
     def test_calibrating_clears_the_thresholds_tuned_on_the_old_calibrators(self, demo_result):
         tuned = demo_result.artifact
         calibrated = calibrate_detectors(tuned, demo_result.log_split.validation,
@@ -203,13 +217,13 @@ class TestSelfDescription:
 
     def test_unknown_key_is_refused(self, tmp_path, payload):
         _write(tmp_path / "a.json", {**payload, "comment": "hand-edited"})
-        with pytest.raises(ArtifactError, match=r"unknown payload key\(s\) \['comment'\]"):
+        with pytest.raises(ArtifactError, match=r"key\(s\) \['comment'\] differ"):
             load_artifact(tmp_path / "a.json")
 
     def test_missing_key_is_refused(self, tmp_path, payload):
         broken = {key: value for key, value in payload.items() if key != "status"}
         _write(tmp_path / "a.json", broken)
-        with pytest.raises(ArtifactError, match=r"payload lacks key\(s\) \['status'\]"):
+        with pytest.raises(ArtifactError, match=r"key\(s\) \['status'\] differ"):
             load_artifact(tmp_path / "a.json")
 
     @pytest.mark.parametrize("created_at", ["1735689600000", 5.0, True, None])
@@ -221,13 +235,13 @@ class TestSelfDescription:
     @pytest.mark.parametrize("status", ["READY", "serving", None])
     def test_unknown_status_is_refused(self, tmp_path, payload, status):
         _write(tmp_path / "a.json", {**payload, "status": status})
-        with pytest.raises(ArtifactError, match="status must be SERVING or PARTIAL"):
+        with pytest.raises(ArtifactError, match=r"key\(s\) \['status'\] differ"):
             load_artifact(tmp_path / "a.json")
 
     def test_partial_status_with_every_component_is_refused(self, tmp_path, payload):
         _write(tmp_path / "a.json", {**payload, "status": PARTIAL})
         with pytest.raises(ArtifactError,
-                           match="status PARTIAL disagrees with the components; "
+                           match=r"key\(s\) \['status'\] differ; "
                                  "missing components: none"):
             load_artifact(tmp_path / "a.json")
 
@@ -236,6 +250,14 @@ def _write(path, payload, checksum=None) -> None:
     if checksum is None:
         checksum = checksum_of(payload)
     path.write_text(json.dumps({"checksum": checksum, "payload": payload}))
+
+
+def _payload_version(path) -> str:
+    """The first 12 hex digits of the sha256 of a saved file's payload bytes."""
+    raw = path.read_bytes()
+    start = raw.index(b'"payload":') + len(b'"payload":')
+    assert raw.endswith(b"}\n")
+    return hashlib.sha256(raw[start:-2]).hexdigest()[:12]
 
 
 def _split_nodes(forest_payload) -> list[tuple[dict, int]]:
@@ -497,15 +519,127 @@ class TestComponentPayloads:
         broken = copy.deepcopy(payload)
         broken["fusion"]["note"] = "hand-edited"
         _write(tmp_path / "a.json", broken)
-        with pytest.raises(ArtifactError, match=r"fusion has unknown key\(s\) \['note'\]"):
+        with pytest.raises(ArtifactError, match="malformed component payload: "
+                                                ".*unexpected keyword argument 'note'"):
             load_artifact(tmp_path / "a.json")
 
     def test_fusion_without_its_version_is_refused(self, tmp_path, payload):
         broken = copy.deepcopy(payload)
         del broken["fusion"]["version"]
         _write(tmp_path / "a.json", broken)
-        with pytest.raises(ArtifactError, match=r"fusion lacks key\(s\) \['version'\]"):
+        with pytest.raises(ArtifactError, match=r"key\(s\) \['fusion'\] differ"):
             load_artifact(tmp_path / "a.json")
+
+
+def _integral_knots_as_ints(p):
+    values = p["calibrators"]["logs"]["knot_values"]
+    values[:] = [int(v) if v in (0.0, 1.0) else v for v in values]
+
+
+class TestOneLoadRule:
+    """A format-2 file loads only as the artifact it is the canonical encoding
+    of, so ``version`` is the hash of its payload bytes."""
+
+    @pytest.fixture(scope="class")
+    def saved(self, tmp_path_factory, demo_result):
+        path = tmp_path_factory.mktemp("rule") / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        return path
+
+    def test_load_and_save_each_encode_the_payload_once(self, tmp_path, saved, demo_result,
+                                                        monkeypatch):
+        calls = []
+        original = artifact_module.canonical_json_bytes
+
+        def counting(obj):
+            calls.append(1)
+            return original(obj)
+
+        monkeypatch.setattr(artifact_module, "canonical_json_bytes", counting)
+        assert load_artifact(saved).version == _payload_version(saved)
+        assert len(calls) == 1
+        calls.clear()
+        fresh = dataclasses.replace(demo_result.artifact)  # a new value, not hashed yet
+        save_artifact(fresh, tmp_path / "a.json")
+        assert fresh.version == _payload_version(tmp_path / "a.json") == _payload_version(saved)
+        assert len(calls) == 1
+
+    def test_a_payload_too_deep_to_encode_again_is_refused(self, tmp_path):
+        # the range straddles the depth that json.loads parses and the
+        # re-encode of the loaded artifact cannot reach
+        payload = ModelArtifact(created_at=EPOCH_MS).to_payload()
+        seen = set()
+        for depth in range(850, 1000):
+            nested = "[" * depth + "]" * depth
+            text = json.dumps({**payload, "fingerprints": {"x": "@"}}).replace('"@"', nested)
+            (tmp_path / "a.json").write_text(f'{{"checksum":"sha256:0","payload":{text}}}')
+            with pytest.raises(ArtifactError) as refused:
+                load_artifact(tmp_path / "a.json")
+            seen.add(str(refused.value).split(": ")[1])
+        assert "payload has no canonical encoding" in seen
+
+    @pytest.mark.parametrize("which", ["run_experiment", "empty"])
+    def test_version_is_the_hash_of_the_payload_bytes(self, tmp_path, demo_result, which):
+        artifact = (demo_result.artifact if which == "run_experiment"
+                    else ModelArtifact(created_at=EPOCH_MS))
+        path = tmp_path / "a.json"
+        save_artifact(artifact, path)
+        assert artifact.version == load_artifact(path).version == _payload_version(path)
+
+    def test_every_cli_stage_writes_its_payload_hash_as_version(self, tmp_path):
+        logs, malware, splits = tmp_path / "logs.ndjson", tmp_path / "malware.csv", tmp_path / "s"
+        artifact = tmp_path / "artifact.json"
+        assert cli_main(["generate", "--out-logs", str(logs), "--out-malware", str(malware),
+                         "--attack-sessions", "4", "--duration-s", "600", "--malware-benign",
+                         "60", "--malware-malicious", "60", "--seed", "7"]) == 0
+        assert cli_main(["split", "--logs", str(logs), "--malware", str(malware),
+                         "--out-dir", str(splits), "--seed", "7"]) == 0
+        stages = [
+            ["train-log", "--train", splits / "logs_train.ndjson"],
+            ["train-malware", "--train", splits / "malware_train.csv", "--trees", "5"],
+            ["calibrate", "--val-logs", splits / "logs_validation.ndjson",
+             "--val-malware", splits / "malware_validation.csv", "--method", "identity"],
+            ["tune", "--manifest", splits / "manifest_validation.ndjson"],
+        ]
+        for n, argv in enumerate(stages):
+            assert cli_main([str(a) for a in argv] + ["--artifact", str(artifact)]) == 0
+            loaded = load_artifact(artifact)
+            assert loaded.status == (SERVING if n == len(stages) - 1 else PARTIAL)
+            assert loaded.version == _payload_version(artifact)
+
+    @pytest.mark.parametrize("edit, match", [
+        (_integral_knots_as_ints, r"\['calibrators'\] differ"),
+        (lambda p: p["fusion"].update(t_m=str(p["fusion"]["t_m"])),
+         "malformed component payload"),
+        (lambda p: p["forest"].pop("training_meta"), r"\['forest'\] differ"),
+        (lambda p: p["calibrators"]["malware"].pop("fit_meta"), r"\['calibrators'\] differ"),
+        (lambda p: p["logistic"].update(bias=round(p["logistic"]["bias"])),
+         r"\['logistic'\] differ"),
+    ], ids=["knots-as-ints", "t_m-as-string", "forest-without-training-meta",
+            "calibrator-without-fit-meta", "bias-as-int"])
+    def test_a_payload_that_does_not_round_trip_is_refused(self, tmp_path, saved, edit, match):
+        payload = json.loads(saved.read_text())["payload"]
+        broken = copy.deepcopy(payload)
+        edit(broken)
+        assert canonical_json_bytes(broken) != canonical_json_bytes(payload)
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match=match):
+            load_artifact(tmp_path / "a.json")
+
+    def test_a_reformatted_file_loads_with_the_same_version(self, tmp_path, saved):
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps(json.loads(saved.read_text()), indent=2))
+        assert path.read_bytes() != saved.read_bytes()
+        assert load_artifact(path).version == load_artifact(saved).version \
+            == _payload_version(saved)
+
+    def test_a_changed_value_under_the_old_checksum_is_corrupt(self, tmp_path, saved):
+        envelope = json.loads(saved.read_text())
+        envelope["payload"]["logistic"]["bias"] += 0.5
+        path = tmp_path / "a.json"
+        path.write_text(json.dumps(envelope))
+        with pytest.raises(ArtifactError, match="checksum mismatch; file is corrupt"):
+            load_artifact(path)
 
 
 class TestFormat1:

@@ -1,6 +1,7 @@
 """The example scripts run against the current API."""
 
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_run_robustness_sweeps_one_rate():
     out = run_script("run_robustness.py", "--rates", "0.5")
     assert re.search(r"^ +0\.50 ", out, re.MULTILINE), out
     assert "fused >= best single modality" in out
+
+
+DIGESTS = (
+    "pipeline.artifact", "pipeline.report_logs", "pipeline.report_malware",
+    "pipeline.report_fused", "cli.artifact", "cli.report", "cli.score_batch", "loaders.logs",
+    "loaders.manifest", "loaders.score_batch", "logistic.balanced", "logistic.seed1234",
+    "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties", "forest.overflow_1e308",
+    "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks", "metrics.isotonic",
+    "metrics.report",
+)
+
+
+def test_output_digests_prints_the_same_named_digests_twice(tmp_path):
+    chain = tmp_path / "chain"
+    outputs = []
+    for _ in range(2):
+        outputs.append(run_script("output_digests.py", str(chain)))
+        shutil.rmtree(chain)
+    lines = outputs[0].splitlines()
+    assert [line.split(" ")[0] for line in lines] == list(DIGESTS)
+    assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), outputs[0]
+    assert outputs[1] == outputs[0]
