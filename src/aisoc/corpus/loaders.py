@@ -85,13 +85,19 @@ def read_ndjson(path: str | Path, parse: Callable[[Any], Any],
                                  parse)
 
 
+# One encoder for every line: ``json.dumps(obj, ensure_ascii=False)`` gives the
+# same text but builds a new encoder per call.
+_NDJSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+
+
 def write_ndjson(objs: Iterable, target: str | Path | TextIO) -> None:
     """Each object as one ``json.dumps(obj, ensure_ascii=False)`` line, to an open
     text stream or to the file at ``target`` (UTF-8, LF line ends)."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             return write_ndjson(objs, fh)
-    target.writelines(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs)
+    encode = _NDJSON_ENCODER.encode
+    target.writelines(encode(obj) + "\n" for obj in objs)
 
 
 def load_log_ndjson(path: str | Path) -> LogLoadResult:

@@ -13,6 +13,17 @@ separator, so the two agree on what a token is).
 
 IDF uses the smoothed variant ``ln((1 + N) / (1 + df)) + 1`` (always > 0),
 TF is the raw in-message count, and every non-empty vector is L2-normalized.
+
+``transform_text`` turns a list of messages into one ``DesignMatrix`` in one
+pass: Python maps each message's tokens to term ids, one ``np.unique`` over
+the keys ``row * V + id`` gives every row's sorted term counts, and the
+TF-IDF values are computed elementwise. A row's L2 norm is the ``np.sum`` of
+its squared values taken along axis 1 of a 2-D array of rows of equal
+length, which sums each row in the same order as a 1-D ``np.sum`` of that
+row alone (``np.add.reduceat`` does not). One message is the block of one,
+returned as its ``SparseVector``; it counts its ids with a ``Counter`` and
+needs no grouping. A message transforms to the same bits alone and in any
+block.
 """
 
 from __future__ import annotations
@@ -92,6 +103,37 @@ class SparseVector:
 
 
 @dataclass(frozen=True)
+class DesignMatrix:
+    """Sparse rows stored as parallel arrays of row ids, column ids and values.
+
+    ``transform_text`` returns one for a list of messages; training and
+    scoring take it as it is. Entries are in storage order: row by row, each
+    row's entries in increasing column order. The training products are one
+    ``np.bincount`` each, which adds every entry's term to its bucket in
+    storage order starting from 0.0, the order of a CSR product (``X @ w``)
+    and of its transpose's CSC product (``X.T @ r``), so both give the same
+    bits as those. Scoring takes each row's margin on its own
+    (``score_logistic``), since ``X @ w`` sums a row in another order than a
+    vector alone.
+    """
+
+    rows: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    shape: tuple[int, int]
+
+    def matvec(self, w: np.ndarray) -> np.ndarray:
+        """``X @ w``."""
+        return np.bincount(self.rows, self.data * w[self.indices],
+                           minlength=self.shape[0]).astype(float, copy=False)
+
+    def rmatvec(self, r: np.ndarray) -> np.ndarray:
+        """``X.T @ r``."""
+        return np.bincount(self.indices, self.data * r[self.rows],
+                           minlength=self.shape[1]).astype(float, copy=False)
+
+
+@dataclass(frozen=True)
 class Vocabulary:
     """Fitted TF-IDF vocabulary: dense term indices plus smoothed IDF weights."""
 
@@ -158,17 +200,39 @@ def fit_vocabulary(corpus: Iterable, min_df: int = DEFAULT_MIN_DF,
                       document_count=n_docs, config=config)
 
 
-def transform_text(message: str, vocab: Vocabulary) -> SparseVector:
-    """Map a message to an L2-normalized TF-IDF vector (zero if all OOV)."""
-    index = vocab.index
-    counts = Counter([index[t] for t in tokenize(message) if t in index])
-    if not counts:
-        return SparseVector(indices=np.empty(0, dtype=np.int64),
-                            values=np.empty(0), dim=vocab.size)
-    indices = np.array(sorted(counts), dtype=np.int64)
-    values = np.array([counts[i] for i in indices.tolist()], dtype=float) * vocab.idf[indices]
-    values /= np.sqrt(np.sum(values ** 2))
-    return SparseVector(indices=indices, values=values, dim=vocab.size)
+def transform_text(messages: str | Sequence[str],
+                   vocab: Vocabulary) -> SparseVector | DesignMatrix:
+    """L2-normalized TF-IDF rows: a ``SparseVector`` for one message (zero if
+    all OOV), a ``DesignMatrix`` with one row per message for a list."""
+    single = isinstance(messages, str)
+    index, dim = vocab.index, vocab.size
+    ids: list[int] = []
+    lengths: list[int] = []
+    for message in [messages] if single else messages:
+        row = [index[t] for t in tokenize(message) if t in index]
+        ids += row
+        lengths.append(len(row))
+    if single:  # a few ids: a Counter costs less than np.unique; one row needs no grouping
+        counts = Counter(ids)
+        ids = sorted(counts)
+        indices = np.array(ids, dtype=np.int64)
+        values = np.array([counts[i] for i in ids], dtype=float) * vocab.idf[indices]
+        return SparseVector(indices=indices, values=values / np.sqrt(np.sum(values ** 2)),
+                            dim=dim)
+    keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * dim, lengths)
+    keys, tf = np.unique(keys + np.array(ids, dtype=np.int64), return_counts=True)
+    rows, indices = np.divmod(keys, dim)
+    values = tf * vocab.idf[indices]
+    squares = values ** 2
+    n = len(lengths)
+    terms = np.bincount(rows, minlength=n)
+    starts = np.cumsum(terms) - terms
+    norms = np.zeros(n)
+    for length in np.unique(terms[terms > 0]).tolist():
+        group = np.flatnonzero(terms == length)
+        norms[group] = np.sum(squares[starts[group, None] + np.arange(length)], axis=1)
+    return DesignMatrix(rows=rows, indices=indices, data=values / np.sqrt(norms)[rows],
+                        shape=(n, dim))
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import Sequence
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
-from ..features import SparseVector
+from ..features import DesignMatrix, SparseVector
 
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
@@ -62,33 +62,6 @@ def sigmoid(z):
     e = np.exp(np.minimum(z, -z))
     out = np.where(z >= 0, 1.0, e) / (1.0 + e)
     return float(out) if out.ndim == 0 else out
-
-
-@dataclass(frozen=True)
-class DesignMatrix:
-    """Sparse rows stored as parallel arrays of row ids, column ids and values.
-
-    Entries are in storage order: row by row, each row's entries in its
-    vector's order. Each product is one ``np.bincount``, which adds every
-    entry's term to its bucket in storage order starting from 0.0, the order
-    of a CSR product (``X @ w``) and of its transpose's CSC product
-    (``X.T @ r``), so both give the same bits as those.
-    """
-
-    rows: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    shape: tuple[int, int]
-
-    def matvec(self, w: np.ndarray) -> np.ndarray:
-        """``X @ w``."""
-        return np.bincount(self.rows, self.data * w[self.indices],
-                           minlength=self.shape[0]).astype(float, copy=False)
-
-    def rmatvec(self, r: np.ndarray) -> np.ndarray:
-        """``X.T @ r``."""
-        return np.bincount(self.indices, self.data * r[self.rows],
-                           minlength=self.shape[1]).astype(float, copy=False)
 
 
 def design_matrix(X: Sequence[SparseVector]) -> DesignMatrix:
@@ -143,18 +116,21 @@ def balanced_weights(y: np.ndarray) -> np.ndarray:
     return np.where(y == 1, len(y) / (2.0 * n_pos), len(y) / (2.0 * n_neg))
 
 
-def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3,
-                   epochs: int = 500, seed: int = 0,
+def train_logistic(X: DesignMatrix | Sequence[SparseVector], y: Sequence[int],
+                   l2: float = 1e-3, epochs: int = 500, seed: int = 0,
                    class_weight: str | None = None) -> LogisticModel:
     """Train by full-batch gradient descent with backtracking line search.
 
-    ``class_weight="balanced"`` applies inverse-frequency sample weights,
-    useful when the benign class is tiny and its metrics unstable.
+    ``X`` is a ``DesignMatrix`` (as ``transform_text`` gives for a list of
+    messages) or a list of ``SparseVector`` rows. ``class_weight="balanced"``
+    applies inverse-frequency sample weights, useful when the benign class is
+    tiny and its metrics unstable.
     """
     y_arr = np.asarray(y, dtype=float)
-    if len(X) != len(y_arr):
-        raise TrainingError(f"got {len(X)} vectors but {len(y_arr)} labels")
-    if len(X) < 2:
+    n = X.shape[0] if isinstance(X, DesignMatrix) else len(X)
+    if n != len(y_arr):
+        raise TrainingError(f"got {n} vectors but {len(y_arr)} labels")
+    if n < 2:
         raise TrainingError("need at least 2 training examples")
     classes = set(np.unique(y_arr))
     if not classes <= {0.0, 1.0}:
@@ -169,7 +145,7 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
         raise TrainingError(f"class_weight must be None or 'balanced', got {class_weight!r}")
     sample_weight = balanced_weights(y_arr) if class_weight == "balanced" else None
 
-    A = design_matrix(X)
+    A = X if isinstance(X, DesignMatrix) else design_matrix(X)
     w = np.zeros(A.shape[1])
     b = 0.0
     z = A.matvec(w) + b
@@ -213,20 +189,34 @@ def train_logistic(X: Sequence[SparseVector], y: Sequence[int], l2: float = 1e-3
     return LogisticModel(weights=w, bias=b, regularization=l2, training_meta=meta)
 
 
-def _margin(model: LogisticModel, x: SparseVector) -> float:
-    if x.dim != model.dimension:
-        raise DimensionError(f"vector dim {x.dim} != model dim {model.dimension}")
-    return float(model.weights[x.indices] @ x.values) + model.bias
-
-
 def score_logistic(model: LogisticModel, x):
-    """Raw probability sigmoid(w.x + b) for one SparseVector, or for each of a list.
+    """Raw probability sigmoid(w.x + b): a float for one ``SparseVector``, an
+    array with one per row for a ``DesignMatrix`` or a list of vectors.
 
-    One vector gives a float, a list of them an array. Each margin is its
-    own row's ``weights[indices] @ values`` (a CSR product sums in another
-    order), so a list scores bit for bit like its vectors one at a time;
-    the sigmoid then runs once over all.
+    A block gathers its entries' weights once, and each row's margin is
+    ``gathered[s:e] @ data[s:e]``, the same 1-D BLAS ``ddot`` that scores a
+    vector alone, so a row scores to the same bits alone and in any block;
+    the sigmoid then runs once over all margins. The right operand is copied
+    to a fresh array, as a vector's own values are: the generic x86-64
+    OpenBLAS ``ddot`` (``OPENBLAS_CORETYPE=Prescott``) sums in an order that
+    depends on that operand's 16-byte alignment. A block product
+    (``X.matvec``, or a batched ``matmul`` of the rows) sums in other orders
+    and gives other bits.
     """
     single = isinstance(x, SparseVector)
-    p = sigmoid(np.array([_margin(model, v) for v in ([x] if single else x)], dtype=float))
+    if not (single or isinstance(x, DesignMatrix)):
+        if not x:
+            return np.empty(0)
+        x = design_matrix(x)
+    dim = x.dim if single else x.shape[1]
+    if dim != model.dimension:
+        raise DimensionError(f"vector dim {dim} != model dim {model.dimension}")
+    if single:  # the block of one, without the block's row bookkeeping
+        margins = np.array([float(model.weights[x.indices] @ x.values) + model.bias])
+    else:
+        gathered, data = model.weights[x.indices], x.data
+        ends = np.cumsum(np.bincount(x.rows, minlength=x.shape[0])).tolist()
+        margins = np.array([gathered[s:e] @ data[s:e].copy() for s, e in zip([0, *ends], ends)],
+                           dtype=float) + model.bias
+    p = sigmoid(margins)
     return float(p[0]) if single else p

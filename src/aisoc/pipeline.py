@@ -142,7 +142,7 @@ def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_featu
     reaching its gradient tolerance; ``training_meta`` holds the diagnostics.
     """
     vocab = fit_vocabulary(train_records, min_df=min_df, max_features=max_features)
-    X = [transform_text(r.message, vocab) for r in train_records]
+    X = transform_text([r.message for r in train_records], vocab)
     model = train_logistic(X, _binary_labels(train_records), l2=l2, epochs=epochs, seed=seed,
                            class_weight=class_weight)
     meta = model.training_meta

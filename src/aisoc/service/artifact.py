@@ -301,9 +301,11 @@ def _forest_problems(forest: ForestModel) -> list[str]:
 def _inconsistencies(artifact: ModelArtifact) -> list[str]:
     """What keeps the present components from scoring together, if anything.
 
-    Each component parses on its own; this checks that their shapes agree
-    and that their parameters are finite (a number stored as a string such
-    as ``"nan"`` passes the checksum and the parse).
+    Each component parses on its own; this checks that their shapes agree,
+    that their parameters are finite (a number stored as a string such as
+    ``"nan"`` passes the checksum and the parse), and that the IDF weights
+    are positive and the standardizer's scales not negative, as training
+    writes them.
     """
     problems = []
     numbers: dict[str, np.ndarray] = {}
@@ -312,6 +314,8 @@ def _inconsistencies(artifact: ModelArtifact) -> list[str]:
         numbers["idf"] = vocab.idf
         if vocab.idf.shape != (vocab.size,):
             problems.append(f"{vocab.idf.size} idf weights for {vocab.size} vocabulary terms")
+        if np.any(vocab.idf <= 0.0):
+            problems.append("vocabulary idf holds a weight <= 0")
         if logistic is not None and logistic.weights.shape != (vocab.size,):
             problems.append(f"{logistic.weights.size} logistic weights for "
                             f"{vocab.size} vocabulary terms")
@@ -325,6 +329,8 @@ def _inconsistencies(artifact: ModelArtifact) -> list[str]:
         elif forest is not None and std.dimension != forest.n_features:
             problems.append(f"standardizer has {std.dimension} features, "
                             f"the forest {forest.n_features}")
+        if np.any(std.std < 0.0):
+            problems.append("standardizer std holds a negative scale")
     if forest is not None:
         numbers["forest"] = forest.threshold
         problems += _forest_problems(forest)

@@ -51,9 +51,7 @@ class Scorer:
 
     def raw_log_score(self, message):
         """The logistic model's uncalibrated probability (an array for a list)."""
-        vectors = (transform_text(message, self.vocabulary) if isinstance(message, str)
-                   else [transform_text(m, self.vocabulary) for m in message])
-        return score_logistic(self.logistic, vectors)
+        return score_logistic(self.logistic, transform_text(message, self.vocabulary))
 
     def raw_malware_score(self, features):
         """The forest's uncalibrated probability (an array for a matrix)."""

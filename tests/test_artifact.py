@@ -415,6 +415,36 @@ class TestConsistency:
         with pytest.raises(ArtifactError, match="inconsistent artifact"):
             load_artifact(path)
 
+    @pytest.mark.parametrize("idf", [lambda v: -v, lambda v: 0.0], ids=["negated", "zero"])
+    def test_idf_weight_not_positive_is_refused(self, tmp_path, payload, demo_result, idf):
+        # a negated idf flips every log score; an all-zero row divides 0 by 0
+        broken = copy.deepcopy(payload)
+        broken["vocabulary"]["idf"] = [idf(v) for v in broken["vocabulary"]["idf"]]
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match="inconsistent artifact: vocabulary idf holds "
+                                                "a weight <= 0"):
+            load_artifact(tmp_path / "a.json")
+        vocab = demo_result.artifact.vocabulary
+        artifact = dataclasses.replace(demo_result.artifact, vocabulary=dataclasses.replace(
+            vocab, idf=np.array([idf(v) for v in vocab.idf])))
+        with pytest.raises(ArtifactError, match="not saved, inconsistent artifact: vocabulary idf"):
+            save_artifact(artifact, tmp_path / "b.json")
+        assert not (tmp_path / "b.json").exists()
+
+    def test_negative_standardizer_scale_is_refused(self, tmp_path, payload, demo_result):
+        broken = copy.deepcopy(payload)
+        broken["standardizer"]["std"] = [-v for v in broken["standardizer"]["std"]]
+        _write(tmp_path / "a.json", broken)
+        with pytest.raises(ArtifactError, match="inconsistent artifact: standardizer std holds "
+                                                "a negative scale"):
+            load_artifact(tmp_path / "a.json")
+        std = demo_result.artifact.standardizer
+        artifact = dataclasses.replace(demo_result.artifact,
+                                       standardizer=dataclasses.replace(std, std=-std.std))
+        with pytest.raises(ArtifactError, match="not saved, inconsistent artifact: standardizer"):
+            save_artifact(artifact, tmp_path / "b.json")
+        assert not (tmp_path / "b.json").exists()
+
     def test_json_nan_is_an_artifact_error(self, tmp_path, payload):
         broken = copy.deepcopy(payload)
         broken["calibrators"]["malware"]["a"] = float("nan")
