@@ -2,7 +2,9 @@
 
 Every subcommand reads an optional flat JSON config file (``--config``)
 whose keys mirror the long flag names; explicit flags override the file,
-which overrides built-in defaults. Artifacts are built up stage by stage,
+which overrides built-in defaults. ``generate`` and ``split`` run the data
+stages ``run_experiment`` runs (``generate_logs``, ``generate_malware_rows``,
+``split_malware``, ``build_manifest``). Artifacts are built up stage by stage,
 each subcommand running one stage function of ``pipeline`` (the same ones
 ``run_experiment`` runs) and saving the new artifact it returns:
 ``train-log`` and ``train-malware`` write PARTIAL artifacts, ``calibrate``
@@ -24,31 +26,31 @@ from .corpus import (
     EPOCH_MS,
     AugmentOp,
     Label,
-    MalwareScenario,
-    ScenarioConfig,
     SplitKind,
     SplitSpec,
     augment,
-    generate_corpus,
-    generate_malware,
     load_log_ndjson,
     load_malware_csv,
     split,
     write_log_ndjson,
     write_malware_csv,
 )
+from .corpus.generate import MAX_GENERATED_ITEMS
 from .errors import AisocError, ConfigError
 from .evaluate import build_manifest, read_manifest, robustness_probe, run_baselines, write_manifest
 from .pipeline import (
+    ExperimentConfig,
     calibrate_detectors,
     corpus_fingerprint,
+    generate_logs,
+    generate_malware_rows,
     malware_fingerprint,
+    split_malware,
     train_log_detector,
     train_malware_detector,
     tune_fusion,
     validation_pairs,
 )
-from .seeding import derive_seed
 from .service import (
     ModelArtifact,
     load_artifact,
@@ -275,15 +277,11 @@ def _load_or_new_artifact(path: str) -> ModelArtifact:
 
 def _cmd_generate(opts: dict) -> int:
     _require(opts, "out_logs", "out_malware")
-    seed = opts["seed"]
-    logs = generate_corpus(ScenarioConfig(
-        benign_hosts=opts["benign_hosts"], attack_sessions=opts["attack_sessions"],
-        duration_s=opts["duration_s"], seed=derive_seed(seed, "generate-logs"),
-        benign_rate_per_host=opts["benign_rate"]))
-    samples = generate_malware(MalwareScenario(
-        benign_samples=opts["malware_benign"], malicious_samples=opts["malware_malicious"],
-        seed=derive_seed(seed, "generate-malware"), n_features=opts["malware_features"],
-        separation=opts["malware_separation"], hard_fraction=opts["malware_hard_fraction"]))
+    # every other generate option is the ExperimentConfig field of the same name
+    config = ExperimentConfig(benign_rate_per_host=opts["benign_rate"], **{
+        key: value for key, value in opts.items()
+        if key not in ("out_logs", "out_malware", "benign_rate")})
+    logs, samples = generate_logs(config), generate_malware_rows(config)
     write_log_ndjson(logs, opts["out_logs"])
     write_malware_csv(samples, opts["out_malware"])
     print(f"wrote {len(logs)} log records to {opts['out_logs']}")
@@ -307,7 +305,12 @@ def _auto_supports(logs_split, malware_split) -> tuple[int, int, int]:
              sum(1 for s in malware_split if s.label is Label.BENIGN))
     nm = min(sum(1 for r in logs_split if r.label is Label.MALICIOUS),
              sum(1 for s in malware_split if s.label is Label.MALICIOUS))
-    return (max(1, nb // 2), max(2, (nb + nm) // 2), max(1, nm // 2))
+    supports = (max(1, nb // 2), max(2, (nb + nm) // 2), max(1, nm // 2))
+    total = sum(supports)
+    if total <= MAX_GENERATED_ITEMS:
+        return supports
+    # scaled down together to the most build_manifest accepts
+    return tuple(s * MAX_GENERATED_ITEMS // total for s in supports)
 
 
 def _cmd_split(opts: dict) -> int:
@@ -331,9 +334,7 @@ def _cmd_split(opts: dict) -> int:
     if not opts["malware"]:
         return 0
     mal = _loaded(_load_malware(opts, opts["malware"]), "malware row(s)")
-    mal_split = split(mal.samples, SplitSpec(
-        kind=SplitKind.STRATIFIED_RANDOM, fractions=_triplet(opts["fractions"]),
-        seed=derive_seed(opts["seed"], "split-malware")))
+    mal_split = split_malware(mal.samples, _triplet(opts["fractions"]), opts["seed"])
     for name in ("train", "validation", "test"):
         write_malware_csv(getattr(mal_split, name), out_dir / f"malware_{name}.csv")
     for name, flag in (("validation", "val_supports"), ("test", "test_supports")):
@@ -341,8 +342,7 @@ def _cmd_split(opts: dict) -> int:
         mal_part = getattr(mal_split, name)
         supports = (_triplet(opts[flag], int) if opts[flag]
                     else _auto_supports(logs_part, mal_part))
-        items = build_manifest(logs_part, mal_part, supports=supports,
-                               seed=derive_seed(opts["seed"], f"manifest-{name}"))
+        items = build_manifest(logs_part, mal_part, supports=supports)
         write_manifest(items, out_dir / f"manifest_{name}.ndjson")
         print(f"wrote manifest_{name}.ndjson with supports {supports}")
     return 0

@@ -131,6 +131,9 @@ def _stratified_random(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
 
 
 def _k_fold(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
+    too_many = f"{spec.folds} folds requested but only {len(items)} items available"
+    if spec.folds > len(items):  # before allocating one list per fold
+        raise SplitError(too_many)
     rng = random.Random(spec.seed)
     folds: list[list[int]] = [[] for _ in range(spec.folds)]
     for _, indices in _per_class_indices(items).items():
@@ -138,8 +141,8 @@ def _k_fold(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
         rng.shuffle(shuffled)
         for j, idx in enumerate(shuffled):
             folds[j % spec.folds].append(idx)
-    if any(not fold for fold in folds):
-        raise SplitError(f"{spec.folds} folds requested but only {len(items)} items available")
+    if any(not fold for fold in folds):  # a fold no class reached
+        raise SplitError(too_many)
     return DatasetSplit(folds=[[items[i] for i in sorted(fold)] for fold in folds])
 
 

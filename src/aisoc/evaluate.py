@@ -10,13 +10,14 @@ from the component labels).
 from __future__ import annotations
 
 import hashlib
+import itertools
 import statistics
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 from .corpus.augment import AugmentOp, augment
+from .corpus.generate import MAX_GENERATED_ITEMS
 from .corpus.loaders import read_ndjson, write_ndjson
 from .corpus.records import Label, LogRecord, MalwareSample, Origin, Channel
 from .errors import ConfigError, LoadError, MetricError
@@ -24,7 +25,7 @@ from .features import feature_matrix
 from .fusion import CalibratedScorePair, TriageLabel, derive_truth_triage, TRIAGE_CLASSES
 from .metrics import EvalReport, classification_report, pr_auc, roc_auc
 from .seeding import derive_seed
-from .service.scorer import Scorer
+from .service.scorer import Scorer, check_feature_row
 
 BINARY_CLASSES = (Label.BENIGN, Label.MALICIOUS)
 
@@ -41,60 +42,38 @@ class ManifestItem:
 
 
 def build_manifest(logs: Sequence[LogRecord], samples: Sequence[MalwareSample],
-                   supports: tuple[int, int, int], seed: int) -> list[ManifestItem]:
+                   supports: tuple[int, int, int], seed: int = 0) -> list[ManifestItem]:
     """Pair logs with malware rows to hit the requested triage supports.
 
     ``supports`` gives the item counts for (NORMAL, SUSPICIOUS,
-    HIGH_CONFIDENCE_ATTACK). SUSPICIOUS items alternate between
-    malware-driven and log-driven evidence. Pools are cycled
-    deterministically when supports exceed the available records.
+    HIGH_CONFIDENCE_ATTACK), at most ``MAX_GENERATED_ITEMS`` in all. Item
+    ``i`` takes the next record of the log pool and of the malware pool of
+    its (log label, malware label); SUSPICIOUS items alternate between
+    malware-driven (BENIGN, MALICIOUS) and log-driven (MALICIOUS, BENIGN).
+    Each pool is cycled when supports exceed it. ``seed`` is accepted and
+    unused: the pairing is deterministic.
     """
     n_normal, n_susp, n_high = supports
     if min(supports) < 0 or sum(supports) == 0:
         raise ConfigError(f"invalid manifest supports {supports}")
-    pools = {
-        (Label.BENIGN, "log"): [r for r in logs if r.label is Label.BENIGN],
-        (Label.MALICIOUS, "log"): [r for r in logs if r.label is Label.MALICIOUS],
-        (Label.BENIGN, "mw"): [s for s in samples if s.label is Label.BENIGN],
-        (Label.MALICIOUS, "mw"): [s for s in samples if s.label is Label.MALICIOUS],
-    }
-    needs = {
-        (Label.BENIGN, "log"): n_normal + (n_susp + 1) // 2,
-        (Label.MALICIOUS, "log"): n_high + n_susp // 2,
-        (Label.BENIGN, "mw"): n_normal + n_susp // 2,
-        (Label.MALICIOUS, "mw"): n_high + (n_susp + 1) // 2,
-    }
-    for key, needed in needs.items():
-        if needed > 0 and not pools[key]:
-            raise ConfigError(f"no {key[0].value} {key[1]} records available for manifest")
-
-    cursors = dict.fromkeys(pools, 0)
-
-    def _next(label: Label, kind: str):
-        pool = pools[(label, kind)]
-        item = pool[cursors[(label, kind)] % len(pool)]
-        cursors[(label, kind)] += 1
-        return item
-
-    items: list[ManifestItem] = []
-
-    def _add(log_label: Label, mw_label: Label) -> None:
-        items.append(ManifestItem(
-            entity_id=f"e{len(items):05d}",
-            log=_next(log_label, "log"),
-            malware=_next(mw_label, "mw")))
-
-    for _ in range(n_normal):
-        _add(Label.BENIGN, Label.BENIGN)
-    for i in range(n_susp):
-        if i % 2 == 0:  # malware-driven
-            _add(Label.BENIGN, Label.MALICIOUS)
-        else:           # log-driven
-            _add(Label.MALICIOUS, Label.BENIGN)
-    for _ in range(n_high):
-        _add(Label.MALICIOUS, Label.MALICIOUS)
-    del seed  # pairing is fully deterministic; seed kept for interface stability
-    return items
+    if sum(supports) > MAX_GENERATED_ITEMS:
+        raise ConfigError(f"manifest supports {supports} exceed the limit of "
+                          f"{MAX_GENERATED_ITEMS} items")
+    benign, malicious = Label.BENIGN, Label.MALICIOUS
+    suspicious = ((benign, malicious), (malicious, benign))
+    pairs = ([(benign, benign)] * n_normal + [suspicious[i % 2] for i in range(n_susp)]
+             + [(malicious, malicious)] * n_high)
+    draws = {}
+    for kind, records, wanted in (("log", logs, {log for log, _ in pairs}),
+                                  ("mw", samples, {mw for _, mw in pairs})):
+        for label in (benign, malicious):
+            pool = [r for r in records if r.label is label]
+            if label in wanted and not pool:
+                raise ConfigError(f"no {label.value} {kind} records available for manifest")
+            draws[kind, label] = itertools.cycle(pool)
+    return [ManifestItem(entity_id=f"e{i:05d}", log=next(draws["log", log]),
+                         malware=next(draws["mw", mw]))
+            for i, (log, mw) in enumerate(pairs)]
 
 
 def write_manifest(items: Sequence[ManifestItem], path: str | Path) -> None:
@@ -113,9 +92,7 @@ def _manifest_item(obj) -> ManifestItem:
     if not isinstance(entity_id, str) or not isinstance(message, str):
         raise ValueError("entity_id and log_message must be strings")
     (entity_id + message).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
-    if not isinstance(features, list) or not all(
-            type(v) in (int, float) and abs(v) <= sys.float_info.max for v in features):
-        raise ValueError("malware_features must be an array of finite numbers")
+    check_feature_row(features)
     log = LogRecord(timestamp=0, host="manifest", channel=Channel.SYSTEM, message=message,
                     label=Label(obj["log_label"]) if obj.get("log_label") else None,
                     origin=Origin.LOADED)

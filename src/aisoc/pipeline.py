@@ -21,6 +21,7 @@ from . import calibrate
 from .corpus import (
     EPOCH_MS,
     AugmentOp,
+    DatasetSplit,
     Label,
     LogRecord,
     MalwareSample,
@@ -132,7 +133,31 @@ def _binary_labels(items) -> list[int]:
     return [1 if x.label is Label.MALICIOUS else 0 for x in items]
 
 
-# -- stages: each fits one component; the CLI runs them one per subcommand --
+# -- stages: each prepares data or fits one component; the CLI runs one per subcommand --
+
+def generate_logs(config: ExperimentConfig) -> list[LogRecord]:
+    """The scenario's log records, before dedup, on the ``"generate-logs"`` seed stream."""
+    return generate_corpus(ScenarioConfig(
+        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
+        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
+        benign_rate_per_host=config.benign_rate_per_host))
+
+
+def generate_malware_rows(config: ExperimentConfig) -> list[MalwareSample]:
+    """The scenario's malware rows, on the ``"generate-malware"`` seed stream."""
+    return generate_malware(MalwareScenario(
+        benign_samples=config.malware_benign, malicious_samples=config.malware_malicious,
+        seed=derive_seed(config.seed, "generate-malware"),
+        n_features=config.malware_features, separation=config.malware_separation,
+        hard_fraction=config.malware_hard_fraction))
+
+
+def split_malware(samples: list[MalwareSample], fractions: tuple[float, float, float],
+                  seed: int) -> DatasetSplit:
+    """The stratified train/validation/test split of malware rows, on its own seed stream."""
+    return split(samples, SplitSpec(kind=SplitKind.STRATIFIED_RANDOM, fractions=fractions,
+                                    seed=derive_seed(seed, "split-malware")))
+
 
 def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_features: int,
                        l2: float, epochs: int, seed: int, class_weight: str | None = None):
@@ -195,14 +220,6 @@ def tune_fusion(pairs: list[CalibratedScorePair], truth: list[TriageLabel], *,
     return fusion, tuning_macro_f1(pairs, truth, fusion)
 
 
-def _deduped_logs(config: ExperimentConfig) -> list[LogRecord]:
-    logs = generate_corpus(ScenarioConfig(
-        benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
-        duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
-        benign_rate_per_host=config.benign_rate_per_host))
-    return dedup_near_identical(logs, config.dedup_threshold)
-
-
 def _train_logs(records: list[LogRecord], config: ExperimentConfig):
     return train_log_detector(records, min_df=config.min_df, max_features=config.max_features,
                               l2=config.logistic_l2, epochs=config.logistic_epochs,
@@ -212,7 +229,7 @@ def _train_logs(records: list[LogRecord], config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run generate -> dedup -> split -> train -> calibrate -> tune -> evaluate."""
     # Telemetry.
-    logs = _deduped_logs(config)
+    logs = dedup_near_identical(generate_logs(config), config.dedup_threshold)
     log_split = split(logs, SplitSpec(kind=SplitKind.TIME_ORDERED,
                                       fractions=config.log_fractions))
     train_logs = log_split.train
@@ -221,14 +238,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                              rate=config.augment_rate,
                              seed=derive_seed(config.seed, "augment-train"))
 
-    malware = generate_malware(MalwareScenario(
-        benign_samples=config.malware_benign, malicious_samples=config.malware_malicious,
-        seed=derive_seed(config.seed, "generate-malware"),
-        n_features=config.malware_features, separation=config.malware_separation,
-        hard_fraction=config.malware_hard_fraction))
-    malware_split = split(malware, SplitSpec(
-        kind=SplitKind.STRATIFIED_RANDOM, fractions=config.malware_fractions,
-        seed=derive_seed(config.seed, "split-malware")))
+    malware = generate_malware_rows(config)
+    malware_split = split_malware(malware, config.malware_fractions, config.seed)
     fingerprints = {
         "logs_data": corpus_fingerprint(logs),
         "malware_data": malware_fingerprint(malware),
@@ -247,8 +258,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Threshold selection on a validation manifest.
     val_items = build_manifest(log_split.validation, malware_split.validation,
-                               supports=config.val_supports,
-                               seed=derive_seed(config.seed, "manifest-validation"))
+                               supports=config.val_supports)
     val_pairs, val_truth = validation_pairs(artifact, val_items)
     if config.fixed_thresholds is None:
         fusion, validation_macro_f1 = tune_fusion(
@@ -263,8 +273,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
 
     # Final evaluation manifest and the three baseline settings.
     test_items = build_manifest(log_split.test, malware_split.test,
-                                supports=config.test_supports,
-                                seed=derive_seed(config.seed, "manifest-test"))
+                                supports=config.test_supports)
     reports = run_baselines(artifact, test_items, split="test", fingerprints=fingerprints)
     return ExperimentResult(config=config, artifact=artifact,
                             validation_macro_f1=validation_macro_f1,
@@ -304,7 +313,8 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
 
 def augmented_cv_corpus(config: ExperimentConfig) -> list[LogRecord]:
     """Generate + dedup + augment (all ops) a corpus for cross-validation."""
-    return augment(_deduped_logs(config), [AugmentOp(op) for op in config.augment_ops],
+    return augment(dedup_near_identical(generate_logs(config), config.dedup_threshold),
+                   [AugmentOp(op) for op in config.augment_ops],
                    rate=config.augment_rate, seed=derive_seed(config.seed, "augment-cv"))
 
 

@@ -32,6 +32,23 @@ class RequestError(ValueError):
     """A scoring request is malformed (HTTP layer maps this to 400)."""
 
 
+def check_feature_row(features) -> None:
+    """Raise ``RequestError`` unless ``features`` is a list or tuple of finite numbers.
+
+    Booleans are not numbers here.
+    """
+    if (not isinstance(features, (list, tuple))
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in features)):
+        raise RequestError("malware_features must be an array of numbers")
+    try:
+        finite = all(map(math.isfinite, features))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise RequestError("malware_features must be finite")
+
+
 class ScoreRequest(NamedTuple):
     """A validated request; ``None`` marks an absent field."""
 
@@ -86,16 +103,7 @@ class Scorer:
         if message is not None and not isinstance(message, str):
             raise RequestError("log_message must be a string")
         if features is not None:
-            if (not isinstance(features, (list, tuple))
-                    or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                               for v in features)):
-                raise RequestError("malware_features must be an array of numbers")
-            try:
-                finite = all(map(math.isfinite, features))
-            except OverflowError:  # an integer beyond the float range
-                finite = False
-            if not finite:
-                raise RequestError("malware_features must be finite")
+            check_feature_row(features)
             try:
                 self.standardizer.check_width(len(features))
             except DimensionError as exc:

@@ -8,7 +8,19 @@ from pathlib import Path
 import pytest
 
 from aisoc.cli import main
+from aisoc.corpus import (
+    SplitKind,
+    SplitSpec,
+    load_log_ndjson,
+    load_malware_csv,
+    split,
+    write_log_ndjson,
+    write_malware_csv,
+)
+from aisoc.corpus.generate import MAX_GENERATED_ITEMS
 from aisoc.errors import ArtifactError
+from aisoc.evaluate import build_manifest, write_manifest
+from aisoc.pipeline import ExperimentConfig, generate_logs, generate_malware_rows, split_malware
 from aisoc.service import load_artifact, save_artifact
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -65,6 +77,44 @@ class TestPipelineCommands:
             paths.append((logs, malware))
         assert sha(paths[0][0]) == sha(paths[1][0])
         assert sha(paths[0][1]) == sha(paths[1][1])
+
+    def test_generate_writes_the_pipeline_telemetry(self, tmp_path):
+        out_logs, out_malware = tmp_path / "logs.ndjson", tmp_path / "malware.csv"
+        assert main(["generate", "--out-logs", str(out_logs), "--out-malware", str(out_malware),
+                     "--seed", "21", "--benign-hosts", "2", "--attack-sessions", "3",
+                     "--duration-s", "150", "--benign-rate", "0.4", "--malware-benign", "25",
+                     "--malware-malicious", "15", "--malware-features", "5",
+                     "--malware-separation", "2.5", "--malware-hard-fraction", "0.2"]) == 0
+        config = ExperimentConfig(
+            seed=21, benign_hosts=2, attack_sessions=3, duration_s=150.0,
+            benign_rate_per_host=0.4, malware_benign=25, malware_malicious=15,
+            malware_features=5, malware_separation=2.5, malware_hard_fraction=0.2)
+        logs, rows = generate_logs(config), generate_malware_rows(config)
+        write_log_ndjson(logs, tmp_path / "expected.ndjson")
+        write_malware_csv(rows, tmp_path / "expected.csv")
+        assert out_logs.read_bytes() == (tmp_path / "expected.ndjson").read_bytes()
+        assert out_malware.read_bytes() == (tmp_path / "expected.csv").read_bytes()
+
+    def test_split_writes_the_pipeline_malware_split_and_manifests(self, workspace, tmp_path):
+        out, expected = tmp_path / "splits", tmp_path / "expected"
+        expected.mkdir()
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"),
+                     "--malware", str(workspace / "malware.csv"), "--out-dir", str(out),
+                     "--seed", "5", "--fractions", "0.5,0.25,0.25",
+                     "--val-supports", "3,4,5", "--test-supports", "2,7,1"]) == 0
+        fractions = (0.5, 0.25, 0.25)
+        log_split = split(load_log_ndjson(workspace / "logs.ndjson").records,
+                          SplitSpec(kind=SplitKind.TIME_ORDERED, fractions=fractions, seed=5))
+        rows = load_malware_csv(workspace / "malware.csv", id_column="sample_id").samples
+        mal_split = split_malware(rows, fractions, 5)
+        for name in ("train", "validation", "test"):
+            write_malware_csv(getattr(mal_split, name), expected / f"malware_{name}.csv")
+        for name, supports in (("validation", (3, 4, 5)), ("test", (2, 7, 1))):
+            write_manifest(build_manifest(getattr(log_split, name), getattr(mal_split, name),
+                                          supports=supports),
+                           expected / f"manifest_{name}.ndjson")
+        for path in sorted(expected.iterdir()):
+            assert (out / path.name).read_bytes() == path.read_bytes(), path.name
 
     def test_tune_prints_thresholds_and_macro_f1(self, workspace, capsys):
         artifact = workspace / "artifact.json"
@@ -304,6 +354,34 @@ class TestConfigAndErrors:
                      "--out-dir", str(out), "--fractions", fractions]) == 2
         assert capsys.readouterr().err.startswith("error: fractions must be finite")
         assert not (out / "logs_train.ndjson").exists()
+
+    def test_split_refuses_manifest_supports_above_the_generate_limit(self, workspace,
+                                                                       tmp_path, capsys):
+        out = tmp_path / "splits"
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"),
+                     "--malware", str(workspace / "malware.csv"), "--out-dir", str(out),
+                     "--val-supports", f"1,1,{MAX_GENERATED_ITEMS - 1}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: manifest supports") and "limit" in err
+        assert not (out / "manifest_validation.ndjson").exists()
+
+    def test_split_scales_automatic_supports_down_to_the_limit(self, workspace, tmp_path,
+                                                                 capsys, monkeypatch):
+        for module in ("aisoc.cli", "aisoc.evaluate"):
+            monkeypatch.setattr(f"{module}.MAX_GENERATED_ITEMS", 10)
+        out = tmp_path / "splits"
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"),
+                     "--malware", str(workspace / "malware.csv"), "--out-dir", str(out)]) == 0
+        # the workspace's own split prints (20, 28, 8) for both parts at the full limit
+        assert capsys.readouterr().out.count("with supports (3, 5, 1)") == 2
+        for name in ("validation", "test"):
+            assert len((out / f"manifest_{name}.ndjson").read_text().splitlines()) == 9
+
+    def test_split_refuses_more_folds_than_records(self, tmp_path, capsys):
+        assert main(["split", *paths_for("split", tmp_path), "--kind", "K_FOLD",
+                     "--folds", "2"]) == 2
+        assert capsys.readouterr().err == \
+            "error: 2 folds requested but only 1 items available\n"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_train_log_rejects_non_finite_l2(self, workspace, tmp_path, capsys, value):

@@ -1,10 +1,22 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from aisoc.corpus import AugmentOp, Label, ScenarioConfig, generate_corpus
+from aisoc.corpus import (
+    AugmentOp,
+    Channel,
+    Label,
+    LogRecord,
+    MalwareSample,
+    ScenarioConfig,
+    generate_corpus,
+)
+from aisoc.corpus.generate import MAX_GENERATED_ITEMS
 from aisoc.errors import ConfigError, LoadError
 from aisoc.evaluate import (
+    ManifestItem,
     build_manifest,
     manifest_fingerprint,
     multi_seed,
@@ -16,10 +28,109 @@ from aisoc.evaluate import (
 )
 from aisoc.fusion import TriageLabel
 from aisoc.metrics import EvalReport, classification_report
-from aisoc.pipeline import train_log_detector
+from aisoc.pipeline import (
+    ExperimentConfig,
+    augmented_cv_corpus,
+    generate_malware_rows,
+    train_log_detector,
+)
+
+
+def reference_build_manifest(logs, samples, supports, seed):
+    """The pairing rule written with pools, cursors and closures, kept as the reference."""
+    n_normal, n_susp, n_high = supports
+    if min(supports) < 0 or sum(supports) == 0:
+        raise ConfigError(f"invalid manifest supports {supports}")
+    pools = {
+        (Label.BENIGN, "log"): [r for r in logs if r.label is Label.BENIGN],
+        (Label.MALICIOUS, "log"): [r for r in logs if r.label is Label.MALICIOUS],
+        (Label.BENIGN, "mw"): [s for s in samples if s.label is Label.BENIGN],
+        (Label.MALICIOUS, "mw"): [s for s in samples if s.label is Label.MALICIOUS],
+    }
+    needs = {
+        (Label.BENIGN, "log"): n_normal + (n_susp + 1) // 2,
+        (Label.MALICIOUS, "log"): n_high + n_susp // 2,
+        (Label.BENIGN, "mw"): n_normal + n_susp // 2,
+        (Label.MALICIOUS, "mw"): n_high + (n_susp + 1) // 2,
+    }
+    for key, needed in needs.items():
+        if needed > 0 and not pools[key]:
+            raise ConfigError(f"no {key[0].value} {key[1]} records available for manifest")
+
+    cursors = dict.fromkeys(pools, 0)
+
+    def _next(label, kind):
+        pool = pools[(label, kind)]
+        item = pool[cursors[(label, kind)] % len(pool)]
+        cursors[(label, kind)] += 1
+        return item
+
+    items = []
+
+    def _add(log_label, mw_label):
+        items.append(ManifestItem(entity_id=f"e{len(items):05d}",
+                                  log=_next(log_label, "log"), malware=_next(mw_label, "mw")))
+
+    for _ in range(n_normal):
+        _add(Label.BENIGN, Label.BENIGN)
+    for i in range(n_susp):
+        if i % 2 == 0:  # malware-driven
+            _add(Label.BENIGN, Label.MALICIOUS)
+        else:           # log-driven
+            _add(Label.MALICIOUS, Label.BENIGN)
+    for _ in range(n_high):
+        _add(Label.MALICIOUS, Label.MALICIOUS)
+    del seed
+    return items
+
+
+def _labelled(draw, make) -> list:
+    """0-8 benign, 0-8 malicious and 0-2 unlabelled records, interleaved."""
+    labels = ([Label.BENIGN] * draw(st.integers(0, 8))
+              + [Label.MALICIOUS] * draw(st.integers(0, 8)) + [None] * draw(st.integers(0, 2)))
+    return [make(i, label) for i, label in enumerate(draw(st.permutations(labels)))]
+
+
+@st.composite
+def manifest_inputs(draw):
+    logs = _labelled(draw, lambda i, label: LogRecord(
+        timestamp=i, host="h", channel=Channel.SYSTEM, message=f"log {i}", label=label))
+    rows = _labelled(draw, lambda i, label: MalwareSample(
+        sample_id=f"s{i}", features=(float(i),), label=label))
+    supports = draw(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 7)))
+    return logs, rows, supports, draw(st.integers(0, 2**63 - 1))
+
+
+def _outcome(build, *args):
+    """The items ``build`` returns, or the type and text of the error it raises."""
+    try:
+        return build(*args)
+    except ConfigError as exc:
+        return type(exc), str(exc)
 
 
 class TestBuildManifest:
+    @settings(max_examples=300, deadline=None)
+    @given(manifest_inputs())
+    def test_equals_the_reference_pairing(self, inputs):
+        logs, rows, supports, seed = inputs
+        assert _outcome(build_manifest, logs, rows, supports, seed) \
+            == _outcome(reference_build_manifest, logs, rows, supports, seed)
+
+    def test_seed_is_optional_and_unused(self, demo_result):
+        logs, rows = demo_result.log_split.test, demo_result.malware_split.test
+        assert build_manifest(logs, rows, supports=(3, 5, 4)) \
+            == build_manifest(logs, rows, supports=(3, 5, 4), seed=12345)
+
+    @pytest.mark.parametrize("supports", [(MAX_GENERATED_ITEMS + 1, 0, 0),
+                                          (1, 1, MAX_GENERATED_ITEMS - 1)])
+    def test_supports_above_the_generate_limit_are_refused_before_pairing(self, supports):
+        log = LogRecord(timestamp=0, host="h", channel=Channel.SYSTEM, message="m",
+                        label=Label.BENIGN)
+        row = MalwareSample(sample_id="s", features=(0.0,), label=Label.BENIGN)
+        with pytest.raises(ConfigError, match=f"limit of {MAX_GENERATED_ITEMS} items"):
+            build_manifest([log], [row], supports=supports)
+
     def test_supports_are_hit_exactly(self, demo_result):
         items = demo_result.test_items
         truths = [item.truth for item in items]
@@ -82,6 +193,19 @@ class TestBuildManifest:
         path = tmp_path / "bad.ndjson"
         path.write_text("\n".join([good, "", bad, good]) + "\n", encoding="utf-8")
         with pytest.raises(LoadError, match=r"bad\.ndjson: line 3: "):
+            read_manifest(path)
+
+    @pytest.mark.parametrize("features,reason", [
+        ("[1.0, true]", "malware_features must be an array of numbers"),
+        ("[1.0, NaN]", "malware_features must be finite"),
+        ("[" + "9" * 400 + "]", "malware_features must be finite"),
+    ])
+    def test_read_manifest_gives_the_request_reason_for_a_bad_row(self, tmp_path, features,
+                                                                  reason):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"entity_id": "e", "log_message": "m", "malware_features": '
+                        f"{features}}}\n", encoding="utf-8")
+        with pytest.raises(LoadError, match=f"line 1: {reason}$"):
             read_manifest(path)
 
     def test_read_manifest_refuses_a_line_that_is_not_utf8(self, tmp_path):
@@ -232,3 +356,12 @@ class TestTrainLogDetector:
             _, model = train_log_detector(records, min_df=1, max_features=1000, l2=1e-3,
                                           epochs=500, seed=0)
         assert model.training_meta["converged"] is True
+
+
+def test_cv_corpus_reads_no_malware_field():
+    config = ExperimentConfig(seed=3, benign_hosts=1, attack_sessions=2, duration_s=120.0,
+                              malware_benign=0)
+    with pytest.raises(ConfigError):
+        generate_malware_rows(config)
+    corpus = augmented_cv_corpus(config)
+    assert corpus and all(isinstance(r, LogRecord) for r in corpus)

@@ -17,6 +17,7 @@ from aisoc.service import (ModelArtifact, RequestError, Scorer, ScoringService, 
 from aisoc.service import artifact as artifact_module
 from aisoc.service import batch as batch_module
 from aisoc.service.http_api import MAX_BODY_BYTES, _Handler
+from aisoc.service.scorer import check_feature_row
 
 CLIENT_TIMEOUT_S = 5.0  # every client socket: a regression fails instead of hanging
 
@@ -465,6 +466,34 @@ _REQUESTS = st.fixed_dictionaries({}, optional={
 def _encodes(obj) -> None:
     """Raise if ``obj`` cannot go out as the UTF-8 JSON both paths write."""
     json.dumps(obj, ensure_ascii=False).encode("utf-8")
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+@pytest.mark.parametrize("row, reason", [
+    ([], None), ([1, -2.5, 0], None), ((1, 2.0), None), ([_Int(3), _Float(0.5)], None),
+    ([True, 1.0], "malware_features must be an array of numbers"),
+    ([1.0, "2"], "malware_features must be an array of numbers"),
+    ([None], "malware_features must be an array of numbers"),
+    ({"a": 1}, "malware_features must be an array of numbers"),
+    ("12", "malware_features must be an array of numbers"),
+    ([1.0, float("nan")], "malware_features must be finite"),
+    ([float("-inf")], "malware_features must be finite"),
+    ([10 ** 400], "malware_features must be finite"),
+    ([_Int(10 ** 400)], "malware_features must be finite"),
+])
+def test_feature_row_rule(row, reason):
+    if reason is None:
+        check_feature_row(row)
+    else:
+        with pytest.raises(RequestError, match=f"^{reason}$"):
+            check_feature_row(row)
 
 
 class TestRequestFuzz:

@@ -109,6 +109,17 @@ class TestKFold:
         with pytest.raises(SplitError):
             SplitSpec(kind=SplitKind.K_FOLD, folds=1)
 
+    def test_more_folds_than_items_is_refused_before_the_items_are_read(self):
+        # unlabelled items would fail stratification, so the count is checked first
+        records = [_rec(i, None) for i in range(4)]
+        with pytest.raises(SplitError, match="^5 folds requested but only 4 items available$"):
+            split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=5))
+
+    def test_a_fold_no_class_reaches_is_refused(self):
+        records = [_rec(i, Label.MALICIOUS if i < 3 else Label.BENIGN) for i in range(5)]
+        with pytest.raises(SplitError, match="^5 folds requested but only 5 items available$"):
+            split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=5))
+
 
 @pytest.mark.parametrize("kind", [SplitKind.TIME_ORDERED, SplitKind.STRATIFIED_RANDOM])
 @pytest.mark.parametrize("fractions", [(0.6, 0.2, float("nan")), (float("nan"), 0.2, 0.2),
