@@ -35,9 +35,10 @@ scores at those scales; ``metrics.report`` hashes the JSON of a three-class
 ``classification_report`` in which one class has no truth and no predictions.
 
 The chain runs in a fresh temporary directory, or in the directory given
-as the one positional argument. Code that stores a path given on the
-command line in its outputs gives equal digests on two checkouts only when
-both run the chain in the same directory.
+as the one positional argument, which must be empty or not exist yet: the
+chain updates an artifact it finds there instead of starting a new one. Code
+that stores a path given on the command line in its outputs gives equal
+digests on two checkouts only when both run the chain in the same directory.
 
 Only public API is used, so the script runs unchanged on any commit that
 has ``aisoc.pipeline``, ``aisoc.service``, ``aisoc.cli`` and
@@ -296,9 +297,12 @@ def main() -> int:
     parser.add_argument("chain_dir", nargs="?",
                         help="directory for the CLI chain (default: a fresh temp dir)")
     args = parser.parse_args()
+    chain_dir = Path(args.chain_dir) if args.chain_dir else None
+    if chain_dir and chain_dir.exists() and (not chain_dir.is_dir() or any(chain_dir.iterdir())):
+        parser.error(f"CHAIN_DIR {chain_dir} must be an empty directory or not exist yet")
     with tempfile.TemporaryDirectory() as tmp:
         digests = pipeline_digests(Path(tmp))
-        chain = Path(args.chain_dir) if args.chain_dir else Path(tmp) / "chain"
+        chain = chain_dir or Path(tmp) / "chain"
         digests.update(cli_digests(chain))
         digests.update(loaders_digests(chain))
         digests.update(logistic_digests(chain))

@@ -26,7 +26,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import CalibrationError
-from .learn.logistic import sigmoid
+from .learn.logistic import margin_log_loss, sigmoid
 from .metrics import roc_auc, tie_groups
 
 _NEWTON_MAX_ITER = 100
@@ -136,12 +136,12 @@ def fit_platt(scores, labels) -> Calibrator:
         step_a = (h_bb * grad_a - h_ab * grad_b) / det
         step_b = (h_aa * grad_b - h_ab * grad_a) / det
         # Damped update: halve until the cross-entropy does not increase.
-        loss = float(np.sum(np.logaddexp(0.0, z) - t * z))
+        loss = float(np.sum(margin_log_loss(z, t)))
         scale = 1.0
         for _ in range(40):
             a_new, b_new = a - scale * step_a, b - scale * step_b
             z_new = a_new * s + b_new
-            if float(np.sum(np.logaddexp(0.0, z_new) - t * z_new)) <= loss + 1e-12:
+            if float(np.sum(margin_log_loss(z_new, t))) <= loss + 1e-12:
                 break
             scale *= 0.5
         a, b = a - scale * step_a, b - scale * step_b

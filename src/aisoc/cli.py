@@ -2,9 +2,10 @@
 
 Every subcommand reads an optional flat JSON config file (``--config``)
 whose keys mirror the long flag names; explicit flags override the file,
-which overrides built-in defaults. ``generate`` and ``split`` run the data
-stages ``run_experiment`` runs (``generate_logs``, ``generate_malware_rows``,
-``split_malware``, ``build_manifest``). Artifacts are built up stage by stage,
+which overrides the defaults (a mirrored ``ExperimentConfig`` field's own).
+``generate`` and ``split`` run the data stages ``run_experiment`` runs
+(``generate_logs``, ``generate_malware_rows``, ``split_malware``,
+``build_manifest``). Artifacts are built up stage by stage,
 each subcommand running one stage function of ``pipeline`` (the same ones
 ``run_experiment`` runs) and saving the new artifact it returns:
 ``train-log`` and ``train-malware`` write PARTIAL artifacts, ``calibrate``
@@ -19,7 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 from .corpus import (
@@ -59,117 +60,29 @@ from .service import (
     serve,
 )
 
-_OPS_ALL = "KEYWORD_OBFUSCATION,CHAR_NOISE,SYNONYM_REPLACEMENT"
-_SEED = ("--seed", 7, {"type": int, "help": "random seed"})
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
 # Options whose config-file value may also be a JSON list (of numbers or op names).
 _LIST_OPTIONS = {"ops", "fractions", "val_supports", "test_supports"}
-
-# Each subcommand's help text and options. One option is (flag, default,
-# argparse keywords); its config-file key is the flag without the leading
-# dashes, and ``--in`` is stored as ``in_path``.
-_COMMANDS: dict[str, tuple[str, list[tuple]]] = {
-    "generate": ("generate synthetic logs and malware features", [
-        ("--out-logs", None, {"help": "output NDJSON path for log records"}),
-        ("--out-malware", None, {"help": "output CSV path for malware samples"}),
-        ("--benign-hosts", 3, {"type": int}),
-        ("--attack-sessions", 12, {"type": int}),
-        ("--duration-s", 1800.0, {"type": float}),
-        ("--benign-rate", 0.25, {"type": float}),
-        ("--malware-benign", 300, {"type": int}),
-        ("--malware-malicious", 300, {"type": int}),
-        ("--malware-features", 8, {"type": int}),
-        ("--malware-separation", 3.0, {"type": float}),
-        ("--malware-hard-fraction", 0.0, {"type": float}),
-    ]),
-    "augment": ("emit adversarial variants of a log file", [
-        ("--in", None, {"help": "input NDJSON log file"}),
-        ("--out", None, {"help": "output NDJSON path"}),
-        ("--ops", _OPS_ALL, {"help": "comma-separated operator names"}),
-        ("--rate", 0.5, {"type": float}),
-        ("--replace", False, {"action": argparse.BooleanOptionalAction,
-                              "help": "replace mutated records instead of appending variants"}),
-    ]),
-    "split": ("split logs/malware and build evaluation manifests", [
-        ("--logs", None, {"help": "input NDJSON log file"}),
-        ("--malware", None, {"help": "input malware CSV"}),
-        ("--out-dir", None, {"help": "directory for split files"}),
-        ("--kind", "TIME_ORDERED", {"choices": [k.value for k in SplitKind]}),
-        ("--fractions", "0.6,0.2,0.2", {"help": "train,validation,test e.g. 0.6,0.2,0.2"}),
-        ("--folds", 5, {"type": int}),
-        ("--val-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
-        ("--test-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {"help": "id column name; empty string if absent"}),
-    ]),
-    "train-log": ("fit vocabulary + logistic model on training logs", [
-        ("--train", None, {"help": "training NDJSON log file"}),
-        ("--artifact", None, {"help": "artifact path to create or update"}),
-        ("--min-df", 2, {"type": int}),
-        ("--max-features", 20000, {"type": int}),
-        ("--l2", 1e-3, {"type": float}),
-        ("--epochs", 300, {"type": int}),
-        ("--class-weight", "none", {"choices": ["none", "balanced"]}),
-    ]),
-    "train-malware": ("fit standardizer + random forest on training rows", [
-        ("--train", None, {"help": "training malware CSV"}),
-        ("--artifact", None, {"help": "artifact path to create or update"}),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {}),
-        ("--trees", 100, {"type": int}),
-        ("--max-depth", 12, {"type": int}),
-        ("--min-leaf", 2, {"type": int}),
-    ]),
-    "calibrate": ("fit per-model calibrators on the validation split", [
-        ("--artifact", None, {}),
-        ("--val-logs", None, {"help": "validation NDJSON log file"}),
-        ("--val-malware", None, {"help": "validation malware CSV"}),
-        ("--method", "auto", {"choices": ["auto", "platt", "isotonic", "identity"]}),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {}),
-    ]),
-    "tune": ("grid-search fusion thresholds on a validation manifest", [
-        ("--artifact", None, {}),
-        ("--manifest", None, {"help": "validation manifest NDJSON"}),
-        ("--grid-step", 0.01, {"type": float}),
-        ("--version", "1", {"help": "version tag recorded in the fusion config"}),
-        ("--export-thresholds", None, {"help": "also write thresholds to this JSON file"}),
-    ]),
-    "evaluate": ("run a baseline setting on a test manifest", [
-        ("--artifact", None, {}),
-        ("--manifest", None, {}),
-        ("--setting", "all", {"choices": ["logs", "malware", "fused", "all"]}),
-        ("--json-out", None, {"help": "write the report JSON here (default: stdout)"}),
-    ]),
-    "probe": ("robustness probe: score a manifest before/after mutation", [
-        ("--artifact", None, {}),
-        ("--manifest", None, {}),
-        ("--ops", "KEYWORD_OBFUSCATION,CHAR_NOISE", {}),
-        ("--rate", 0.5, {"type": float}),
-        ("--json-out", None, {}),
-    ]),
-    "save": ("verify and re-write an artifact canonically", [
-        ("--artifact", None, {}),
-        ("--out", None, {}),
-        ("--created-at", None, {"type": int, "help": "epoch ms stamp (defaults to original)"}),
-    ]),
-    "serve": ("serve scoring over HTTP", [
-        ("--artifact", None, {}),
-        ("--bind", "127.0.0.1:8080", {"help": "host:port"}),
-    ]),
-    "score-batch": ("score an NDJSON request file offline", [
-        ("--artifact", None, {}),
-        ("--in", None, {"help": "input request NDJSON"}),
-        ("--out", None, {"help": "output result NDJSON (default: stdout)"}),
-    ]),
-}
 
 
 def _dest(flag: str) -> str:
     return "in_path" if flag == "--in" else flag[2:].replace("-", "_")
 
 
+def _knob(flag: str, field: str = "", **kwargs) -> tuple:
+    """An option that mirrors the ExperimentConfig ``field`` (named like the flag if not
+    given), with its default and type; a tuple default becomes its comma-joined text."""
+    field = field or _dest(flag)
+    default = _FIELD_DEFAULTS[field]
+    if isinstance(default, tuple):
+        default = ",".join(map(str, default))
+    elif not isinstance(default, str):
+        kwargs["type"] = type(default)
+    return flag, default, kwargs, field
+
+
 def _options(command: str) -> list[tuple]:
-    return [_SEED, *_COMMANDS[command][1]]
+    return [_knob("--seed", help="random seed"), *_COMMANDS[command][2]]
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -177,10 +90,10 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="aisoc",
         description="Desk-scale AI-SOC toolkit: calibrated detectors fused into triage levels.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, _) in _COMMANDS.items():
+    for command, (_, help_text, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--config", help="flat JSON config file; flags override it")
-        for flag, _default, kwargs in _options(command):
+        for flag, _default, kwargs, *_ in _options(command):
             p.add_argument(flag, dest=_dest(flag), **kwargs)
     return parser
 
@@ -199,8 +112,8 @@ def _config_value(dest: str, value, kwargs: dict):
 
 
 def _merge_options(args: argparse.Namespace) -> dict:
-    defaults = {_dest(flag): default for flag, default, _ in _options(args.command)}
-    kwargs_of = {_dest(flag): kwargs for flag, _, kwargs in _options(args.command)}
+    defaults = {_dest(flag): default for flag, default, *_ in _options(args.command)}
+    kwargs_of = {_dest(flag): kwargs for flag, _, kwargs, *_ in _options(args.command)}
     if args.config:
         try:
             file_cfg = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -269,18 +182,20 @@ def _load_malware(opts: dict, path: str):
                             id_column=opts["id_column"] or None)
 
 
-def _load_or_new_artifact(path: str) -> ModelArtifact:
-    if Path(path).exists():
-        return load_artifact(path)
-    return ModelArtifact(created_at=EPOCH_MS)
+def _save_detector(opts: dict, kind: str, data: str, **fitted) -> tuple[ModelArtifact, str]:
+    """``--artifact`` (new if absent) with ``fitted`` and the ``kind`` data and seed
+    fingerprints, saved back; returns it and its checksum."""
+    path = opts["artifact"]
+    old = load_artifact(path) if Path(path).exists() else ModelArtifact(created_at=EPOCH_MS)
+    artifact = replace(old, **fitted, fingerprints={
+        **old.fingerprints, f"{kind}_data": data, f"{kind}_seed": str(opts["seed"])})
+    return artifact, save_artifact(artifact, path)
 
 
 def _cmd_generate(opts: dict) -> int:
     _require(opts, "out_logs", "out_malware")
-    # every other generate option is the ExperimentConfig field of the same name
-    config = ExperimentConfig(benign_rate_per_host=opts["benign_rate"], **{
-        key: value for key, value in opts.items()
-        if key not in ("out_logs", "out_malware", "benign_rate")})
+    knobs = [option for option in _options("generate") if len(option) == 4]
+    config = ExperimentConfig(**{field: opts[_dest(flag)] for flag, _, _, field in knobs})
     logs, samples = generate_logs(config), generate_malware_rows(config)
     write_log_ndjson(logs, opts["out_logs"])
     write_malware_csv(samples, opts["out_malware"])
@@ -314,37 +229,43 @@ def _auto_supports(logs_split, malware_split) -> tuple[int, int, int]:
 
 
 def _cmd_split(opts: dict) -> int:
+    """Checks every input and builds every file before it creates ``--out-dir``."""
     _require(opts, "logs", "out_dir")
-    out_dir = Path(opts["out_dir"])
-    out_dir.mkdir(parents=True, exist_ok=True)
-    loaded = _loaded(load_log_ndjson(opts["logs"]), "log line(s)")
     kind = SplitKind(opts["kind"])
-    spec = SplitSpec(kind=kind, fractions=_triplet(opts["fractions"]),
-                     folds=opts["folds"] if kind is SplitKind.K_FOLD else 0,
-                     seed=opts["seed"])
+    given = ", ".join(f"--{name.replace('_', '-')}" for name in
+                      ("malware", "val_supports", "test_supports") if opts[name])
+    if given and kind is SplitKind.K_FOLD:
+        raise ConfigError(f"--kind K_FOLD writes only log folds; it does not use {given}")
+    if given and not opts["malware"]:
+        raise ConfigError(f"{given}: manifests need --malware")
+    out_dir, fractions = Path(opts["out_dir"]), _triplet(opts["fractions"])
+    loaded = _loaded(load_log_ndjson(opts["logs"]), "log line(s)")
+    spec = SplitSpec(kind=kind, fractions=fractions,
+                     folds=opts["folds"] if kind is SplitKind.K_FOLD else 0, seed=opts["seed"])
     log_split = split(loaded.records, spec)
     if kind is SplitKind.K_FOLD:
-        for i, fold in enumerate(log_split.folds):
-            write_log_ndjson(fold, out_dir / f"logs_fold{i}.ndjson")
-        print(f"wrote {len(log_split.folds)} log folds to {out_dir}")
-        return 0
-    for name in ("train", "validation", "test"):
-        write_log_ndjson(getattr(log_split, name), out_dir / f"logs_{name}.ndjson")
-    print(f"wrote log splits {[len(log_split.train), len(log_split.validation), len(log_split.test)]} to {out_dir}")
-    if not opts["malware"]:
-        return 0
-    mal = _loaded(_load_malware(opts, opts["malware"]), "malware row(s)")
-    mal_split = split_malware(mal.samples, _triplet(opts["fractions"]), opts["seed"])
-    for name in ("train", "validation", "test"):
-        write_malware_csv(getattr(mal_split, name), out_dir / f"malware_{name}.csv")
-    for name, flag in (("validation", "val_supports"), ("test", "test_supports")):
-        logs_part = getattr(log_split, name)
-        mal_part = getattr(mal_split, name)
-        supports = (_triplet(opts[flag], int) if opts[flag]
-                    else _auto_supports(logs_part, mal_part))
-        items = build_manifest(logs_part, mal_part, supports=supports)
-        write_manifest(items, out_dir / f"manifest_{name}.ndjson")
-        print(f"wrote manifest_{name}.ndjson with supports {supports}")
+        logs = {f"fold{i}": fold for i, fold in enumerate(log_split.folds)}
+        lines = [f"wrote {len(logs)} log folds to {out_dir}"]
+    else:
+        logs = {name: getattr(log_split, name) for name in ("train", "validation", "test")}
+        lines = [f"wrote log splits {[len(part) for part in logs.values()]} to {out_dir}"]
+    files = [(write_log_ndjson, part, f"logs_{name}.ndjson") for name, part in logs.items()]
+    if opts["malware"]:
+        mal = _loaded(_load_malware(opts, opts["malware"]), "malware row(s)")
+        mal_split = split_malware(mal.samples, fractions, opts["seed"])
+        malware = {name: getattr(mal_split, name) for name in logs}
+        files += [(write_malware_csv, part, f"malware_{name}.csv")
+                  for name, part in malware.items()]
+        for name, flag in (("validation", "val_supports"), ("test", "test_supports")):
+            supports = (_triplet(opts[flag], int) if opts[flag]
+                        else _auto_supports(logs[name], malware[name]))
+            items = build_manifest(logs[name], malware[name], supports=supports)
+            files.append((write_manifest, items, f"manifest_{name}.ndjson"))
+            lines.append(f"wrote manifest_{name}.ndjson with supports {supports}")
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for write, rows, file_name in files:
+        write(rows, out_dir / file_name)
+    print("\n".join(lines))
     return 0
 
 
@@ -356,13 +277,10 @@ def _cmd_train_log(opts: dict) -> int:
                                       max_features=opts["max_features"], l2=opts["l2"],
                                       epochs=opts["epochs"], seed=opts["seed"],
                                       class_weight=class_weight)
-    artifact = _load_or_new_artifact(opts["artifact"])
-    fingerprints = {**artifact.fingerprints, "logs_data": corpus_fingerprint(loaded.records),
-                    "logs_seed": str(opts["seed"])}
     # the log calibrator and the thresholds were fitted on the old model's scores
-    artifact = replace(artifact, vocabulary=vocab, logistic=model, calibrator_logs=None,
-                       fusion=None, fingerprints=fingerprints)
-    checksum = save_artifact(artifact, opts["artifact"])
+    artifact, checksum = _save_detector(opts, "logs", corpus_fingerprint(loaded.records),
+                                        vocabulary=vocab, logistic=model,
+                                        calibrator_logs=None, fusion=None)
     print(f"trained log model on {len(loaded.records)} records (vocab {vocab.size}); "
           f"artifact {artifact.status} {checksum[:19]}")
     return 0
@@ -374,13 +292,10 @@ def _cmd_train_malware(opts: dict) -> int:
     standardizer, forest = train_malware_detector(
         loaded.samples, n_trees=opts["trees"], max_depth=opts["max_depth"],
         min_samples_leaf=opts["min_leaf"], seed=opts["seed"])
-    artifact = _load_or_new_artifact(opts["artifact"])
-    fingerprints = {**artifact.fingerprints, "malware_data": malware_fingerprint(loaded.samples),
-                    "malware_seed": str(opts["seed"])}
     # the malware calibrator and the thresholds were fitted on the old model's scores
-    artifact = replace(artifact, standardizer=standardizer, forest=forest,
-                       calibrator_malware=None, fusion=None, fingerprints=fingerprints)
-    checksum = save_artifact(artifact, opts["artifact"])
+    artifact, checksum = _save_detector(opts, "malware", malware_fingerprint(loaded.samples),
+                                        standardizer=standardizer, forest=forest,
+                                        calibrator_malware=None, fusion=None)
     print(f"trained malware model on {len(loaded.samples)} samples; "
           f"artifact {artifact.status} {checksum[:19]}")
     return 0
@@ -479,19 +394,106 @@ def _cmd_score_batch(opts: dict) -> int:
     return 0
 
 
-_HANDLERS = {
-    "generate": _cmd_generate,
-    "augment": _cmd_augment,
-    "split": _cmd_split,
-    "train-log": _cmd_train_log,
-    "train-malware": _cmd_train_malware,
-    "calibrate": _cmd_calibrate,
-    "tune": _cmd_tune,
-    "evaluate": _cmd_evaluate,
-    "probe": _cmd_probe,
-    "save": _cmd_save,
-    "serve": _cmd_serve,
-    "score-batch": _cmd_score_batch,
+# Each subcommand's handler, help text and options. One option is (flag,
+# default, argparse keywords), or a ``_knob`` that also names the
+# ExperimentConfig field it mirrors; its config-file key is the flag without
+# the leading dashes, and ``--in`` is stored as ``in_path``.
+_COMMANDS: dict[str, tuple] = {
+    "generate": (_cmd_generate, "generate synthetic logs and malware features", [
+        ("--out-logs", None, {"help": "output NDJSON path for log records"}),
+        ("--out-malware", None, {"help": "output CSV path for malware samples"}),
+        _knob("--benign-hosts"),
+        _knob("--attack-sessions"),
+        _knob("--duration-s"),
+        _knob("--benign-rate", "benign_rate_per_host"),
+        _knob("--malware-benign"),
+        _knob("--malware-malicious"),
+        _knob("--malware-features"),
+        _knob("--malware-separation"),
+        _knob("--malware-hard-fraction"),
+    ]),
+    "augment": (_cmd_augment, "emit adversarial variants of a log file", [
+        ("--in", None, {"help": "input NDJSON log file"}),
+        ("--out", None, {"help": "output NDJSON path"}),
+        _knob("--ops", "augment_ops", help="comma-separated operator names"),
+        _knob("--rate", "augment_rate"),
+        ("--replace", False, {"action": argparse.BooleanOptionalAction,
+                              "help": "replace mutated records instead of appending variants"}),
+    ]),
+    "split": (_cmd_split, "split logs/malware and build evaluation manifests", [
+        ("--logs", None, {"help": "input NDJSON log file"}),
+        ("--malware", None, {"help": "input malware CSV"}),
+        ("--out-dir", None, {"help": "directory for split files"}),
+        ("--kind", "TIME_ORDERED", {"choices": [k.value for k in SplitKind]}),
+        _knob("--fractions", "log_fractions", help="train,validation,test e.g. 0.6,0.2,0.2"),
+        ("--folds", 5, {"type": int}),
+        ("--val-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
+        ("--test-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {"help": "id column name; empty string if absent"}),
+    ]),
+    "train-log": (_cmd_train_log, "fit vocabulary + logistic model on training logs", [
+        ("--train", None, {"help": "training NDJSON log file"}),
+        ("--artifact", None, {"help": "artifact path to create or update"}),
+        _knob("--min-df"),
+        _knob("--max-features"),
+        _knob("--l2", "logistic_l2"),
+        _knob("--epochs", "logistic_epochs"),
+        ("--class-weight", "none", {"choices": ["none", "balanced"]}),
+    ]),
+    "train-malware": (_cmd_train_malware, "fit standardizer + random forest on training rows", [
+        ("--train", None, {"help": "training malware CSV"}),
+        ("--artifact", None, {"help": "artifact path to create or update"}),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {}),
+        # released CLI defaults; run_experiment uses forest_trees=30 and forest_depth=10
+        ("--trees", 100, {"type": int}),
+        ("--max-depth", 12, {"type": int}),
+        _knob("--min-leaf", "forest_min_leaf"),
+    ]),
+    "calibrate": (_cmd_calibrate, "fit per-model calibrators on the validation split", [
+        ("--artifact", None, {}),
+        ("--val-logs", None, {"help": "validation NDJSON log file"}),
+        ("--val-malware", None, {"help": "validation malware CSV"}),
+        _knob("--method", "calibration", choices=["auto", "platt", "isotonic", "identity"]),
+        ("--label-column", "label", {}),
+        ("--id-column", "sample_id", {}),
+    ]),
+    "tune": (_cmd_tune, "grid-search fusion thresholds on a validation manifest", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {"help": "validation manifest NDJSON"}),
+        _knob("--grid-step"),
+        _knob("--version", "artifact_version_tag",
+              help="version tag recorded in the fusion config"),
+        ("--export-thresholds", None, {"help": "also write thresholds to this JSON file"}),
+    ]),
+    "evaluate": (_cmd_evaluate, "run a baseline setting on a test manifest", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {}),
+        ("--setting", "all", {"choices": ["logs", "malware", "fused", "all"]}),
+        ("--json-out", None, {"help": "write the report JSON here (default: stdout)"}),
+    ]),
+    "probe": (_cmd_probe, "robustness probe: score a manifest before/after mutation", [
+        ("--artifact", None, {}),
+        ("--manifest", None, {}),
+        ("--ops", "KEYWORD_OBFUSCATION,CHAR_NOISE", {}),
+        ("--rate", 0.5, {"type": float}),
+        ("--json-out", None, {}),
+    ]),
+    "save": (_cmd_save, "verify and re-write an artifact canonically", [
+        ("--artifact", None, {}),
+        ("--out", None, {}),
+        ("--created-at", None, {"type": int, "help": "epoch ms stamp (defaults to original)"}),
+    ]),
+    "serve": (_cmd_serve, "serve scoring over HTTP", [
+        ("--artifact", None, {}),
+        ("--bind", "127.0.0.1:8080", {"help": "host:port"}),
+    ]),
+    "score-batch": (_cmd_score_batch, "score an NDJSON request file offline", [
+        ("--artifact", None, {}),
+        ("--in", None, {"help": "input request NDJSON"}),
+        ("--out", None, {"help": "output result NDJSON (default: stdout)"}),
+    ]),
 }
 
 
@@ -500,11 +502,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         opts = _merge_options(args)
-        return _HANDLERS[args.command](opts)
-    except AisocError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        return _COMMANDS[args.command][0](opts)
+    except (AisocError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -112,6 +112,11 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
     return items
 
 
+def binary_labels(labels: Iterable[Label | None]) -> list[int]:
+    """0/1 targets for the detectors: 1 for MALICIOUS, 0 otherwise."""
+    return [1 if label is Label.MALICIOUS else 0 for label in labels]
+
+
 def score_items(scorer: Scorer, items: Sequence[ManifestItem]) -> list[CalibratedScorePair]:
     """Calibrated score pairs of ``items``, each modality scored as one block."""
     s_m = scorer.score_malware(feature_matrix([item.malware for item in items],
@@ -141,7 +146,7 @@ def _baseline_reports(scorer: Scorer, items: Sequence[ManifestItem],
         predictions = [Label.MALICIOUS if s >= threshold else Label.BENIGN for s in scores]
         report = classification_report(predictions, truth, BINARY_CLASSES, setting=setting,
                                        split=split, fingerprints=fingerprints)
-        positive = [1 if t is Label.MALICIOUS else 0 for t in truth]
+        positive = binary_labels(truth)
         report.roc_auc, report.pr_auc = roc_auc(scores, positive), pr_auc(scores, positive)
         return report
 

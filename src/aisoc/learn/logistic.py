@@ -76,11 +76,15 @@ def design_matrix(X: Sequence[SparseVector]) -> DesignMatrix:
                         data=np.concatenate([x.values for x in X]), shape=(len(X), dim))
 
 
+def margin_log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Per-sample log-loss ``log(1 + e^z) - y*z`` at margins ``z``, computed stably."""
+    return np.logaddexp(0.0, z) - y * z
+
+
 def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float,
           sample_weight: np.ndarray | None) -> float:
     """(Weighted) mean log-loss at margins ``z`` plus the L2 penalty on ``w``."""
-    # log(1 + e^z) - y*z per sample, computed stably.
-    per_sample = np.logaddexp(0.0, z) - y * z
+    per_sample = margin_log_loss(z, y)
     if sample_weight is None:
         mean = float(np.sum(per_sample)) / float(len(z))
     else:

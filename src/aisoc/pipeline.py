@@ -36,7 +36,14 @@ from .corpus import (
     split,
 )
 from .errors import ConfigError, TrainingError
-from .evaluate import ManifestItem, build_manifest, fingerprint, run_baselines, score_items
+from .evaluate import (
+    ManifestItem,
+    binary_labels,
+    build_manifest,
+    fingerprint,
+    run_baselines,
+    score_items,
+)
 from .features import (
     feature_matrix,
     fit_standardizer,
@@ -129,10 +136,6 @@ def malware_fingerprint(samples: list[MalwareSample]) -> str:
                        for s in samples)
 
 
-def _binary_labels(items) -> list[int]:
-    return [1 if x.label is Label.MALICIOUS else 0 for x in items]
-
-
 # -- stages: each prepares data or fits one component; the CLI runs one per subcommand --
 
 def generate_logs(config: ExperimentConfig) -> list[LogRecord]:
@@ -168,8 +171,8 @@ def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_featu
     """
     vocab = fit_vocabulary(train_records, min_df=min_df, max_features=max_features)
     X = transform_text([r.message for r in train_records], vocab)
-    model = train_logistic(X, _binary_labels(train_records), l2=l2, epochs=epochs, seed=seed,
-                           class_weight=class_weight)
+    model = train_logistic(X, binary_labels(r.label for r in train_records), l2=l2,
+                           epochs=epochs, seed=seed, class_weight=class_weight)
     meta = model.training_meta
     if not meta["converged"] and meta["iterations"] == epochs:
         warnings.warn(f"logistic model did not converge in {epochs} epochs "
@@ -183,7 +186,7 @@ def train_malware_detector(train_samples: list[MalwareSample], *, n_trees: int,
     """Fit standardizer + random forest on training malware rows."""
     standardizer = fit_standardizer(train_samples)
     X = transform_dense(feature_matrix(train_samples, standardizer), standardizer)
-    forest = train_forest(X, _binary_labels(train_samples), n_trees=n_trees,
+    forest = train_forest(X, binary_labels(s.label for s in train_samples), n_trees=n_trees,
                           max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed)
     return standardizer, forest
 
@@ -199,9 +202,11 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
             raise ConfigError(f"artifact is missing {component}; train both models first")
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
     raw_log = artifact.raw_log_score([r.message for r in val_logs])
-    calibrator_logs = calibrate.fit_calibrator(raw_log, _binary_labels(val_logs), chosen)
+    calibrator_logs = calibrate.fit_calibrator(
+        raw_log, binary_labels(r.label for r in val_logs), chosen)
     raw_mw = artifact.raw_malware_score(feature_matrix(val_samples, artifact.standardizer))
-    calibrator_malware = calibrate.fit_calibrator(raw_mw, _binary_labels(val_samples), chosen)
+    calibrator_malware = calibrate.fit_calibrator(
+        raw_mw, binary_labels(s.label for s in val_samples), chosen)
     return replace(artifact, calibrator_logs=calibrator_logs,
                    calibrator_malware=calibrator_malware, fusion=None)
 

@@ -365,6 +365,51 @@ class TestConfigAndErrors:
         assert err.startswith("error: manifest supports") and "limit" in err
         assert not (out / "manifest_validation.ndjson").exists()
 
+    @pytest.mark.parametrize("flags", [
+        ["--kind", "K_FOLD", "--folds", "3", "--malware", "{malware}"],
+        ["--kind", "K_FOLD", "--folds", "3", "--val-supports", "1,1,1"],
+        ["--kind", "K_FOLD", "--folds", "3", "--test-supports", "1,1,1"],
+        ["--val-supports", "1,1,1"],
+        ["--test-supports", "1,1,1"],
+    ], ids=["k-fold-malware", "k-fold-val-supports", "k-fold-test-supports",
+            "val-supports-without-malware", "test-supports-without-malware"])
+    def test_split_refuses_flags_it_would_not_use(self, workspace, tmp_path, capsys, flags):
+        out = tmp_path / "splits"
+        flags = [flag.format(malware=workspace / "malware.csv") for flag in flags]
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"), "--out-dir", str(out),
+                     *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and flags[-2] in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--val-supports", "1,1,x"],
+        ["--test-supports", "1,1,x"],
+        ["--test-supports", f"1,1,{MAX_GENERATED_ITEMS}"],
+        ["--id-column", "no_such_column"],
+    ], ids=["bad-val-supports", "bad-test-supports", "test-supports-over-limit",
+            "bad-malware-file"])
+    def test_split_writes_nothing_when_an_input_is_refused(self, workspace, tmp_path, capsys,
+                                                           flags):
+        out = tmp_path / "splits"
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"),
+                     "--malware", str(workspace / "malware.csv"), "--out-dir", str(out),
+                     *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and captured.out == ""
+        assert not out.exists()
+
+    def test_split_writes_k_folds_of_all_records(self, workspace, tmp_path, capsys):
+        out = tmp_path / "folds"
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"), "--out-dir", str(out),
+                     "--kind", "K_FOLD", "--folds", "3"]) == 0
+        assert capsys.readouterr().out == f"wrote 3 log folds to {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == [f"logs_fold{i}.ndjson" for i in range(3)]
+        records = load_log_ndjson(workspace / "logs.ndjson").records
+        assert sorted(r.message for i in range(3)
+                      for r in load_log_ndjson(out / f"logs_fold{i}.ndjson").records) \
+            == sorted(r.message for r in records)
+
     def test_split_scales_automatic_supports_down_to_the_limit(self, workspace, tmp_path,
                                                                  capsys, monkeypatch):
         for module in ("aisoc.cli", "aisoc.evaluate"):

@@ -51,3 +51,14 @@ def test_output_digests_prints_the_same_named_digests_twice(tmp_path):
     assert [line.split(" ")[0] for line in lines] == list(DIGESTS)
     assert all(re.fullmatch(r"\S+ [0-9a-f]{64}", line) for line in lines), outputs[0]
     assert outputs[1] == outputs[0]
+
+
+def test_output_digests_refuses_a_chain_dir_that_is_not_empty(tmp_path):
+    kept = tmp_path / "artifact.json"
+    kept.write_text("{}")
+    result = subprocess.run([sys.executable, str(SCRIPTS / "output_digests.py"), str(tmp_path)],
+                            capture_output=True, text=True, timeout=300)
+    assert result.returncode == 2 and result.stdout == ""
+    assert "must be an empty directory" in result.stderr
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact.json"]
+    assert kept.read_text() == "{}"
