@@ -33,6 +33,9 @@ and 1e300, some zeros negated, one all-tied set and n = 2 sets);
 ``metrics.isotonic`` hashes the knot bytes of ``fit_isotonic`` on tied
 scores at those scales; ``metrics.report`` hashes the JSON of a three-class
 ``classification_report`` in which one class has no truth and no predictions.
+Last, ``augment.ops`` hashes ``augment`` of the benchmark-sized corpus for
+every non-empty operator subset and seeds 0-4 at rate 0.7: each output
+record's timestamp, label, message and origin, in output order.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument, which must be empty or not exist yet: the
@@ -50,6 +53,7 @@ has ``aisoc.pipeline``, ``aisoc.service``, ``aisoc.cli`` and
 import argparse
 import contextlib
 import hashlib
+import itertools
 import json
 import sys
 import tempfile
@@ -63,9 +67,11 @@ if __package__ is None:  # allow running straight from a checkout
 
 from aisoc.cli import main as cli_main
 from aisoc.corpus import (
+    AugmentOp,
     Label,
     MalwareSample,
     ScenarioConfig,
+    augment,
     dedup_near_identical,
     generate_corpus,
     load_log_ndjson,
@@ -82,6 +88,8 @@ from aisoc.service import save_artifact
 
 SEED = "7"
 DEDUP_THRESHOLDS = (0.9, 0.7)
+AUGMENT_SEEDS = range(5)
+AUGMENT_RATE = 0.7
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -143,14 +151,18 @@ def cli_digests(chain: Path) -> dict[str, str]:
             "cli.score_batch": sha256_bytes(batch_out.read_bytes())}
 
 
-def dedup_digests() -> dict[str, str]:
-    """Digests of the records kept by dedup on the benchmark-sized corpus."""
+def benchmark_logs() -> list:
+    """The benchmark-sized seed-7 log corpus, before dedup."""
     config = ExperimentConfig(seed=int(SEED), benign_hosts=3, duration_s=3000.0,
                               attack_sessions=24)
-    logs = generate_corpus(ScenarioConfig(
+    return generate_corpus(ScenarioConfig(
         benign_hosts=config.benign_hosts, attack_sessions=config.attack_sessions,
         duration_s=config.duration_s, seed=derive_seed(config.seed, "generate-logs"),
         benign_rate_per_host=config.benign_rate_per_host))
+
+
+def dedup_digests(logs: list) -> dict[str, str]:
+    """Digests of the records kept by dedup on the benchmark-sized corpus."""
     digests = {}
     for threshold in DEDUP_THRESHOLDS:
         kept = [[r.timestamp, None if r.label is None else r.label.value, r.message]
@@ -276,6 +288,21 @@ def tied_score_sets() -> list[tuple[np.ndarray, np.ndarray]]:
     return sets
 
 
+def augment_digests(logs: list) -> dict[str, str]:
+    """Digest of ``augment`` of the benchmark-sized corpus: every non-empty operator
+    subset, seeds 0-4, at rate ``AUGMENT_RATE``."""
+    ops = list(AugmentOp)
+    runs = []
+    for size in range(1, len(ops) + 1):
+        for subset in itertools.combinations(ops, size):
+            for seed in AUGMENT_SEEDS:
+                out = augment(logs, subset, rate=AUGMENT_RATE, seed=seed)
+                runs.append([[op.value for op in subset], seed,
+                             [[r.timestamp, None if r.label is None else r.label.value,
+                               r.message, r.origin.value] for r in out]])
+    return {"augment.ops": sha256_bytes(json.dumps(runs, ensure_ascii=False).encode("utf-8"))}
+
+
 def metrics_digests() -> dict[str, str]:
     """Digests of rank AUCs, isotonic knots and a report with an empty class."""
     sets = tied_score_sets()
@@ -306,9 +333,11 @@ def main() -> int:
         digests.update(cli_digests(chain))
         digests.update(loaders_digests(chain))
         digests.update(logistic_digests(chain))
-    digests.update(dedup_digests())
+    logs = benchmark_logs()
+    digests.update(dedup_digests(logs))
     digests.update(forest_digests())
     digests.update(metrics_digests())
+    digests.update(augment_digests(logs))
     for name, digest in digests.items():
         print(f"{name} {digest}", flush=True)
     return 0

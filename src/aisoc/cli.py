@@ -30,6 +30,7 @@ from .corpus import (
     SplitKind,
     SplitSpec,
     augment,
+    k_fold,
     load_log_ndjson,
     load_malware_csv,
     split,
@@ -61,6 +62,7 @@ from .service import (
 )
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_K_FOLD = "K_FOLD"  # the --kind value that writes k_fold's log folds
 # Options whose config-file value may also be a JSON list (of numbers or op names).
 _LIST_OPTIONS = {"ops", "fractions", "val_supports", "test_supports"}
 
@@ -160,14 +162,17 @@ def _ops(value) -> list[AugmentOp]:
         raise ConfigError(f"unknown augmentation op in {value!r}") from exc
 
 
+def _json_text(obj: dict) -> str:
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 def _emit_json(obj: dict, path: str | None, what: str) -> None:
     """Write ``obj`` as indented JSON to ``path``, or print it when no path is given."""
-    text = json.dumps(obj, sort_keys=True, indent=2)
     if path:
-        Path(path).write_text(text + "\n", encoding="utf-8")
+        Path(path).write_text(_json_text(obj), encoding="utf-8")
         print(f"wrote {what} JSON to {path}")
     else:
-        print(text)
+        print(_json_text(obj), end="")
 
 
 def _loaded(result, what: str):
@@ -231,22 +236,25 @@ def _auto_supports(logs_split, malware_split) -> tuple[int, int, int]:
 def _cmd_split(opts: dict) -> int:
     """Checks every input and builds every file before it creates ``--out-dir``."""
     _require(opts, "logs", "out_dir")
-    kind = SplitKind(opts["kind"])
+    k_folds = opts["kind"] == _K_FOLD
     given = ", ".join(f"--{name.replace('_', '-')}" for name in
                       ("malware", "val_supports", "test_supports") if opts[name])
-    if given and kind is SplitKind.K_FOLD:
+    if given and k_folds:
         raise ConfigError(f"--kind K_FOLD writes only log folds; it does not use {given}")
     if given and not opts["malware"]:
         raise ConfigError(f"{given}: manifests need --malware")
+    if opts["folds"] is not None and not k_folds:
+        raise ConfigError(f"--folds is used only with --kind K_FOLD, not {opts['kind']}")
     out_dir, fractions = Path(opts["out_dir"]), _triplet(opts["fractions"])
     loaded = _loaded(load_log_ndjson(opts["logs"]), "log line(s)")
-    spec = SplitSpec(kind=kind, fractions=fractions,
-                     folds=opts["folds"] if kind is SplitKind.K_FOLD else 0, seed=opts["seed"])
-    log_split = split(loaded.records, spec)
-    if kind is SplitKind.K_FOLD:
-        logs = {f"fold{i}": fold for i, fold in enumerate(log_split.folds)}
+    if k_folds:
+        folds = k_fold(loaded.records, 5 if opts["folds"] is None else opts["folds"],
+                       opts["seed"])
+        logs = {f"fold{i}": fold for i, fold in enumerate(folds)}
         lines = [f"wrote {len(logs)} log folds to {out_dir}"]
     else:
+        log_split = split(loaded.records, SplitSpec(kind=SplitKind(opts["kind"]),
+                                                    fractions=fractions, seed=opts["seed"]))
         logs = {name: getattr(log_split, name) for name in ("train", "validation", "test")}
         lines = [f"wrote log splits {[len(part) for part in logs.values()]} to {out_dir}"]
     files = [(write_log_ndjson, part, f"logs_{name}.ndjson") for name, part in logs.items()]
@@ -321,11 +329,14 @@ def _cmd_tune(opts: dict) -> int:
     config, macro = tune_fusion(pairs, truth, grid_step=opts["grid_step"],
                                 tuned_on=Path(opts["manifest"]).name, version=opts["version"])
     artifact = replace(artifact, fusion=config)
+    export = opts["export_thresholds"]
+    if export:  # before the save, so a refused path leaves the artifact as it was
+        Path(export).write_text(_json_text(config.to_dict()), encoding="utf-8")
     checksum = save_artifact(artifact, opts["artifact"])
     print(f"selected thresholds t_m={config.t_m:.2f} t_l={config.t_l:.2f} "
           f"(validation macro-F1 {macro:.4f}); artifact {artifact.status} {checksum[:19]}")
-    if opts["export_thresholds"]:
-        _emit_json(config.to_dict(), opts["export_thresholds"], "thresholds")
+    if export:
+        print(f"wrote thresholds JSON to {export}")
     return 0
 
 
@@ -424,9 +435,9 @@ _COMMANDS: dict[str, tuple] = {
         ("--logs", None, {"help": "input NDJSON log file"}),
         ("--malware", None, {"help": "input malware CSV"}),
         ("--out-dir", None, {"help": "directory for split files"}),
-        ("--kind", "TIME_ORDERED", {"choices": [k.value for k in SplitKind]}),
-        _knob("--fractions", "log_fractions", help="train,validation,test e.g. 0.6,0.2,0.2"),
-        ("--folds", 5, {"type": int}),
+        ("--kind", "TIME_ORDERED", {"choices": [*(k.value for k in SplitKind), _K_FOLD]}),
+        _knob("--fractions", help="train,validation,test e.g. 0.6,0.2,0.2"),
+        ("--folds", None, {"type": int, "help": "number of folds with --kind K_FOLD (default 5)"}),
         ("--val-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
         ("--test-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
         ("--label-column", "label", {}),

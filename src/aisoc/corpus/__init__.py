@@ -12,7 +12,7 @@ from .loaders import (
     write_malware_csv,
 )
 from .records import Channel, Label, LogRecord, MalwareSample, Origin, parse_label
-from .splits import DatasetSplit, SplitKind, SplitSpec, split
+from .splits import DatasetSplit, SplitKind, SplitSpec, k_fold, split
 
 __all__ = [
     "AugmentOp",
@@ -34,6 +34,7 @@ __all__ = [
     "generate_corpus",
     "generate_malware",
     "jaccard",
+    "k_fold",
     "load_log_ndjson",
     "load_malware_csv",
     "message_tokens",

@@ -15,7 +15,9 @@ obfuscation -> synonyms -> noise. Variants keep the source record's label
 and are marked ``origin=AUGMENTED``; by default they are emitted alongside
 the originals (immediately after their source), with a replace mode that
 substitutes them instead. Both mutation tables live in versioned JSON data
-files next to this module so every possible rewrite is auditable.
+files next to this module so every possible rewrite is auditable, and both
+table operators run one rewrite: each whole-word, case-insensitive match of a
+table key (longest key first) becomes a random choice of that key's entries.
 """
 
 from __future__ import annotations
@@ -44,51 +46,37 @@ class AugmentOp(str, Enum):
     SYNONYM_REPLACEMENT = "SYNONYM_REPLACEMENT"
 
 
+# Each table-driven operator: its data file and the key of its table there.
+_TABLES = {
+    AugmentOp.KEYWORD_OBFUSCATION: ("obfuscation_map.json", "keywords"),
+    AugmentOp.SYNONYM_REPLACEMENT: ("synonym_map.json", "synonyms"),
+}
+
+
 @lru_cache(maxsize=None)
-def _load_table(name: str, key: str) -> dict[str, tuple[str, ...]]:
+def _table(op: AugmentOp) -> tuple[dict[str, tuple[str, ...]], re.Pattern]:
+    """The rewrite table of ``op`` and the pattern matching its keys as whole words."""
+    name, key = _TABLES[op]
     raw = json.loads((_DATA_DIR / name).read_text(encoding="utf-8"))
-    return {k: tuple(v) for k, v in raw[key].items()}
-
-
-def obfuscation_table() -> dict[str, tuple[str, ...]]:
-    return _load_table("obfuscation_map.json", "keywords")
-
-
-def synonym_table() -> dict[str, tuple[str, ...]]:
-    return _load_table("synonym_map.json", "synonyms")
-
-
-def _table_pattern(table: dict[str, tuple[str, ...]]) -> re.Pattern:
+    table = {k: tuple(v) for k, v in raw[key].items()}
     # Longest keyword first so e.g. "netcat" wins over "nc"/"cat".
     words = sorted(table, key=lambda w: (-len(w), w))
     alternatives = "|".join(re.escape(w) for w in words)
-    return re.compile(rf"(?<![a-z0-9])({alternatives})(?![a-z0-9])", re.IGNORECASE)
+    return table, re.compile(rf"(?<![a-z0-9])({alternatives})(?![a-z0-9])", re.IGNORECASE)
 
 
-@lru_cache(maxsize=None)
-def _obfuscation_pattern() -> re.Pattern:
-    return _table_pattern(obfuscation_table())
+def obfuscation_table() -> dict[str, tuple[str, ...]]:
+    return _table(AugmentOp.KEYWORD_OBFUSCATION)[0]
 
 
-@lru_cache(maxsize=None)
-def _synonym_pattern() -> re.Pattern:
-    return _table_pattern(synonym_table())
+def synonym_table() -> dict[str, tuple[str, ...]]:
+    return _table(AugmentOp.SYNONYM_REPLACEMENT)[0]
 
 
-def _rewrite(message: str, pattern: re.Pattern,
-             table: dict[str, tuple[str, ...]], rng: random.Random) -> str:
-    def _sub(match: re.Match) -> str:
-        return rng.choice(table[match.group(0).lower()])
-
-    return pattern.sub(_sub, message)
-
-
-def obfuscate_keywords(message: str, rng: random.Random) -> str:
-    return _rewrite(message, _obfuscation_pattern(), obfuscation_table(), rng)
-
-
-def replace_synonyms(message: str, rng: random.Random) -> str:
-    return _rewrite(message, _synonym_pattern(), synonym_table(), rng)
+def _rewrite(message: str, op: AugmentOp, rng: random.Random) -> str:
+    """``message`` with each match of ``op``'s table replaced by a random choice of its rewrites."""
+    table, pattern = _table(op)
+    return pattern.sub(lambda match: rng.choice(table[match.group(0).lower()]), message)
 
 
 def char_noise(message: str, rng: random.Random) -> str:
@@ -112,10 +100,9 @@ def char_noise(message: str, rng: random.Random) -> str:
 
 def mutate_message(message: str, ops: Iterable[AugmentOp], rng: random.Random) -> str:
     ops = set(ops)
-    if AugmentOp.KEYWORD_OBFUSCATION in ops:
-        message = obfuscate_keywords(message, rng)
-    if AugmentOp.SYNONYM_REPLACEMENT in ops:
-        message = replace_synonyms(message, rng)
+    for op in _TABLES:  # obfuscation, then synonyms
+        if op in ops:
+            message = _rewrite(message, op, rng)
     if AugmentOp.CHAR_NOISE in ops:
         message = char_noise(message, rng)
     return message

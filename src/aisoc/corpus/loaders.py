@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
@@ -150,8 +149,6 @@ def load_malware_csv(path: str | Path, label_column: str = "label",
                 f"{path}: line {lineno}: expected {len(header)} columns, got {len(row)}")
         try:
             features = tuple(float(row[i]) for i in feature_idx)
-            if any(not math.isfinite(v) for v in features):
-                raise ValueError("non-finite feature value")
             label = parse_label(row[label_idx])
             sample_id = row[id_idx] if id_idx is not None else f"row{lineno}"
             result.samples.append(

@@ -1,10 +1,13 @@
-"""Dataset partitioning: time-ordered, stratified random, and stratified k-fold.
+"""Dataset partitioning: train/validation/test splits and stratified k-fold.
 
-Time-ordered splits cut the time-sorted record list at count quantiles and
-then nudge each cut forward past timestamp ties so the boundary ordering
-``max(train ts) < min(validation ts) < min(test ts)`` holds strictly on the
-output. Stratified splits shuffle within each class with the spec seed, so
-identical (data, spec) inputs always reproduce the same partitions.
+``split`` cuts items into train, validation and test, time-ordered or
+stratified random. Time-ordered splits cut the time-sorted record list at
+count quantiles and then nudge each cut forward past timestamp ties so the
+boundary ordering ``max(train ts) < min(validation ts) < min(test ts)``
+holds strictly on the output. ``k_fold`` deals each class's items
+round-robin into folds. The stratified split and ``k_fold`` shuffle each
+class with one ``random.Random(seed)``, classes in label order, so identical
+(data, seed) inputs always reproduce the same partitions.
 """
 
 from __future__ import annotations
@@ -21,21 +24,15 @@ from ..errors import SplitError
 class SplitKind(str, Enum):
     TIME_ORDERED = "TIME_ORDERED"
     STRATIFIED_RANDOM = "STRATIFIED_RANDOM"
-    K_FOLD = "K_FOLD"
 
 
 @dataclass(frozen=True)
 class SplitSpec:
     kind: SplitKind
     fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
-    folds: int = 0
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.kind is SplitKind.K_FOLD:
-            if self.folds < 2:
-                raise SplitError(f"K_FOLD requires folds >= 2, got {self.folds}")
-            return
         if not all(math.isfinite(f) for f in self.fractions):
             raise SplitError(f"fractions must be finite numbers, got {self.fractions}")
         if any(f < 0 for f in self.fractions):
@@ -49,25 +46,24 @@ class DatasetSplit:
     train: list = field(default_factory=list)
     validation: list = field(default_factory=list)
     test: list = field(default_factory=list)
-    folds: list[list] | None = None
-
-    def fold_split(self, i: int) -> tuple[list, list]:
-        """Return (train, heldout) for fold ``i`` of a K_FOLD split."""
-        if self.folds is None:
-            raise SplitError("fold_split is only available for K_FOLD splits")
-        heldout = self.folds[i]
-        train = [x for j, fold in enumerate(self.folds) if j != i for x in fold]
-        return train, heldout
 
 
-def _label_of(item: Any):
-    label = getattr(item, "label", None)
-    if label is None:
-        raise SplitError("stratified splits require labeled items")
-    return label
+def _shuffled_classes(items: Sequence[Any], seed: int) -> list[list[int]]:
+    """Each class's item indices, classes in label order, shuffled by one shared RNG."""
+    by_class: dict = {}
+    for i, item in enumerate(items):
+        label = getattr(item, "label", None)
+        if label is None:
+            raise SplitError("stratified splits require labeled items")
+        by_class.setdefault(label, []).append(i)
+    rng = random.Random(seed)
+    classes = [by_class[k] for k in sorted(by_class, key=lambda c: getattr(c, "value", str(c)))]
+    for indices in classes:
+        rng.shuffle(indices)
+    return classes
 
 
-def _time_ordered(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
+def _time_ordered(items: Sequence[Any], spec: SplitSpec) -> list[list[int]]:
     order = sorted(range(len(items)), key=lambda i: (items[i].timestamp, i))
     ts = [items[i].timestamp for i in order]
     n = len(items)
@@ -80,19 +76,7 @@ def _time_ordered(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
 
     c1 = _advance(int(round(f_train * n)))
     c2 = c1 if f_val == 0 else _advance(max(c1, int(round((f_train + f_val) * n))))
-    parts = [order[:c1], order[c1:c2], order[c2:]]
-    for frac, part, name in zip(spec.fractions, parts, ("train", "validation", "test")):
-        if frac > 0 and not part:
-            raise SplitError(f"fraction {frac} leaves the {name} partition empty (n={n})")
-    train, validation, test = ([items[i] for i in part] for part in parts)
-    return DatasetSplit(train=train, validation=validation, test=test)
-
-
-def _per_class_indices(items: Sequence[Any]) -> dict:
-    by_class: dict = {}
-    for i, item in enumerate(items):
-        by_class.setdefault(_label_of(item), []).append(i)
-    return {k: by_class[k] for k in sorted(by_class, key=lambda c: getattr(c, "value", str(c)))}
+    return [order[:c1], order[c1:c2], order[c2:]]
 
 
 def _allocate(count: int, fractions: Sequence[float]) -> list[int]:
@@ -112,46 +96,42 @@ def _allocate(count: int, fractions: Sequence[float]) -> list[int]:
     return alloc
 
 
-def _stratified_random(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
-    rng = random.Random(spec.seed)
+def _stratified_random(items: Sequence[Any], spec: SplitSpec) -> list[list[int]]:
     parts: list[list[int]] = [[], [], []]
-    for _, indices in _per_class_indices(items).items():
-        shuffled = indices[:]
-        rng.shuffle(shuffled)
-        alloc = _allocate(len(shuffled), spec.fractions)
+    for shuffled in _shuffled_classes(items, spec.seed):
         pos = 0
-        for p, n_p in enumerate(alloc):
+        for p, n_p in enumerate(_allocate(len(shuffled), spec.fractions)):
             parts[p].extend(shuffled[pos:pos + n_p])
             pos += n_p
-    for frac, part, name in zip(spec.fractions, parts, ("train", "validation", "test")):
-        if frac > 0 and not part:
-            raise SplitError(f"fraction {frac} leaves the {name} partition empty")
-    train, validation, test = ([items[i] for i in sorted(part)] for part in parts)
-    return DatasetSplit(train=train, validation=validation, test=test)
-
-
-def _k_fold(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
-    too_many = f"{spec.folds} folds requested but only {len(items)} items available"
-    if spec.folds > len(items):  # before allocating one list per fold
-        raise SplitError(too_many)
-    rng = random.Random(spec.seed)
-    folds: list[list[int]] = [[] for _ in range(spec.folds)]
-    for _, indices in _per_class_indices(items).items():
-        shuffled = indices[:]
-        rng.shuffle(shuffled)
-        for j, idx in enumerate(shuffled):
-            folds[j % spec.folds].append(idx)
-    if any(not fold for fold in folds):  # a fold no class reached
-        raise SplitError(too_many)
-    return DatasetSplit(folds=[[items[i] for i in sorted(fold)] for fold in folds])
+    return [sorted(part) for part in parts]
 
 
 def split(items: Sequence[Any], spec: SplitSpec) -> DatasetSplit:
-    """Partition records or samples according to ``spec``."""
+    """Partition records or samples into train/validation/test according to ``spec``."""
     if not items:
         raise SplitError("cannot split an empty dataset")
     if spec.kind is SplitKind.TIME_ORDERED:
-        return _time_ordered(items, spec)
-    if spec.kind is SplitKind.STRATIFIED_RANDOM:
-        return _stratified_random(items, spec)
-    return _k_fold(items, spec)
+        parts, size = _time_ordered(items, spec), f" (n={len(items)})"
+    else:
+        parts, size = _stratified_random(items, spec), ""
+    for frac, part, name in zip(spec.fractions, parts, ("train", "validation", "test")):
+        if frac > 0 and not part:
+            raise SplitError(f"fraction {frac} leaves the {name} partition empty{size}")
+    return DatasetSplit(*([items[i] for i in part] for part in parts))
+
+
+def k_fold(items: Sequence[Any], folds: int, seed: int = 0) -> list[list]:
+    """Stratified k-fold: ``folds`` lists of items, each class dealt round-robin over
+    them after its shuffle; a fold keeps its items in input order."""
+    if folds < 2:
+        raise SplitError(f"K_FOLD requires folds >= 2, got {folds}")
+    too_many = f"{folds} folds requested but only {len(items)} items available"
+    if folds > len(items):  # before allocating one list per fold
+        raise SplitError(too_many)
+    parts: list[list[int]] = [[] for _ in range(folds)]
+    for shuffled in _shuffled_classes(items, seed):
+        for j, idx in enumerate(shuffled):
+            parts[j % folds].append(idx)
+    if not all(parts):  # a fold no class reached
+        raise SplitError(too_many)
+    return [[items[i] for i in sorted(part)] for part in parts]

@@ -36,7 +36,6 @@ class CalibratedScorePair:
     s_m: float
     s_l: float
     entity_id: str = ""
-    timestamp: int | None = None
 
     def __post_init__(self) -> None:
         for name, value in (("s_m", self.s_m), ("s_l", self.s_l)):

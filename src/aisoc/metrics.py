@@ -111,8 +111,7 @@ def macro_average(per_class):
 
 
 def classification_report(predictions, truth, class_set, setting: str = "",
-                          split: str = "", seeds: list[int] | None = None,
-                          fingerprints: dict | None = None) -> EvalReport:
+                          split: str = "", fingerprints: dict | None = None) -> EvalReport:
     """Per-class and macro precision/recall/F1 plus the confusion matrix."""
     predictions = list(predictions)
     truth = list(truth)
@@ -139,7 +138,7 @@ def classification_report(predictions, truth, class_set, setting: str = "",
         macro_precision=float(macro_average(precision)),
         macro_recall=float(macro_average(recall)), macro_f1=float(macro_average(f1)),
         confusion=confusion.tolist(),
-        seeds=list(seeds or []), fingerprints=dict(fingerprints or {}),
+        fingerprints=dict(fingerprints or {}),
         zero_division_classes=[name for name, p, a in zip(names, predicted, actual)
                                if p == 0 or a == 0])
 

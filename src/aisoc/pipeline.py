@@ -33,6 +33,7 @@ from .corpus import (
     dedup_near_identical,
     generate_corpus,
     generate_malware,
+    k_fold,
     split,
 )
 from .errors import ConfigError, TrainingError
@@ -75,8 +76,6 @@ class ExperimentConfig:
     attack_sessions: int = 12
     duration_s: float = 1800.0
     benign_rate_per_host: float = 0.25
-    dedup_threshold: float = 0.9
-    log_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     # training-side augmentation
     augment_ops: tuple[str, ...] = ("KEYWORD_OBFUSCATION", "CHAR_NOISE", "SYNONYM_REPLACEMENT")
     augment_rate: float = 0.5
@@ -86,7 +85,8 @@ class ExperimentConfig:
     malware_features: int = 8
     malware_separation: float = 3.0
     malware_hard_fraction: float = 0.0
-    malware_fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    # train/validation/test fractions of both the log and the malware split
+    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
     # text features
     min_df: int = 2
     max_features: int = 20_000
@@ -234,9 +234,8 @@ def _train_logs(records: list[LogRecord], config: ExperimentConfig):
 def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     """Run generate -> dedup -> split -> train -> calibrate -> tune -> evaluate."""
     # Telemetry.
-    logs = dedup_near_identical(generate_logs(config), config.dedup_threshold)
-    log_split = split(logs, SplitSpec(kind=SplitKind.TIME_ORDERED,
-                                      fractions=config.log_fractions))
+    logs = dedup_near_identical(generate_logs(config))
+    log_split = split(logs, SplitSpec(kind=SplitKind.TIME_ORDERED, fractions=config.fractions))
     train_logs = log_split.train
     if config.augment_rate > 0:
         train_logs = augment(train_logs, [AugmentOp(op) for op in config.augment_ops],
@@ -244,7 +243,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                              seed=derive_seed(config.seed, "augment-train"))
 
     malware = generate_malware_rows(config)
-    malware_split = split_malware(malware, config.malware_fractions, config.seed)
+    malware_split = split_malware(malware, config.fractions, config.seed)
     fingerprints = {
         "logs_data": corpus_fingerprint(logs),
         "malware_data": malware_fingerprint(malware),
@@ -297,10 +296,11 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
                              config: ExperimentConfig | None = None) -> CrossValidationResult:
     """Stratified k-fold CV of the TF-IDF + logistic detector at p >= 0.5."""
     config = config or ExperimentConfig(seed=seed)
-    fold_split = split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=folds, seed=seed))
+    fold_parts = k_fold(records, folds, seed)
     result = CrossValidationResult()
-    for k in range(folds):
-        train_records, heldout = fold_split.fold_split(k)
+    for k, heldout in enumerate(fold_parts):
+        # the other folds in fold order: row order feeds the logistic fit's sums
+        train_records = [r for j, fold in enumerate(fold_parts) if j != k for r in fold]
         if len({r.label for r in train_records}) < 2:
             raise TrainingError(f"fold {k} training data is single-class")
         vocab, model = _train_logs(train_records, config)
@@ -318,7 +318,7 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
 
 def augmented_cv_corpus(config: ExperimentConfig) -> list[LogRecord]:
     """Generate + dedup + augment (all ops) a corpus for cross-validation."""
-    return augment(dedup_near_identical(generate_logs(config), config.dedup_threshold),
+    return augment(dedup_near_identical(generate_logs(config)),
                    [AugmentOp(op) for op in config.augment_ops],
                    rate=config.augment_rate, seed=derive_seed(config.seed, "augment-cv"))
 

@@ -11,6 +11,7 @@ from aisoc.cli import main
 from aisoc.corpus import (
     SplitKind,
     SplitSpec,
+    k_fold,
     load_log_ndjson,
     load_malware_csv,
     split,
@@ -124,6 +125,8 @@ class TestPipelineCommands:
                      "--grid-step", "0.01", "--export-thresholds", str(exported)]) == 0
         out = capsys.readouterr().out
         assert "t_m=" in out and "t_l=" in out and "macro-F1" in out
+        assert out.endswith(f"; artifact SERVING {load_artifact(artifact).checksum[:19]}\n"
+                            f"wrote thresholds JSON to {exported}\n")
         exported_config = json.loads(exported.read_text())
         assert set(exported_config) == {"t_m", "t_l", "grid_step", "tuned_on", "version"}
 
@@ -229,6 +232,19 @@ def test_tune_refuses_an_artifact_without_calibrators(workspace, tmp_path, capsy
                  "--artifact", str(artifact)]) == 2
     assert capsys.readouterr().err == ("error: artifact is PARTIAL and cannot score; missing "
                                        "components: calibrator_logs, calibrator_malware\n")
+    assert artifact.read_bytes() == before
+
+
+def test_tune_leaves_the_artifact_unchanged_when_the_export_is_refused(workspace, tmp_path,
+                                                                        capsys):
+    artifact = copied_artifact(workspace, tmp_path)
+    before = artifact.read_bytes()
+    # a new version tag: a saved artifact would differ from the copied one
+    assert main(["tune", "--manifest", str(workspace / "splits" / "manifest_validation.ndjson"),
+                 "--artifact", str(artifact), "--version", "2",
+                 "--export-thresholds", str(tmp_path / "no_dir" / "t.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
     assert artifact.read_bytes() == before
 
 
@@ -371,8 +387,11 @@ class TestConfigAndErrors:
         ["--kind", "K_FOLD", "--folds", "3", "--test-supports", "1,1,1"],
         ["--val-supports", "1,1,1"],
         ["--test-supports", "1,1,1"],
+        ["--folds", "3"],
+        ["--kind", "STRATIFIED_RANDOM", "--folds", "3"],
     ], ids=["k-fold-malware", "k-fold-val-supports", "k-fold-test-supports",
-            "val-supports-without-malware", "test-supports-without-malware"])
+            "val-supports-without-malware", "test-supports-without-malware",
+            "folds-without-k-fold", "folds-with-stratified"])
     def test_split_refuses_flags_it_would_not_use(self, workspace, tmp_path, capsys, flags):
         out = tmp_path / "splits"
         flags = [flag.format(malware=workspace / "malware.csv") for flag in flags]
@@ -409,6 +428,17 @@ class TestConfigAndErrors:
         assert sorted(r.message for i in range(3)
                       for r in load_log_ndjson(out / f"logs_fold{i}.ndjson").records) \
             == sorted(r.message for r in records)
+
+    def test_split_k_fold_writes_5_folds_without_folds(self, workspace, tmp_path, capsys):
+        out = tmp_path / "folds"
+        assert main(["split", "--logs", str(workspace / "logs.ndjson"), "--out-dir", str(out),
+                     "--kind", "K_FOLD", "--seed", "3"]) == 0
+        assert capsys.readouterr().out == f"wrote 5 log folds to {out}\n"
+        folds = k_fold(load_log_ndjson(workspace / "logs.ndjson").records, 5, seed=3)
+        for i, fold in enumerate(folds):
+            write_log_ndjson(fold, tmp_path / "expected.ndjson")
+            assert (out / f"logs_fold{i}.ndjson").read_bytes() \
+                == (tmp_path / "expected.ndjson").read_bytes()
 
     def test_split_scales_automatic_supports_down_to_the_limit(self, workspace, tmp_path,
                                                                  capsys, monkeypatch):

@@ -26,7 +26,7 @@ DEFAULTS = {
     },
     "split": {
         "logs": None, "malware": None, "out_dir": None, "kind": "TIME_ORDERED",
-        "fractions": "0.6,0.2,0.2", "folds": 5, "val_supports": None,
+        "fractions": "0.6,0.2,0.2", "folds": None, "val_supports": None,
         "test_supports": None, "label_column": "label", "id_column": "sample_id", "seed": 7,
     },
     "train-log": {
@@ -74,7 +74,7 @@ def test_defaults_without_flags_or_config(command):
 
 
 # A value of its option's type for each option whose default is None (paths take "x").
-VALUES = {"created_at": 5, "val_supports": "1,1,1", "test_supports": [1, 1, 1]}
+VALUES = {"created_at": 5, "folds": 3, "val_supports": "1,1,1", "test_supports": [1, 1, 1]}
 
 
 @pytest.mark.parametrize("command", sorted(DEFAULTS))

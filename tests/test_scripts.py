@@ -37,7 +37,7 @@ DIGESTS = (
     "loaders.manifest", "loaders.score_batch", "logistic.balanced", "logistic.seed1234",
     "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties", "forest.overflow_1e308",
     "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks", "metrics.isotonic",
-    "metrics.report",
+    "metrics.report", "augment.ops",
 )
 
 

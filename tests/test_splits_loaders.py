@@ -10,6 +10,7 @@ from aisoc.corpus import (
     Origin,
     SplitKind,
     SplitSpec,
+    k_fold,
     load_log_ndjson,
     load_malware_csv,
     split,
@@ -87,38 +88,38 @@ class TestKFold:
     def test_balanced_folds(self):
         records = ([_rec(i, Label.MALICIOUS) for i in range(50)]
                    + [_rec(100 + i, Label.BENIGN) for i in range(50)])
-        out = split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=5, seed=11))
-        assert len(out.folds) == 5
-        for fold in out.folds:
+        folds = k_fold(records, 5, seed=11)
+        assert len(folds) == 5
+        for fold in folds:
             assert sum(1 for r in fold if r.label is Label.MALICIOUS) == 10
             assert sum(1 for r in fold if r.label is Label.BENIGN) == 10
 
     def test_same_seed_reproduces_folds(self):
         records = [_rec(i, Label.MALICIOUS if i % 2 else Label.BENIGN) for i in range(40)]
-        spec = SplitSpec(kind=SplitKind.K_FOLD, folds=4, seed=9)
-        assert split(records, spec).folds == split(records, spec).folds
+        assert k_fold(records, 4, seed=9) == k_fold(records, 4, seed=9)
 
     def test_fold_split_partitions(self):
         records = [_rec(i, Label.MALICIOUS if i % 2 else Label.BENIGN) for i in range(20)]
-        out = split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=4, seed=9))
-        train, heldout = out.fold_split(1)
+        folds = k_fold(records, 4, seed=9)
+        heldout = folds[1]
+        train = [r for j, fold in enumerate(folds) if j != 1 for r in fold]
         assert sorted(train + heldout, key=lambda r: r.timestamp) == records
-        assert heldout == out.folds[1]
 
     def test_bad_fold_count(self):
-        with pytest.raises(SplitError):
-            SplitSpec(kind=SplitKind.K_FOLD, folds=1)
+        records = [_rec(i, Label.MALICIOUS if i % 2 else Label.BENIGN) for i in range(4)]
+        with pytest.raises(SplitError, match="^K_FOLD requires folds >= 2, got 1$"):
+            k_fold(records, 1)
 
     def test_more_folds_than_items_is_refused_before_the_items_are_read(self):
         # unlabelled items would fail stratification, so the count is checked first
         records = [_rec(i, None) for i in range(4)]
         with pytest.raises(SplitError, match="^5 folds requested but only 4 items available$"):
-            split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=5))
+            k_fold(records, 5)
 
     def test_a_fold_no_class_reaches_is_refused(self):
         records = [_rec(i, Label.MALICIOUS if i < 3 else Label.BENIGN) for i in range(5)]
         with pytest.raises(SplitError, match="^5 folds requested but only 5 items available$"):
-            split(records, SplitSpec(kind=SplitKind.K_FOLD, folds=5))
+            k_fold(records, 5)
 
 
 @pytest.mark.parametrize("kind", [SplitKind.TIME_ORDERED, SplitKind.STRATIFIED_RANDOM])
@@ -206,6 +207,14 @@ class TestMalwareCsv:
         result = load_malware_csv(path)
         assert result.rejected == 1
         assert len(result.samples) == 1
+
+    def test_inf_row_rejected_by_the_sample_rule(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("sample_id,f0,f1,label\na,1.0,2.0,0\nb,-inf,2.0,1\n")
+        result = load_malware_csv(path, id_column="sample_id")
+        assert [s.sample_id for s in result.samples] == ["a"]
+        assert result.rejected == 1
+        assert result.reject_reasons == [(3, "sample 'b' has non-finite feature -inf")]
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "m.csv"
