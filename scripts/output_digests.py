@@ -257,7 +257,8 @@ def forest_object(model) -> dict:
     return {"trees": [node_object(tree) for tree in model.trees],
             **{key: getattr(model, key) for key in (
                 "n_features", "n_trees", "max_depth", "min_samples_leaf",
-                "features_per_split", "seed", "training_meta")}}
+                "features_per_split", "seed")},
+            "training_meta": dict(model.training_meta)}
 
 
 def forest_digests() -> dict[str, str]:

@@ -14,7 +14,15 @@ non-decreasing probability in [0, 1].
 
 ``select_method`` picks between the two by 3-fold cross-fit log-loss with
 a deterministic score-sorted round-robin fold assignment; ties and small
-samples (< 12 points) fall back to Platt, the lower-variance choice.
+samples (< 12 points) fall back to Platt, the lower-variance choice. A
+method that cannot fit some fold (one class in its training part, too few
+points, constant scores) scores an infinite loss there, so two such
+methods also tie. One table maps each fitted method to its fitter, for the
+selection and for ``fit_calibrator`` alike.
+
+Scores and labels are checked by ``metrics.check_scores``, the 0/1 label
+rule the metrics and the trainers apply too, raising ``CalibrationError``.
+A calibrator's ``fit_meta`` is a read-only mapping.
 """
 
 from __future__ import annotations
@@ -22,12 +30,14 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import Mapping
 
 import numpy as np
 
 from .errors import CalibrationError
 from .learn.logistic import margin_log_loss, sigmoid
-from .metrics import roc_auc, tie_groups
+from .metrics import check_scores, roc_auc, tie_groups
+from .readonly import read_only
 
 _NEWTON_MAX_ITER = 100
 _NEWTON_TOL = 1e-10
@@ -53,10 +63,13 @@ class Calibrator:
     flipped: bool = False
     knot_scores: np.ndarray | None = None
     knot_values: np.ndarray | None = None
-    fit_meta: dict = field(default_factory=dict)
+    fit_meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "fit_meta", read_only(self.fit_meta))
 
     def to_dict(self) -> dict:
-        payload: dict = {"method": self.method.value, "fit_meta": self.fit_meta}
+        payload: dict = {"method": self.method.value, "fit_meta": dict(self.fit_meta)}
         if self.method is CalibrationMethod.PLATT:
             payload.update(a=float(self.a), b=float(self.b), flipped=self.flipped)
         elif self.method is CalibrationMethod.ISOTONIC:
@@ -74,7 +87,7 @@ class Calibrator:
         elif method is CalibrationMethod.ISOTONIC:
             fitted = dict(knot_scores=np.asarray(payload["knot_scores"], dtype=float),
                           knot_values=np.asarray(payload["knot_values"], dtype=float))
-        return cls(method=method, fit_meta=dict(payload.get("fit_meta", {})), **fitted)
+        return cls(method=method, fit_meta=payload.get("fit_meta", {}), **fitted)
 
 
 def identity_calibrator(reason: str = "") -> Calibrator:
@@ -87,21 +100,9 @@ def platt_targets(n_pos: int, n_neg: int) -> tuple[float, float]:
     return (n_pos + 1.0) / (n_pos + 2.0), 1.0 / (n_neg + 2.0)
 
 
-def _check_binary(scores, labels) -> tuple[np.ndarray, np.ndarray]:
-    s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=float)
-    if s.shape != y.shape or s.ndim != 1:
-        raise CalibrationError(f"scores/labels shape mismatch: {s.shape} vs {y.shape}")
-    if not set(np.unique(y)) <= {0.0, 1.0}:
-        raise CalibrationError("labels must be binary 0/1")
-    if len(set(np.unique(y))) < 2:
-        raise CalibrationError("calibration requires both classes")
-    return s, y
-
-
 def fit_platt(scores, labels) -> Calibrator:
     """Fit sigmoid(a*s + b) against Platt's smoothed targets by Newton."""
-    s, y = _check_binary(scores, labels)
+    s, y = check_scores(scores, labels, CalibrationError)
     if len(s) < _MIN_PLATT_POINTS:
         raise CalibrationError(f"Platt scaling needs >= {_MIN_PLATT_POINTS} points, got {len(s)}")
     if np.ptp(s) == 0.0:
@@ -169,7 +170,7 @@ def _pool_ties(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.n
 
 def fit_isotonic(scores, labels) -> Calibrator:
     """Weighted pool-adjacent-violators over score-sorted labels."""
-    s, y = _check_binary(scores, labels)
+    s, y = check_scores(scores, labels, CalibrationError)
     uniq, targets, weights = _pool_ties(s, y)
 
     # Blocks as (value, weight) pairs; merge while monotonicity is violated.
@@ -195,8 +196,12 @@ def fit_isotonic(scores, labels) -> Calibrator:
                       knot_values=np.clip(fitted, 0.0, 1.0), fit_meta=meta)
 
 
-def _cross_fit_loss(s: np.ndarray, y: np.ndarray, method: CalibrationMethod,
-                    n_folds: int = 3) -> float:
+# The fitted methods, in the order ``select_method`` prefers them on a tie.
+_FITTERS = {CalibrationMethod.PLATT: fit_platt, CalibrationMethod.ISOTONIC: fit_isotonic}
+
+
+def _cross_fit_loss(s: np.ndarray, y: np.ndarray, fit, n_folds: int = 3) -> float:
+    """Held-out log-loss of ``fit`` per point; inf if it cannot fit a fold."""
     order = np.argsort(s, kind="mergesort")
     folds = [order[k::n_folds] for k in range(n_folds)]
     total = 0.0
@@ -204,12 +209,10 @@ def _cross_fit_loss(s: np.ndarray, y: np.ndarray, method: CalibrationMethod,
     for k in range(n_folds):
         test_idx = folds[k]
         train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != k])
-        if len(set(y[train_idx])) < 2:
+        try:
+            cal = fit(s[train_idx], y[train_idx])
+        except CalibrationError:
             return float("inf")
-        if method is CalibrationMethod.PLATT:
-            cal = fit_platt(s[train_idx], y[train_idx])
-        else:
-            cal = fit_isotonic(s[train_idx], y[train_idx])
         p = np.clip(apply(cal, s[test_idx]), _SELECT_CLIP, 1.0 - _SELECT_CLIP)
         total += float(-np.sum(y[test_idx] * np.log(p) + (1 - y[test_idx]) * np.log(1 - p)))
         count += len(test_idx)
@@ -218,19 +221,10 @@ def _cross_fit_loss(s: np.ndarray, y: np.ndarray, method: CalibrationMethod,
 
 def select_method(scores, labels) -> CalibrationMethod:
     """Pick PLATT or ISOTONIC by 3-fold cross-fit log-loss (ties: PLATT)."""
-    s, y = _check_binary(scores, labels)
+    s, y = check_scores(scores, labels, CalibrationError)
     if len(s) < _MIN_SELECT_POINTS:
         return CalibrationMethod.PLATT
-    try:
-        loss_platt = _cross_fit_loss(s, y, CalibrationMethod.PLATT)
-    except CalibrationError:
-        loss_platt = float("inf")
-    try:
-        loss_iso = _cross_fit_loss(s, y, CalibrationMethod.ISOTONIC)
-    except CalibrationError:
-        loss_iso = float("inf")
-    if loss_platt == loss_iso == float("inf"):
-        return CalibrationMethod.PLATT
+    loss_platt, loss_iso = (_cross_fit_loss(s, y, fit) for fit in _FITTERS.values())
     return CalibrationMethod.PLATT if loss_platt <= loss_iso else CalibrationMethod.ISOTONIC
 
 
@@ -246,9 +240,7 @@ def fit_calibrator(scores, labels, method: CalibrationMethod | None = None) -> C
             method = select_method(scores, labels)
         if method is CalibrationMethod.IDENTITY:
             return identity_calibrator("requested")
-        if method is CalibrationMethod.PLATT:
-            return fit_platt(scores, labels)
-        return fit_isotonic(scores, labels)
+        return _FITTERS[method](scores, labels)
     except CalibrationError as exc:
         warnings.warn(f"calibration fell back to IDENTITY: {exc}", stacklevel=2)
         return identity_calibrator(str(exc))

@@ -30,9 +30,10 @@ from dataclasses import replace as dc_replace
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from ..errors import ConfigError
+from ..readonly import read_only
 from .records import LogRecord, Origin
 
 _DATA_DIR = Path(__file__).parent / "data"
@@ -54,22 +55,22 @@ _TABLES = {
 
 
 @lru_cache(maxsize=None)
-def _table(op: AugmentOp) -> tuple[dict[str, tuple[str, ...]], re.Pattern]:
-    """The rewrite table of ``op`` and the pattern matching its keys as whole words."""
+def _table(op: AugmentOp) -> tuple[Mapping[str, tuple[str, ...]], re.Pattern]:
+    """The rewrite table of ``op``, read-only since every later rewrite reads
+    this one cached copy, and the pattern matching its keys as whole words."""
     name, key = _TABLES[op]
-    raw = json.loads((_DATA_DIR / name).read_text(encoding="utf-8"))
-    table = {k: tuple(v) for k, v in raw[key].items()}
+    table = read_only(json.loads((_DATA_DIR / name).read_text(encoding="utf-8"))[key])
     # Longest keyword first so e.g. "netcat" wins over "nc"/"cat".
     words = sorted(table, key=lambda w: (-len(w), w))
     alternatives = "|".join(re.escape(w) for w in words)
     return table, re.compile(rf"(?<![a-z0-9])({alternatives})(?![a-z0-9])", re.IGNORECASE)
 
 
-def obfuscation_table() -> dict[str, tuple[str, ...]]:
+def obfuscation_table() -> Mapping[str, tuple[str, ...]]:
     return _table(AugmentOp.KEYWORD_OBFUSCATION)[0]
 
 
-def synonym_table() -> dict[str, tuple[str, ...]]:
+def synonym_table() -> Mapping[str, tuple[str, ...]]:
     return _table(AugmentOp.SYNONYM_REPLACEMENT)[0]
 
 

@@ -33,6 +33,9 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if len(self.fractions) != 3:
+            raise SplitError("fractions must be three numbers (train, validation, test), "
+                             f"got {self.fractions}")
         if not all(math.isfinite(f) for f in self.fractions):
             raise SplitError(f"fractions must be finite numbers, got {self.fractions}")
         if any(f < 0 for f in self.fractions):

@@ -31,11 +31,12 @@ from __future__ import annotations
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import DimensionError, TrainingError
+from .readonly import read_only
 
 NUM_TOKEN = "<num>"
 DEFAULT_MIN_DF = 2
@@ -137,10 +138,14 @@ class DesignMatrix:
 class Vocabulary:
     """Fitted TF-IDF vocabulary: dense term indices plus smoothed IDF weights."""
 
-    index: dict[str, int]
+    index: Mapping[str, int]
     idf: np.ndarray
     document_count: int
-    config: dict = field(default_factory=dict)
+    config: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "index", read_only(self.index))
+        object.__setattr__(self, "config", read_only(self.config))
 
     @property
     def size(self) -> int:
@@ -152,7 +157,7 @@ class Vocabulary:
             "terms": terms,
             "idf": [float(v) for v in self.idf],
             "document_count": self.document_count,
-            "config": self.config,
+            "config": dict(self.config),
         }
 
     @classmethod
@@ -160,7 +165,7 @@ class Vocabulary:
         return cls(index={t: i for i, t in enumerate(payload["terms"])},
                    idf=np.asarray(payload["idf"], dtype=float),
                    document_count=payload["document_count"],
-                   config=dict(payload["config"]))
+                   config=payload["config"])
 
 
 def _messages(corpus: Iterable) -> list[str]:

@@ -43,11 +43,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
-from typing import NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
+from ..metrics import check_labels
+from ..readonly import read_only
 
 
 # Node arrays of a forest and their dtypes. A leaf has feature -1, children
@@ -116,7 +118,10 @@ class ForestModel:
     min_samples_leaf: int
     features_per_split: int
     seed: int
-    training_meta: dict = field(default_factory=dict)
+    training_meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "training_meta", read_only(self.training_meta))
 
     @property
     def trees(self) -> list[TreeNode]:
@@ -154,7 +159,7 @@ class ForestModel:
             "min_samples_leaf": self.min_samples_leaf,
             "features_per_split": self.features_per_split,
             "seed": self.seed,
-            "training_meta": self.training_meta,
+            "training_meta": dict(self.training_meta),
         }
 
     @classmethod
@@ -167,7 +172,7 @@ class ForestModel:
             if not isinstance(value, int) or isinstance(value, bool) or value < least:
                 raise ValueError(f"forest {name} must be an integer >= {least}, got {value!r}")
         return cls(**_node_arrays(payload["trees"]), **sizes,
-                   training_meta=dict(payload.get("training_meta", {})))
+                   training_meta=payload.get("training_meta", {}))
 
     @cached_property
     def _walk(self) -> "_Walk":
@@ -454,16 +459,13 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
     ``X`` may hold +-inf but not NaN.
     """
     X = np.asarray(X, dtype=float)
-    y = np.asarray(y, dtype=np.int64)
+    y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(X) != len(y):
         raise TrainingError(f"bad training shapes X={X.shape}, y={y.shape}")
     if np.isnan(X).any():
         raise TrainingError("training features contain NaN")
-    classes = set(np.unique(y))
-    if not classes <= {0, 1}:
-        raise TrainingError(f"labels must be binary 0/1, got {sorted(classes)}")
-    if len(classes) < 2:
-        raise TrainingError("training data contains a single class")
+    check_labels(y, TrainingError)
+    y = y.astype(np.int64)
     for name, value in (("n_trees", n_trees), ("max_depth", max_depth),
                         ("min_samples_leaf", min_samples_leaf),
                         ("features_per_split", features_per_split)):

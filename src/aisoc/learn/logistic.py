@@ -4,18 +4,26 @@ The trainer minimizes mean log-loss plus ``(l2/2) * ||w||^2`` (the bias is
 unregularized) by deterministic full-batch gradient descent with an Armijo
 backtracking line search, so the loss never increases across accepted steps
 and identical inputs always reproduce identical weights.
+
+The mean is always a weighted one: an unweighted fit weighs each sample 1,
+which gives the plain mean's bits (``1.0 * x == x``, and a sum of ones is
+exact), and ``class_weight="balanced"`` uses ``balanced_weights``. Training
+takes one ``DesignMatrix``; scoring takes one, or a single ``SparseVector``
+for one row. ``design_matrix`` stacks a list of vectors into a matrix.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from ..errors import DimensionError, TrainingError
 from ..features import DesignMatrix, SparseVector
+from ..metrics import check_labels
+from ..readonly import read_only
 
 _ARMIJO_C = 1e-4
 _BACKTRACK_FACTOR = 0.5
@@ -28,7 +36,10 @@ class LogisticModel:
     weights: np.ndarray
     bias: float
     regularization: float
-    training_meta: dict = field(default_factory=dict)
+    training_meta: Mapping = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "training_meta", read_only(self.training_meta))
 
     @property
     def dimension(self) -> int:
@@ -39,7 +50,7 @@ class LogisticModel:
             "weights": [float(v) for v in self.weights],
             "bias": float(self.bias),
             "regularization": float(self.regularization),
-            "training_meta": self.training_meta,
+            "training_meta": dict(self.training_meta),
         }
 
     @classmethod
@@ -47,7 +58,7 @@ class LogisticModel:
         return cls(weights=np.asarray(payload["weights"], dtype=float),
                    bias=float(payload["bias"]),
                    regularization=float(payload["regularization"]),
-                   training_meta=dict(payload["training_meta"]))
+                   training_meta=payload["training_meta"])
 
 
 def sigmoid(z):
@@ -82,32 +93,28 @@ def margin_log_loss(z: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def _loss(z: np.ndarray, w: np.ndarray, y: np.ndarray, l2: float,
-          sample_weight: np.ndarray | None) -> float:
-    """(Weighted) mean log-loss at margins ``z`` plus the L2 penalty on ``w``."""
+          sample_weight: np.ndarray) -> float:
+    """Weighted mean log-loss at margins ``z`` plus the L2 penalty on ``w``."""
     per_sample = margin_log_loss(z, y)
-    if sample_weight is None:
-        mean = float(np.sum(per_sample)) / float(len(z))
-    else:
-        mean = float(np.sum(sample_weight * per_sample)) / float(np.sum(sample_weight))
+    mean = float(np.sum(sample_weight * per_sample)) / float(np.sum(sample_weight))
     return mean + 0.5 * l2 * float(w @ w)
 
 
 def _gradient(z: np.ndarray, w: np.ndarray, X: DesignMatrix, y: np.ndarray, l2: float,
-              sample_weight: np.ndarray | None) -> tuple[np.ndarray, float]:
+              sample_weight: np.ndarray) -> tuple[np.ndarray, float]:
     """Gradient of ``_loss`` in (w, b) at margins ``z = X @ w + b``."""
-    residual = sigmoid(z) - y
-    if sample_weight is None:
-        total = float(len(z))
-    else:
-        total = float(np.sum(sample_weight))
-        residual = sample_weight * residual
+    residual = sample_weight * (sigmoid(z) - y)
+    total = float(np.sum(sample_weight))
     return X.rmatvec(residual) / total + l2 * w, float(np.sum(residual)) / total
 
 
 def loss_and_grad(w: np.ndarray, b: float, X: DesignMatrix, y: np.ndarray,
                   l2: float, sample_weight: np.ndarray | None = None
                   ) -> tuple[float, np.ndarray, float]:
-    """(Weighted) mean log-loss with L2 penalty, and its gradient in (w, b)."""
+    """(Weighted) mean log-loss with L2 penalty, and its gradient in (w, b);
+    no ``sample_weight`` is a weight of 1 per sample."""
+    if sample_weight is None:
+        sample_weight = np.ones(len(y))
     z = X.matvec(w) + b
     return (_loss(z, w, y, l2, sample_weight),
             *_gradient(z, w, X, y, l2, sample_weight))
@@ -120,39 +127,33 @@ def balanced_weights(y: np.ndarray) -> np.ndarray:
     return np.where(y == 1, len(y) / (2.0 * n_pos), len(y) / (2.0 * n_neg))
 
 
-def train_logistic(X: DesignMatrix | Sequence[SparseVector], y: Sequence[int],
-                   l2: float = 1e-3, epochs: int = 500, seed: int = 0,
-                   class_weight: str | None = None) -> LogisticModel:
+def train_logistic(X: DesignMatrix, y: Sequence[int], l2: float = 1e-3, epochs: int = 500,
+                   seed: int = 0, class_weight: str | None = None) -> LogisticModel:
     """Train by full-batch gradient descent with backtracking line search.
 
-    ``X`` is a ``DesignMatrix`` (as ``transform_text`` gives for a list of
-    messages) or a list of ``SparseVector`` rows. ``class_weight="balanced"``
-    applies inverse-frequency sample weights, useful when the benign class is
-    tiny and its metrics unstable.
+    ``X`` is a ``DesignMatrix``, as ``transform_text`` gives for a list of
+    messages (``design_matrix`` stacks ``SparseVector`` rows into one).
+    ``class_weight="balanced"`` applies inverse-frequency sample weights,
+    useful when the benign class is tiny and its metrics unstable.
     """
     y_arr = np.asarray(y, dtype=float)
-    n = X.shape[0] if isinstance(X, DesignMatrix) else len(X)
+    n = X.shape[0]
     if n != len(y_arr):
         raise TrainingError(f"got {n} vectors but {len(y_arr)} labels")
     if n < 2:
         raise TrainingError("need at least 2 training examples")
-    classes = set(np.unique(y_arr))
-    if not classes <= {0.0, 1.0}:
-        raise TrainingError(f"labels must be binary 0/1, got {sorted(classes)}")
-    if len(classes) < 2:
-        raise TrainingError("training data contains a single class")
+    check_labels(y_arr, TrainingError)
     if not (math.isfinite(l2) and l2 >= 0):
         raise TrainingError(f"l2 must be a finite number >= 0, got {l2}")
     if epochs < 1:
         raise TrainingError(f"epochs must be >= 1, got {epochs}")
     if class_weight not in (None, "balanced"):
         raise TrainingError(f"class_weight must be None or 'balanced', got {class_weight!r}")
-    sample_weight = balanced_weights(y_arr) if class_weight == "balanced" else None
+    sample_weight = balanced_weights(y_arr) if class_weight == "balanced" else np.ones(n)
 
-    A = X if isinstance(X, DesignMatrix) else design_matrix(X)
-    w = np.zeros(A.shape[1])
+    w = np.zeros(X.shape[1])
     b = 0.0
-    z = A.matvec(w) + b
+    z = X.matvec(w) + b
     loss = initial_loss = _loss(z, w, y_arr, l2, sample_weight)
     step = 1.0
     iterations = 0
@@ -160,7 +161,7 @@ def train_logistic(X: DesignMatrix | Sequence[SparseVector], y: Sequence[int],
     for _ in range(epochs):
         # Only an accepted step's gradient is used, so a trial step costs a
         # loss alone and the gradient comes from the accepted step's margins.
-        grad_w, grad_b = _gradient(z, w, A, y_arr, l2, sample_weight)
+        grad_w, grad_b = _gradient(z, w, X, y_arr, l2, sample_weight)
         grad_norm_sq = float(grad_w @ grad_w) + grad_b * grad_b
         if np.sqrt(grad_norm_sq) < _GRAD_TOL:
             converged = True
@@ -170,7 +171,7 @@ def train_logistic(X: DesignMatrix | Sequence[SparseVector], y: Sequence[int],
         for _ in range(_MAX_BACKTRACKS):
             w_new = w - alpha * grad_w
             b_new = b - alpha * grad_b
-            z_new = A.matvec(w_new) + b_new
+            z_new = X.matvec(w_new) + b_new
             loss_new = _loss(z_new, w_new, y_arr, l2, sample_weight)
             if loss_new <= loss - _ARMIJO_C * alpha * grad_norm_sq:
                 accepted = True
@@ -195,7 +196,7 @@ def train_logistic(X: DesignMatrix | Sequence[SparseVector], y: Sequence[int],
 
 def score_logistic(model: LogisticModel, x):
     """Raw probability sigmoid(w.x + b): a float for one ``SparseVector``, an
-    array with one per row for a ``DesignMatrix`` or a list of vectors.
+    array with one per row for a ``DesignMatrix``.
 
     A block gathers its entries' weights once, and each row's margin is
     ``gathered[s:e] @ data[s:e]``, the same 1-D BLAS ``ddot`` that scores a
@@ -208,10 +209,6 @@ def score_logistic(model: LogisticModel, x):
     and gives other bits.
     """
     single = isinstance(x, SparseVector)
-    if not (single or isinstance(x, DesignMatrix)):
-        if not x:
-            return np.empty(0)
-        x = design_matrix(x)
     dim = x.dim if single else x.shape[1]
     if dim != model.dimension:
         raise DimensionError(f"vector dim {dim} != model dim {model.dimension}")

@@ -143,15 +143,25 @@ def classification_report(predictions, truth, class_set, setting: str = "",
                                if p == 0 or a == 0])
 
 
-def _check_scores(scores, labels) -> tuple[np.ndarray, np.ndarray]:
+def check_labels(labels, error: type[Exception] = MetricError) -> None:
+    """Raise ``error`` unless every label is 0 or 1 and both occur: the one
+    0/1 label rule of the AUCs, the calibrators and both trainers."""
+    classes = np.unique(labels).tolist()
+    if not set(classes) <= {0, 1}:
+        raise error(f"labels must be binary 0/1, got {classes}")
+    if len(classes) < 2:
+        raise error(f"labels must hold both classes 0 and 1, got {classes}")
+
+
+def check_scores(scores, labels, error: type[Exception] = MetricError
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """``scores`` and ``labels`` as float arrays of one 1-D shape, the labels
+    checked by ``check_labels``; ``error`` otherwise."""
     s = np.asarray(scores, dtype=float)
-    y = np.asarray(labels, dtype=int)
+    y = np.asarray(labels, dtype=float)
     if s.shape != y.shape or s.ndim != 1:
-        raise MetricError(f"scores/labels shape mismatch: {s.shape} vs {y.shape}")
-    if not set(np.unique(y)) <= {0, 1}:
-        raise MetricError("labels must be binary 0/1")
-    if len(set(np.unique(y))) < 2:
-        raise MetricError("metric is undefined for single-class labels")
+        raise error(f"scores/labels shape mismatch: {s.shape} vs {y.shape}")
+    check_labels(y, error)
     return s, y
 
 
@@ -166,7 +176,7 @@ def tie_groups(sorted_values) -> tuple[np.ndarray, np.ndarray]:
 
 def roc_auc(scores, labels) -> float:
     """Mann-Whitney AUC: P(score_pos > score_neg), ties counted 0.5."""
-    s, y = _check_scores(scores, labels)
+    s, y = check_scores(scores, labels)
     order = np.argsort(s, kind="mergesort")
     starts, sizes = tie_groups(s[order])
     ranks = np.empty(len(s))
@@ -178,7 +188,7 @@ def roc_auc(scores, labels) -> float:
 
 def pr_auc(scores, labels) -> float:
     """Average precision: step-wise interpolated area under the PR curve."""
-    s, y = _check_scores(scores, labels)
+    s, y = check_scores(scores, labels)
     order = np.argsort(-s, kind="mergesort")
     starts, sizes = tie_groups(s[order])
     ends = starts + sizes

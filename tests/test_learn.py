@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisoc.errors import DimensionError, TrainingError
-from aisoc.features import SparseVector
+from aisoc.features import DesignMatrix, SparseVector
 from aisoc.learn import (
     ForestModel,
     LogisticModel,
@@ -88,8 +88,8 @@ def test_design_matrix_products_match_csr_order_bit_for_bit(data, shape):
 def test_training_leaves_scipy_unimported():
     code = ("import sys, aisoc, aisoc.cli\n"
             "from aisoc.features import SparseVector\n"
-            "from aisoc.learn import train_logistic\n"
-            "X = [SparseVector(indices=[0], values=[v], dim=1) for v in (-1.0, 1.0)]\n"
+            "from aisoc.learn import design_matrix, train_logistic\n"
+            "X = design_matrix([SparseVector(indices=[0], values=[v], dim=1) for v in (-1.0, 1.0)])\n"
             "train_logistic(X, [0, 1], epochs=5)\n"
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -100,18 +100,18 @@ def test_training_leaves_scipy_unimported():
 
 class TestLogistic:
     def test_symmetric_data_crosses_half_at_origin(self):
-        X = [sv([-1.0]), sv([1.0])]
+        X = design_matrix([sv([-1.0]), sv([1.0])])
         model = train_logistic(X, [0, 1], l2=0.0, epochs=500)
         assert score_logistic(model, sv([0.0])) == pytest.approx(0.5, abs=1e-6)
 
     def test_heavy_regularization_shrinks_weights(self):
-        X = [sv([-1.0]), sv([1.0]), sv([-0.5]), sv([0.5])]
+        X = design_matrix([sv([-1.0]), sv([1.0]), sv([-0.5]), sv([0.5])])
         model = train_logistic(X, [0, 1, 0, 1], l2=1e6, epochs=200)
         assert np.linalg.norm(model.weights) < 1e-2
 
     def test_loss_never_increases(self):
         rng = np.random.default_rng(0)
-        X = [sv(row) for row in rng.normal(size=(40, 3))]
+        X = design_matrix([sv(row) for row in rng.normal(size=(40, 3))])
         y = (rng.random(40) < 0.5).astype(int)
         y[0], y[1] = 0, 1  # both classes present
         model = train_logistic(X, y, l2=1e-3, epochs=50)
@@ -119,25 +119,26 @@ class TestLogistic:
 
     def test_fixed_inputs_reproduce_identical_weights(self):
         rng = np.random.default_rng(3)
-        X = [sv(row) for row in rng.normal(size=(30, 4))]
+        X = design_matrix([sv(row) for row in rng.normal(size=(30, 4))])
         y = [i % 2 for i in range(30)]
         a = train_logistic(X, y, epochs=100, seed=5)
         b = train_logistic(X, y, epochs=100, seed=5)
         assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
 
     def test_single_class_rejected(self):
-        with pytest.raises(TrainingError):
-            train_logistic([sv([1.0]), sv([2.0])], [1, 1])
+        for labels in ([1, 1], [0, 2], [0, 0.5]):
+            with pytest.raises(TrainingError):
+                train_logistic(design_matrix([sv([1.0]), sv([2.0])]), labels)
 
     @pytest.mark.parametrize("epochs", [0, -3])
     def test_epochs_below_one_rejected(self, epochs):
         with pytest.raises(TrainingError, match=f"epochs must be >= 1, got {epochs}"):
-            train_logistic([sv([-1.0]), sv([1.0])], [0, 1], epochs=epochs)
+            train_logistic(design_matrix([sv([-1.0]), sv([1.0])]), [0, 1], epochs=epochs)
 
     def test_balanced_class_weight_lifts_minority_probability(self):
         # 1 positive vs 9 negatives at the same point x=1: the unweighted fit
         # leans benign; balanced weights must pull p(x=1) up toward 0.5
-        X = [sv([1.0])] * 10
+        X = design_matrix([sv([1.0])] * 10)
         y = [1] + [0] * 9
         plain = train_logistic(X, y, l2=0.0, epochs=300)
         balanced = train_logistic(X, y, l2=0.0, epochs=300, class_weight="balanced")
@@ -147,11 +148,11 @@ class TestLogistic:
     @pytest.mark.parametrize("l2", [math.nan, math.inf, -math.inf, -1.0])
     def test_l2_must_be_finite_and_non_negative(self, l2):
         with pytest.raises(TrainingError, match="l2 must be a finite number"):
-            train_logistic([sv([0.0]), sv([1.0])], [0, 1], l2=l2)
+            train_logistic(design_matrix([sv([0.0]), sv([1.0])]), [0, 1], l2=l2)
 
     def test_unknown_class_weight_rejected(self):
         with pytest.raises(TrainingError):
-            train_logistic([sv([0.0]), sv([1.0])], [0, 1], class_weight="bogus")
+            train_logistic(design_matrix([sv([0.0]), sv([1.0])]), [0, 1], class_weight="bogus")
 
     def test_weighted_gradient_matches_finite_differences(self):
         from aisoc.learn import balanced_weights
@@ -175,7 +176,7 @@ class TestLogistic:
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(DimensionError):
-            train_logistic([sv([1.0]), sv([1.0, 2.0])], [0, 1])
+            train_logistic(design_matrix([sv([1.0]), sv([1.0, 2.0])]), [0, 1])
 
     def test_score_with_zero_model_is_half(self):
         model = LogisticModel(weights=np.zeros(3), bias=0.0, regularization=0.0)
@@ -192,12 +193,26 @@ class TestLogistic:
 
     def test_serialization_roundtrip(self):
         rng = np.random.default_rng(1)
-        X = [sv(row) for row in rng.normal(size=(20, 3))]
+        X = design_matrix([sv(row) for row in rng.normal(size=(20, 3))])
         y = [i % 2 for i in range(20)]
         model = train_logistic(X, y, epochs=60)
         clone = LogisticModel.from_dict(model.to_dict())
         probe = sv(rng.normal(size=3))
         assert score_logistic(clone, probe) == score_logistic(model, probe)
+
+    def test_unit_weights_equal_no_weights_bit_for_bit(self):
+        rng = np.random.default_rng(5)
+        n, d = 25, 4
+        X = design_matrix([sv(row) for row in rng.normal(size=(n, d))])
+        y = (rng.random(n) < 0.4).astype(float)
+        w, b = rng.normal(size=d), float(rng.normal())
+        loss, grad_w, grad_b = loss_and_grad(w, b, X, y, 0.05)
+        loss_1, grad_w_1, grad_b_1 = loss_and_grad(w, b, X, y, 0.05, sample_weight=np.ones(n))
+        assert loss.hex() == loss_1.hex() and grad_b.hex() == grad_b_1.hex()
+        assert grad_w.tobytes() == grad_w_1.tobytes()
+        z = X.matvec(w) + b  # and both are the plain mean's bits
+        plain = float(np.sum(np.logaddexp(0.0, z) - y * z)) / n + 0.5 * 0.05 * float(w @ w)
+        assert loss.hex() == plain.hex()
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -288,8 +303,9 @@ class TestForest:
         assert score_forest(model, [5.0]) == 0.0
 
     def test_single_class_rejected(self):
-        with pytest.raises(TrainingError):
-            train_forest(np.zeros((4, 2)), [1, 1, 1, 1])
+        for labels in ([1, 1, 1, 1], [0, 1, 2, 1], [0, 1, 0.5, 1]):
+            with pytest.raises(TrainingError):
+                train_forest(np.zeros((4, 2)), labels)
 
     @pytest.mark.parametrize("name", ["max_depth", "min_samples_leaf", "features_per_split"])
     @pytest.mark.parametrize("value", [0, -1, -5])
@@ -702,10 +718,12 @@ class TestLogisticBlock:
         rng = np.random.default_rng(3)
         X = [sv(np.where(rng.random(6) < 0.5, 0.0, rng.normal(size=6)), dim=6)
              for _ in range(40)]
-        model = train_logistic(X, [i % 2 for i in range(40)], epochs=40)
-        got = score_logistic(model, X)
+        model = train_logistic(design_matrix(X), [i % 2 for i in range(40)], epochs=40)
+        got = score_logistic(model, design_matrix(X))
         assert isinstance(got, np.ndarray)
         assert got.tolist() == [score_logistic(model, x) for x in X]
-        assert score_logistic(model, []).shape == (0,)
+        empty = DesignMatrix(rows=np.empty(0, dtype=np.int64), indices=np.empty(0, dtype=np.int64),
+                             data=np.empty(0), shape=(0, 6))
+        assert score_logistic(model, empty).shape == (0,)
         with pytest.raises(DimensionError):
-            score_logistic(model, X[:3] + [sv([1.0, 2.0])])
+            score_logistic(model, design_matrix([sv([1.0, 2.0])]))

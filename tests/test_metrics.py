@@ -303,8 +303,9 @@ class TestRocAuc:
         assert roc_auc([0.5, 0.5], [0, 1]) == pytest.approx(0.5)
 
     def test_single_class_error(self):
-        with pytest.raises(MetricError):
-            roc_auc([0.1, 0.2], [1, 1])
+        for labels in ([1, 1], [0, 2], [0, 0.5]):
+            with pytest.raises(MetricError):
+                roc_auc([0.1, 0.2], labels)
 
     def test_balanced_label_swap_symmetry(self):
         scores = [0.1, 0.3, 0.6, 0.9]
@@ -341,8 +342,9 @@ class TestPrAuc:
         assert pr_auc([0.5, 0.5], [0, 1]) == pytest.approx(0.5)
 
     def test_single_class_error(self):
-        with pytest.raises(MetricError):
-            pr_auc([0.1, 0.2], [0, 0])
+        for labels in ([0, 0], [1, -1], [0.5, 1]):
+            with pytest.raises(MetricError):
+                pr_auc([0.1, 0.2], labels)
 
 
 class TestLogLoss:

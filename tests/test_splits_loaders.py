@@ -130,6 +130,13 @@ def test_non_finite_fractions_are_split_errors(kind, fractions):
         SplitSpec(kind=kind, fractions=fractions)
 
 
+@pytest.mark.parametrize("kind", [SplitKind.TIME_ORDERED, SplitKind.STRATIFIED_RANDOM])
+@pytest.mark.parametrize("fractions", [(0.5, 0.5), (0.4, 0.2, 0.2, 0.2), (1.0,), ()])
+def test_fractions_other_than_three_are_split_errors(kind, fractions):
+    with pytest.raises(SplitError, match="^fractions must be three numbers"):
+        SplitSpec(kind=kind, fractions=fractions)
+
+
 class TestLogNdjson:
     def test_schema_echo(self, tmp_path):
         path = tmp_path / "one.ndjson"
