@@ -2,12 +2,14 @@
 """Print sha256 digests of fixed-seed outputs, for byte checks across commits.
 
 Runs ``run_experiment(ExperimentConfig(seed=7))`` and prints the digest of
-the saved artifact and of the three report JSON files, then runs the
-seven-command CLI chain (generate -> split -> train-log -> train-malware ->
-calibrate -> tune -> evaluate) at seed 7 and prints the digest of its
-artifact and ``report.json``. Last, ``score-batch`` scores the chain's test
-manifest as requests, plus one logs-only, one malware-only and one
-malformed line, and the digest of its output NDJSON is printed. Last, the
+the saved artifact, of the three report JSON files and of the ``float.hex``
+of its ``validation_macro_f1``, then runs the seven-command CLI chain
+(generate -> split -> train-log -> train-malware -> calibrate -> tune ->
+evaluate) at seed 7 and prints the digest of its artifact and
+``report.json``. Then ``score-batch`` scores the chain's test manifest as
+requests, plus one logs-only, one malware-only and one malformed line, and
+the digest of its output NDJSON is printed, followed by the digest of the
+``probe --json-out`` report on the same manifest. Last, the
 benchmark-sized seed-7 log corpus (3 hosts, 3000 s, 24 attack sessions) is
 deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
 ``(timestamp, label, message)`` list is printed. Finally, forests are trained
@@ -103,6 +105,8 @@ def pipeline_digests(out_dir: Path) -> dict[str, str]:
     digests = {"pipeline.artifact": sha256_bytes(artifact.read_bytes())}
     for name in ("logs", "malware", "fused"):
         digests[f"pipeline.report_{name}"] = sha256_bytes(result.reports[name].to_json_bytes())
+    digests["pipeline.validation_macro_f1"] = sha256_bytes(
+        result.validation_macro_f1.hex().encode("ascii"))
     return digests
 
 
@@ -146,9 +150,12 @@ def cli_digests(chain: Path) -> dict[str, str]:
     batch_in, batch_out = chain / "batch_requests.ndjson", chain / "batch_results.ndjson"
     write_batch_input(splits / "manifest_test.ndjson", batch_in)
     run_cli(["score-batch", "--artifact", artifact, "--in", batch_in, "--out", batch_out])
+    run_cli(["probe", "--artifact", artifact, "--manifest", splits / "manifest_test.ndjson",
+             "--json-out", chain / "probe.json"])
     return {"cli.artifact": sha256_bytes(artifact.read_bytes()),
             "cli.report": sha256_bytes((chain / "report.json").read_bytes()),
-            "cli.score_batch": sha256_bytes(batch_out.read_bytes())}
+            "cli.score_batch": sha256_bytes(batch_out.read_bytes()),
+            "cli.probe": sha256_bytes((chain / "probe.json").read_bytes())}
 
 
 def benchmark_logs() -> list:

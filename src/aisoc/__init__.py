@@ -21,7 +21,7 @@ from .errors import (
     TrainingError,
     TuningError,
 )
-from .fusion import CalibratedScorePair, FusionConfig, TriageLabel, fuse, tune_thresholds
+from .fusion import CalibratedScorePair, FusionConfig, TriageLabel, fuse_scores, tune_thresholds
 
 __version__ = "0.1.0"
 
@@ -43,8 +43,8 @@ __all__ = [
     "corpus",
     "evaluate",
     "features",
+    "fuse_scores",
     "fusion",
-    "fuse",
     "learn",
     "metrics",
     "pipeline",

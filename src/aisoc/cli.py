@@ -6,13 +6,13 @@ which overrides the defaults (a mirrored ``ExperimentConfig`` field's own).
 ``generate`` and ``split`` run the data stages ``run_experiment`` runs
 (``generate_logs``, ``generate_malware_rows``, ``split_malware``,
 ``build_manifest``). Artifacts are built up stage by stage,
-each subcommand running one stage function of ``pipeline`` (the same ones
-``run_experiment`` runs) and saving the new artifact it returns:
-``train-log`` and ``train-malware`` write PARTIAL artifacts, ``calibrate``
-adds the calibrators, and ``tune`` adds the fusion thresholds, after which
-the artifact is SERVING-complete. A stage drops what was fitted on the
-components it replaces, so re-running one leaves the artifact PARTIAL until
-the later stages run again.
+each subcommand running the stage functions ``run_experiment`` runs and
+saving the new artifact it returns: ``train-log`` and ``train-malware``
+write PARTIAL artifacts, ``calibrate`` adds the calibrators, and ``tune``
+adds the fusion thresholds (``validation_pairs``, ``tune_thresholds``,
+``tuning_macro_f1``), after which the artifact is SERVING-complete. A
+stage drops what was fitted on the components it replaces, so re-running
+one leaves the artifact PARTIAL until the later stages run again.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .corpus import (
 from .corpus.generate import MAX_GENERATED_ITEMS
 from .errors import AisocError, ConfigError
 from .evaluate import build_manifest, read_manifest, robustness_probe, run_baselines, write_manifest
+from .fusion import tune_thresholds, tuning_macro_f1
 from .pipeline import (
     ExperimentConfig,
     calibrate_detectors,
@@ -50,7 +51,6 @@ from .pipeline import (
     split_malware,
     train_log_detector,
     train_malware_detector,
-    tune_fusion,
     validation_pairs,
 )
 from .service import (
@@ -326,8 +326,9 @@ def _cmd_tune(opts: dict) -> int:
     _require(opts, "artifact", "manifest")
     artifact = load_artifact(opts["artifact"])
     pairs, truth = validation_pairs(artifact, read_manifest(opts["manifest"]))
-    config, macro = tune_fusion(pairs, truth, grid_step=opts["grid_step"],
-                                tuned_on=Path(opts["manifest"]).name, version=opts["version"])
+    config = tune_thresholds(pairs, truth, grid_step=opts["grid_step"],
+                             tuned_on=Path(opts["manifest"]).name, version=opts["version"])
+    macro = tuning_macro_f1(pairs, truth, config)
     artifact = replace(artifact, fusion=config)
     export = opts["export_thresholds"]
     if export:  # before the save, so a refused path leaves the artifact as it was

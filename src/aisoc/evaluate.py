@@ -22,7 +22,7 @@ from .corpus.loaders import read_ndjson, write_ndjson
 from .corpus.records import Label, LogRecord, MalwareSample, Origin, Channel
 from .errors import ConfigError, LoadError, MetricError
 from .features import feature_matrix
-from .fusion import CalibratedScorePair, TriageLabel, derive_truth_triage, TRIAGE_CLASSES
+from .fusion import CalibratedScorePair, TriageLabel, TRIAGE_CLASSES, fuse_scores
 from .metrics import EvalReport, classification_report, pr_auc, roc_auc
 from .seeding import derive_seed
 from .service.scorer import Scorer, check_feature_row
@@ -38,7 +38,10 @@ class ManifestItem:
 
     @property
     def truth(self) -> TriageLabel:
-        return derive_truth_triage(self.malware.label, self.log.label)
+        """The fusion rule on the component labels as 0/1 scores, at thresholds 1."""
+        if self.malware.label is None or self.log.label is None:
+            raise ValueError("both component labels are required to derive triage truth")
+        return fuse_scores(*binary_labels((self.malware.label, self.log.label)), 1, 1)
 
 
 def build_manifest(logs: Sequence[LogRecord], samples: Sequence[MalwareSample],
@@ -79,9 +82,9 @@ def build_manifest(logs: Sequence[LogRecord], samples: Sequence[MalwareSample],
 def write_manifest(items: Sequence[ManifestItem], path: str | Path) -> None:
     write_ndjson(({"entity_id": item.entity_id,
                    "log_message": item.log.message,
-                   "log_label": item.log.label.value if item.log.label else None,
+                   "log_label": item.log.label.value,
                    "malware_features": [float(v) for v in item.malware.features],
-                   "malware_label": item.malware.label.value if item.malware.label else None}
+                   "malware_label": item.malware.label.value}
                   for item in items), path)
 
 
@@ -94,16 +97,15 @@ def _manifest_item(obj) -> ManifestItem:
     (entity_id + message).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
     check_feature_row(features)
     log = LogRecord(timestamp=0, host="manifest", channel=Channel.SYSTEM, message=message,
-                    label=Label(obj["log_label"]) if obj.get("log_label") else None,
-                    origin=Origin.LOADED)
-    malware = MalwareSample(
-        sample_id=entity_id, features=tuple(map(float, features)),
-        label=Label(obj["malware_label"]) if obj.get("malware_label") else None)
+                    label=Label(obj.get("log_label")), origin=Origin.LOADED)
+    malware = MalwareSample(sample_id=entity_id, features=tuple(map(float, features)),
+                            label=Label(obj.get("malware_label")))
     return ManifestItem(entity_id=entity_id, log=log, malware=malware)
 
 
 def read_manifest(path: str | Path) -> list[ManifestItem]:
-    """The items of a manifest NDJSON file; the first bad line raises ``LoadError``."""
+    """The items of a manifest NDJSON file, each line with both labels as ``"BENIGN"`` or
+    ``"MALICIOUS"``; the first bad line raises ``LoadError``."""
     items = []
     for lineno, item, reason in read_ndjson(path, _manifest_item):
         if reason is not None:
@@ -122,8 +124,7 @@ def score_items(scorer: Scorer, items: Sequence[ManifestItem]) -> list[Calibrate
     s_m = scorer.score_malware(feature_matrix([item.malware for item in items],
                                               scorer.standardizer))
     s_l = scorer.score_log([item.log.message for item in items])
-    return [CalibratedScorePair(s_m=m, s_l=l, entity_id=item.entity_id)
-            for item, m, l in zip(items, s_m.tolist(), s_l.tolist())]
+    return [CalibratedScorePair(s_m=m, s_l=l) for m, l in zip(s_m.tolist(), s_l.tolist())]
 
 
 def run_baselines(scorer: Scorer, items: Sequence[ManifestItem], split: str = "test",

@@ -15,7 +15,6 @@ from enum import IntEnum
 
 import numpy as np
 
-from .corpus.records import Label
 from .errors import TuningError
 from .metrics import macro_average, precision_recall_f1
 
@@ -27,6 +26,9 @@ class TriageLabel(IntEnum):
 
 
 TRIAGE_CLASSES = (TriageLabel.NORMAL, TriageLabel.SUSPICIOUS, TriageLabel.HIGH_CONFIDENCE_ATTACK)
+# The finest tuning grid: at most 1001 thresholds per axis, so the grid search's
+# (3, 3, G, G) float64 counts stay near 72 MB.
+MIN_GRID_STEP = 0.001
 
 
 @dataclass(frozen=True)
@@ -35,7 +37,6 @@ class CalibratedScorePair:
 
     s_m: float
     s_l: float
-    entity_id: str = ""
 
     def __post_init__(self) -> None:
         for name, value in (("s_m", self.s_m), ("s_l", self.s_l)):
@@ -81,23 +82,10 @@ def fuse_scores(s_m: float, s_l: float, t_m: float, t_l: float) -> TriageLabel:
     return TriageLabel.NORMAL
 
 
-def fuse(pair: CalibratedScorePair, config: FusionConfig) -> TriageLabel:
-    return fuse_scores(pair.s_m, pair.s_l, config.t_m, config.t_l)
-
-
-def derive_truth_triage(malware_label, log_label) -> TriageLabel:
-    """The fusion rule on ground-truth component labels as 0/1 scores."""
-    if malware_label is None or log_label is None:
-        raise ValueError("both component labels are required to derive triage truth")
-    m, l = (float(v is Label.MALICIOUS if isinstance(v, Label) else bool(v))
-            for v in (malware_label, log_label))
-    return fuse_scores(m, l, 1.0, 1.0)
-
-
 def threshold_grid(grid_step: float) -> np.ndarray:
     """The candidate thresholds {0, step, 2*step, ..., 1} (1 always included)."""
-    if not 0.0 < grid_step <= 0.5:
-        raise TuningError(f"grid_step must be in (0, 0.5], got {grid_step}")
+    if not MIN_GRID_STEP <= grid_step <= 0.5:
+        raise TuningError(f"grid_step must be in [{MIN_GRID_STEP}, 0.5], got {grid_step}")
     n = int(np.floor(1.0 / grid_step + 1e-9))
     values = np.round(np.arange(n + 1) * grid_step, 10)
     if values[-1] < 1.0:

@@ -36,7 +36,6 @@ from .corpus import (
     k_fold,
     split,
 )
-from .errors import ConfigError, TrainingError
 from .evaluate import (
     ManifestItem,
     binary_labels,
@@ -195,11 +194,10 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
                         val_samples: list[MalwareSample], method: str) -> ModelArtifact:
     """``artifact`` with both calibrators fitted; ``method`` "auto" selects per detector.
 
+    An artifact without both detectors raises ``ArtifactError`` naming what is missing.
     The fusion thresholds are cleared: they were tuned on the old calibrators' scores.
     """
-    for component in ("vocabulary", "logistic", "standardizer", "forest"):
-        if getattr(artifact, component) is None:
-            raise ConfigError(f"artifact is missing {component}; train both models first")
+    artifact.to_scorer(("vocabulary", "logistic", "standardizer", "forest"))
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
     raw_log = artifact.raw_log_score([r.message for r in val_logs])
     calibrator_logs = calibrate.fit_calibrator(
@@ -215,14 +213,6 @@ def validation_pairs(artifact: ModelArtifact, items: list[ManifestItem]
                      ) -> tuple[list[CalibratedScorePair], list[TriageLabel]]:
     """Calibrated score pairs and triage truth of ``items`` before thresholds exist."""
     return score_items(artifact.to_scorer(PAIR_COMPONENTS), items), [item.truth for item in items]
-
-
-def tune_fusion(pairs: list[CalibratedScorePair], truth: list[TriageLabel], *,
-                grid_step: float, tuned_on: str, version: str) -> tuple[FusionConfig, float]:
-    """Grid-searched thresholds and the macro-F1 they reach on ``pairs``."""
-    fusion = tune_thresholds(pairs, truth, grid_step=grid_step, tuned_on=tuned_on,
-                             version=version)
-    return fusion, tuning_macro_f1(pairs, truth, fusion)
 
 
 def _train_logs(records: list[LogRecord], config: ExperimentConfig):
@@ -265,14 +255,13 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
                                supports=config.val_supports)
     val_pairs, val_truth = validation_pairs(artifact, val_items)
     if config.fixed_thresholds is None:
-        fusion, validation_macro_f1 = tune_fusion(
-            val_pairs, val_truth, grid_step=config.grid_step, tuned_on="validation",
-            version=config.artifact_version_tag)
+        fusion = tune_thresholds(val_pairs, val_truth, grid_step=config.grid_step,
+                                 tuned_on="validation", version=config.artifact_version_tag)
     else:
         t_m, t_l = config.fixed_thresholds
         fusion = FusionConfig(t_m=t_m, t_l=t_l, grid_step=config.grid_step,
                               tuned_on="fixed", version=config.artifact_version_tag)
-        validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion)
+    validation_macro_f1 = tuning_macro_f1(val_pairs, val_truth, fusion)
     artifact = replace(artifact, fusion=fusion)
 
     # Final evaluation manifest and the three baseline settings.
@@ -301,8 +290,6 @@ def cross_validate_log_model(records: list[LogRecord], folds: int, seed: int,
     for k, heldout in enumerate(fold_parts):
         # the other folds in fold order: row order feeds the logistic fit's sums
         train_records = [r for j, fold in enumerate(fold_parts) if j != k for r in fold]
-        if len({r.label for r in train_records}) < 2:
-            raise TrainingError(f"fold {k} training data is single-class")
         vocab, model = _train_logs(train_records, config)
         p = ModelArtifact(vocabulary=vocab, logistic=model).raw_log_score(
             [r.message for r in heldout])

@@ -224,6 +224,13 @@ class TestImmutableValue:
         assert tuned.fusion is demo_result.fusion_config
         assert checksum_of(tuned.to_payload()) == tuned.checksum
 
+    def test_calibrating_needs_both_detectors(self, demo_result):
+        log_only = ModelArtifact(vocabulary=demo_result.artifact.vocabulary,
+                                 logistic=demo_result.artifact.logistic)
+        with pytest.raises(ArtifactError, match="missing components: standardizer, forest$"):
+            calibrate_detectors(log_only, demo_result.log_split.validation,
+                                demo_result.malware_split.validation, "auto")
+
 
 class TestSelfDescription:
     """A payload is refused when its own fields misdescribe it, checksum or not."""

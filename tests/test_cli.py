@@ -248,6 +248,47 @@ def test_tune_leaves_the_artifact_unchanged_when_the_export_is_refused(workspace
     assert artifact.read_bytes() == before
 
 
+def test_tune_refuses_a_grid_step_below_the_floor(workspace, tmp_path, capsys):
+    artifact = copied_artifact(workspace, tmp_path)
+    before = artifact.read_bytes()
+    assert main(["tune", "--manifest", str(workspace / "splits" / "manifest_validation.ndjson"),
+                 "--artifact", str(artifact), "--grid-step", "0.0005"]) == 2
+    assert capsys.readouterr().err == "error: grid_step must be in [0.001, 0.5], got 0.0005\n"
+    assert artifact.read_bytes() == before
+
+
+def test_calibrate_refuses_an_artifact_without_the_malware_detector(workspace, tmp_path,
+                                                                   capsys):
+    splits, artifact = workspace / "splits", tmp_path / "artifact.json"
+    assert main(["train-log", "--train", str(splits / "logs_train.ndjson"),
+                 "--artifact", str(artifact)]) == 0
+    before = artifact.read_bytes()
+    capsys.readouterr()
+    assert main(["calibrate", "--artifact", str(artifact),
+                 "--val-logs", str(splits / "logs_validation.ndjson"),
+                 "--val-malware", str(splits / "malware_validation.csv")]) == 2
+    assert capsys.readouterr().err == ("error: artifact is PARTIAL and cannot score; missing "
+                                       "components: standardizer, forest\n")
+    assert artifact.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["tune", "evaluate", "probe"])
+def test_a_manifest_line_without_named_labels_is_refused_by_number(workspace, tmp_path,
+                                                                   capsys, command):
+    artifact = copied_artifact(workspace, tmp_path)
+    before = artifact.read_bytes()
+    lines = (workspace / "splits" / "manifest_validation.ndjson").read_text().splitlines()
+    unlabeled = json.loads(lines[1])
+    unlabeled["log_label"] = 0
+    manifest = tmp_path / "manifest.ndjson"
+    manifest.write_text("\n".join([lines[0], json.dumps(unlabeled), *lines[2:]]) + "\n")
+    assert main([command, "--artifact", str(artifact), "--manifest", str(manifest)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {manifest}: line 2: 0 is not a valid Label\n"
+    assert captured.out == ""
+    assert artifact.read_bytes() == before
+
+
 def test_chain_outputs_do_not_depend_on_the_directory(tmp_path, capsys):
     run_chain(tmp_path / "one")
     run_chain(tmp_path / "elsewhere" / "two")

@@ -14,7 +14,7 @@ from aisoc.corpus import (
     generate_corpus,
 )
 from aisoc.corpus.generate import MAX_GENERATED_ITEMS
-from aisoc.errors import ConfigError, LoadError
+from aisoc.errors import ConfigError, LoadError, TrainingError
 from aisoc.evaluate import (
     ManifestItem,
     build_manifest,
@@ -31,6 +31,7 @@ from aisoc.metrics import EvalReport, classification_report
 from aisoc.pipeline import (
     ExperimentConfig,
     augmented_cv_corpus,
+    cross_validate_log_model,
     generate_malware_rows,
     train_log_detector,
 )
@@ -182,14 +183,22 @@ class TestBuildManifest:
         '{"entity_id": "e", "log_message": "m", "malware_features": [' + "9" * 400 + "]}",
         '{"entity_id": "e", "log_message": "\\ud800", "malware_features": [1.0]}',
         '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 3}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 0, '
+        '"malware_label": "BENIGN"}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
+        '"log_label": "BENIGN", "malware_label": null}',
+        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
+        '"log_label": "BENIGN"}',
         '{"log_message": "m", "malware_features": [1.0]}',
         "[" * 100_000 + "]" * 100_000,
         '{"entity_id": "e", "log_message": "m", "malware_features": [' + "1" * 5000 + "]}",
     ], ids=["array", "string", "int-id", "int-message", "int-features", "bool-feature",
             "string-feature", "nan-feature", "int-beyond-float", "lone-surrogate",
-            "bad-label", "no-id", "deep-nesting", "5000-digits"])
+            "bad-label", "zero-label", "null-label", "no-malware-label", "no-id",
+            "deep-nesting", "5000-digits"])
     def test_read_manifest_refuses_a_bad_line_by_number(self, tmp_path, bad):
-        good = '{"entity_id": "e0", "log_message": "m", "malware_features": [0.5]}'
+        good = ('{"entity_id": "e0", "log_message": "m", "malware_features": [0.5], '
+                '"log_label": "BENIGN", "malware_label": "MALICIOUS"}')
         path = tmp_path / "bad.ndjson"
         path.write_text("\n".join([good, "", bad, good]) + "\n", encoding="utf-8")
         with pytest.raises(LoadError, match=r"bad\.ndjson: line 3: "):
@@ -213,6 +222,29 @@ class TestBuildManifest:
         path.write_bytes(b'{"entity_id": "e\xff", "log_message": "m", "malware_features": []}\n')
         with pytest.raises(LoadError, match="line 1: 'utf-8' codec can't decode"):
             read_manifest(path)
+
+
+def _item(mw_label, log_label) -> ManifestItem:
+    return ManifestItem(
+        entity_id="e", malware=MalwareSample(sample_id="e", features=(0.5,), label=mw_label),
+        log=LogRecord(timestamp=0, host="h", channel=Channel.SYSTEM, message="m",
+                      label=log_label))
+
+
+class TestTruth:
+    @pytest.mark.parametrize("mw, log, expected", [
+        (Label.MALICIOUS, Label.MALICIOUS, TriageLabel.HIGH_CONFIDENCE_ATTACK),
+        (Label.BENIGN, Label.BENIGN, TriageLabel.NORMAL),
+        (Label.MALICIOUS, Label.BENIGN, TriageLabel.SUSPICIOUS),
+        (Label.BENIGN, Label.MALICIOUS, TriageLabel.SUSPICIOUS),
+    ])
+    def test_combinations(self, mw, log, expected):
+        assert _item(mw, log).truth is expected
+
+    def test_missing_label_is_error(self):
+        for mw, log in ((None, Label.BENIGN), (Label.BENIGN, None)):
+            with pytest.raises(ValueError, match="both component labels are required"):
+                _item(mw, log).truth
 
 
 class TestRunBaselines:
@@ -320,8 +352,8 @@ def test_score_items_scores_each_item_like_score_request(demo_scorer, demo_resul
     for item, pair in zip(items, pairs):
         response = demo_scorer.score_request({"log_message": item.log.message,
                                               "malware_features": list(item.malware.features)})
-        assert (pair.s_m, pair.s_l, pair.entity_id) == (response["s_m"], response["s_l"],
-                                                        item.entity_id)
+        assert (pair.s_m, pair.s_l) == (response["s_m"], response["s_l"])
+    assert len(pairs) == len(items)
     assert score_items(demo_scorer, []) == []
 
 
@@ -335,6 +367,16 @@ def test_score_items_rejects_a_row_of_another_width(demo_scorer, demo_result):
     items[1] = replace(items[1], malware=short)
     with pytest.raises(DimensionError, match="standardizer expects"):
         score_items(demo_scorer, items)
+
+
+def test_cv_fold_with_single_class_training_part_is_refused(demo_result):
+    logs = demo_result.log_split.train
+    benign = [r for r in logs if r.label is Label.BENIGN][:20]
+    malicious = next(r for r in logs if r.label is Label.MALICIOUS)
+    # stratified 2-fold: the one MALICIOUS record is held out in fold 0, so fold 0
+    # trains on BENIGN records only
+    with pytest.raises(TrainingError):
+        cross_validate_log_model(benign + [malicious], folds=2, seed=0)
 
 
 class TestTrainLogDetector:

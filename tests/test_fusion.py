@@ -3,16 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from aisoc.corpus import Label
 from aisoc.errors import TuningError
 from aisoc.evaluate import build_manifest
 from aisoc.fusion import (
+    MIN_GRID_STEP,
     TRIAGE_CLASSES,
     CalibratedScorePair,
     FusionConfig,
     TriageLabel,
-    derive_truth_triage,
-    fuse,
     fuse_scores,
     threshold_grid,
     tune_thresholds,
@@ -29,20 +27,19 @@ scores = st.floats(0.0, 1.0)
 
 class TestFuse:
     def test_paper_thresholds_mid_scores_fire_both_branches(self):
-        pair = CalibratedScorePair(s_m=0.50, s_l=0.50)
-        assert fuse(pair, PAPER_CONFIG) is TriageLabel.HIGH_CONFIDENCE_ATTACK
+        assert fuse_scores(0.50, 0.50, PAPER_CONFIG.t_m, PAPER_CONFIG.t_l) \
+            is TriageLabel.HIGH_CONFIDENCE_ATTACK
 
     def test_zero_scores_are_normal(self):
-        pair = CalibratedScorePair(s_m=0.0, s_l=0.0)
-        assert fuse(pair, FusionConfig(t_m=0.2, t_l=0.7)) is TriageLabel.NORMAL
+        assert fuse_scores(0.0, 0.0, 0.2, 0.7) is TriageLabel.NORMAL
 
     def test_inclusive_malware_branch_only(self):
-        pair = CalibratedScorePair(s_m=0.10, s_l=0.41)
-        assert fuse(pair, PAPER_CONFIG) is TriageLabel.SUSPICIOUS
+        assert fuse_scores(0.10, 0.41, PAPER_CONFIG.t_m, PAPER_CONFIG.t_l) \
+            is TriageLabel.SUSPICIOUS
 
     def test_boundary_is_inclusive_on_both_axes(self):
-        pair = CalibratedScorePair(s_m=PAPER_CONFIG.t_m, s_l=PAPER_CONFIG.t_l)
-        assert fuse(pair, PAPER_CONFIG) is TriageLabel.HIGH_CONFIDENCE_ATTACK
+        t_m, t_l = PAPER_CONFIG.t_m, PAPER_CONFIG.t_l
+        assert fuse_scores(t_m, t_l, t_m, t_l) is TriageLabel.HIGH_CONFIDENCE_ATTACK
 
     def test_score_range_validated(self):
         with pytest.raises(ValueError):
@@ -67,24 +64,6 @@ class TestFuse:
         assert fuse_scores(s_m, min(1.0, s_l + bump), t_m, t_l) >= base
 
 
-class TestDeriveTruth:
-    @pytest.mark.parametrize("mw, log, expected", [
-        (Label.MALICIOUS, Label.MALICIOUS, TriageLabel.HIGH_CONFIDENCE_ATTACK),
-        (Label.BENIGN, Label.BENIGN, TriageLabel.NORMAL),
-        (Label.MALICIOUS, Label.BENIGN, TriageLabel.SUSPICIOUS),
-        (Label.BENIGN, Label.MALICIOUS, TriageLabel.SUSPICIOUS),
-    ])
-    def test_combinations(self, mw, log, expected):
-        assert derive_truth_triage(mw, log) is expected
-
-    def test_accepts_binary_ints(self):
-        assert derive_truth_triage(1, 0) is TriageLabel.SUSPICIOUS
-
-    def test_missing_label_is_error(self):
-        with pytest.raises(ValueError):
-            derive_truth_triage(None, Label.BENIGN)
-
-
 class TestThresholdGrid:
     def test_half_step_grid(self):
         assert threshold_grid(0.5).tolist() == [0.0, 0.5, 1.0]
@@ -99,8 +78,12 @@ class TestThresholdGrid:
         assert grid[0] == 0.0 and grid[-1] == 1.0
 
     def test_bad_step(self):
-        with pytest.raises(TuningError):
-            threshold_grid(0.0)
+        for step in (0.0, 0.0005, 1e-12, 0.6):
+            with pytest.raises(TuningError, match=r"grid_step must be in \[0\.001, 0\.5\]"):
+                threshold_grid(step)
+
+    def test_finest_step_is_the_floor(self):
+        assert len(threshold_grid(MIN_GRID_STEP)) == 1001
 
 
 def _pairs_and_truth(n, rng):
@@ -110,7 +93,7 @@ def _pairs_and_truth(n, rng):
         s_m = rng.uniform(0.55, 1.0) if mw else rng.uniform(0.0, 0.45)
         s_l = rng.uniform(0.55, 1.0) if log else rng.uniform(0.0, 0.45)
         pairs.append(CalibratedScorePair(s_m=s_m, s_l=s_l))
-        truth.append(derive_truth_triage(mw, log))
+        truth.append(fuse_scores(float(mw), float(log), 1.0, 1.0))
     return pairs, truth
 
 
@@ -187,6 +170,6 @@ def test_tuning_f1_is_the_reported_f1_at_every_grid_cell(demo_config, demo_resul
     for t_m in grid:
         for t_l in grid:
             config = FusionConfig(t_m=float(t_m), t_l=float(t_l))
-            report = classification_report([fuse(p, config) for p in pairs], truth,
-                                            TRIAGE_CLASSES)
+            report = classification_report([fuse_scores(p.s_m, p.s_l, t_m, t_l) for p in pairs],
+                                            truth, TRIAGE_CLASSES)
             assert tuning_macro_f1(pairs, truth, config).hex() == report.macro_f1.hex()
