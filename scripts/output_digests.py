@@ -9,7 +9,11 @@ evaluate) at seed 7 and prints the digest of its artifact and
 ``report.json``. Then ``score-batch`` scores the chain's test manifest as
 requests, plus one logs-only, one malware-only and one malformed line, and
 the digest of its output NDJSON is printed, followed by the digest of the
-``probe --json-out`` report on the same manifest. Last, the
+``probe --json-out`` report on the same manifest. The ``batch.repeats``
+digest is of ``score-batch`` over the manifest's requests drawn again and
+again, so that repeats cross several 128- and 512-line block boundaries,
+mixed with single-modality requests, integral rows written as ints and as
+floats, rows with a negated zero and malformed lines. Last, the
 benchmark-sized seed-7 log corpus (3 hosts, 3000 s, 24 attack sessions) is
 deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
 ``(timestamp, label, message)`` list is printed. Finally, forests are trained
@@ -57,6 +61,7 @@ import contextlib
 import hashlib
 import itertools
 import json
+import random
 import sys
 import tempfile
 import warnings
@@ -92,6 +97,7 @@ SEED = "7"
 DEDUP_THRESHOLDS = (0.9, 0.7)
 AUGMENT_SEEDS = range(5)
 AUGMENT_RATE = 0.7
+REPEAT_LINES = 1700
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -118,10 +124,15 @@ def run_cli(argv: list) -> None:
         raise SystemExit(f"aisoc {argv[0]} exited with {code}")
 
 
+def manifest_requests(manifest: Path) -> list[dict]:
+    """The manifest's items as score requests."""
+    return [{key: item[key] for key in ("entity_id", "log_message", "malware_features")}
+            for item in map(json.loads, manifest.read_text(encoding="utf-8").splitlines())]
+
+
 def write_batch_input(manifest: Path, path: Path) -> None:
     """The manifest's items as score requests, then three lines of other kinds."""
-    requests = [{key: item[key] for key in ("entity_id", "log_message", "malware_features")}
-                for item in map(json.loads, manifest.read_text(encoding="utf-8").splitlines())]
+    requests = manifest_requests(manifest)
     lines = [json.dumps(r, ensure_ascii=False) for r in requests]
     lines += [json.dumps({"entity_id": "logs-only", "log_message": requests[0]["log_message"]},
                          ensure_ascii=False),
@@ -156,6 +167,44 @@ def cli_digests(chain: Path) -> dict[str, str]:
             "cli.report": sha256_bytes((chain / "report.json").read_bytes()),
             "cli.score_batch": sha256_bytes(batch_out.read_bytes()),
             "cli.probe": sha256_bytes((chain / "probe.json").read_bytes())}
+
+
+def write_repeats_input(manifest: Path, path: Path) -> None:
+    """``REPEAT_LINES`` requests drawn with replacement from the manifest's, so
+    repeats fall in every block and on both sides of each block boundary. Every
+    13th keeps one modality; every 29th has the first request's row rounded and
+    written as ints, and the line after it the same row as floats; every 41st
+    has that row with its first value a zero, negated on odd lines; every 97th
+    is malformed."""
+    pool = manifest_requests(manifest)
+    integral = [round(v) for v in pool[0]["malware_features"]]
+    bad = ['{"log_message": ', "[1, 2]", json.dumps({"malware_features": [0.5]}),
+           '{"malware_features": [NaN]}']
+    lines = []
+    for i, drawn in enumerate(random.Random(SEED).choices(pool, k=REPEAT_LINES)):
+        request = dict(drawn)
+        if i % 97 == 96:
+            lines.append(bad[i % len(bad)])
+            continue
+        if i % 13 == 12:
+            del request[("log_message", "malware_features")[i % 2]]
+        elif i % 29 == 28:
+            request["malware_features"] = integral
+        elif i % 29 == 0 and i:
+            request["malware_features"] = [float(v) for v in integral]
+        elif i % 41 == 40:
+            request["malware_features"] = [-0.0 if i % 2 else 0] + integral[1:]
+        lines.append(json.dumps(request, ensure_ascii=False))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def batch_digests(chain: Path) -> dict[str, str]:
+    """Digest of ``score-batch`` over the chain's test-manifest requests, repeated."""
+    requests, results = chain / "repeat_requests.ndjson", chain / "repeat_results.ndjson"
+    write_repeats_input(chain / "splits" / "manifest_test.ndjson", requests)
+    run_cli(["score-batch", "--artifact", chain / "artifact.json", "--in", requests,
+             "--out", results])
+    return {"batch.repeats": sha256_bytes(results.read_bytes())}
 
 
 def benchmark_logs() -> list:
@@ -339,6 +388,7 @@ def main() -> int:
         digests = pipeline_digests(Path(tmp))
         chain = chain_dir or Path(tmp) / "chain"
         digests.update(cli_digests(chain))
+        digests.update(batch_digests(chain))
         digests.update(loaders_digests(chain))
         digests.update(logistic_digests(chain))
     logs = benchmark_logs()

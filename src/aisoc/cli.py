@@ -402,7 +402,9 @@ def _cmd_score_batch(opts: dict) -> int:
     artifact = load_artifact(opts["artifact"])
     results = score_batch(artifact.to_scorer(), opts["in_path"], opts["out"] or sys.stdout)
     if opts["out"]:
-        print(f"scored {len(results)} request(s) into {opts['out']}")
+        errors = sum("error" in r for r in results)
+        print(f"scored {len(results) - errors} request(s) and {errors} error line(s) "
+              f"into {opts['out']}")
     return 0
 
 

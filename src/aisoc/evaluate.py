@@ -88,6 +88,13 @@ def write_manifest(items: Sequence[ManifestItem], path: str | Path) -> None:
                   for item in items), path)
 
 
+def _manifest_label(obj: dict, field: str) -> Label:
+    try:
+        return Label(obj.get(field))
+    except ValueError as exc:
+        raise ValueError(f"{field}: {exc}") from None
+
+
 def _manifest_item(obj) -> ManifestItem:
     if not isinstance(obj, dict):
         raise ValueError("line is not a JSON object")
@@ -97,9 +104,9 @@ def _manifest_item(obj) -> ManifestItem:
     (entity_id + message).encode("utf-8")  # a lone surrogate raises UnicodeEncodeError
     check_feature_row(features)
     log = LogRecord(timestamp=0, host="manifest", channel=Channel.SYSTEM, message=message,
-                    label=Label(obj.get("log_label")), origin=Origin.LOADED)
+                    label=_manifest_label(obj, "log_label"), origin=Origin.LOADED)
     malware = MalwareSample(sample_id=entity_id, features=tuple(map(float, features)),
-                            label=Label(obj.get("malware_label")))
+                            label=_manifest_label(obj, "malware_label"))
     return ManifestItem(entity_id=entity_id, log=log, malware=malware)
 
 

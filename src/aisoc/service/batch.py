@@ -4,7 +4,11 @@ Lines go through the shared NDJSON reader, with ``Scorer.validate`` as the
 schema check, in blocks of ``BLOCK_LINES`` non-blank lines. A bad line becomes
 an error object in its place, and the valid requests of a block are scored
 together by ``Scorer.score_many``, the kernel behind HTTP ``score_request``,
-so the block size bounds the scoring arrays whatever the length of the file.
+which scores each distinct message and feature row of the block once. The
+block is both the window in which repeats share their scores and the bound on
+the scoring arrays, whatever the length of the file. Longer blocks share more
+repeats, but over 2000 lines without repeats one pass peaked 1.4 MB higher at
+512 lines than at 128, and 3.7 MB higher at 1024.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from ..corpus.loaders import decode_ndjson, read_ndjson, write_ndjson
 from .scorer import Scorer
 
 _BATCH_FIELDS = ("entity_id", "s_m", "s_l", "label")
-BLOCK_LINES = 128
+BLOCK_LINES = 512
 
 
 def _score_blocks(scorer: Scorer, decoded: Iterator[tuple[int, Any, str | None]]) -> list[dict]:

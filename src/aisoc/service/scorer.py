@@ -49,6 +49,13 @@ def check_feature_row(features) -> None:
         raise RequestError("malware_features must be finite")
 
 
+def _distinct_scores(kernel, keys: list) -> dict:
+    """``{key: score}`` for each distinct key other than ``None``, from one
+    ``kernel`` call on the distinct keys in first-seen order."""
+    distinct = list(dict.fromkeys(key for key in keys if key is not None))
+    return dict(zip(distinct, kernel(distinct).tolist() if distinct else ()))
+
+
 class ScoreRequest(NamedTuple):
     """A validated request; ``None`` marks an absent field."""
 
@@ -150,11 +157,20 @@ class Scorer:
         return self._response(req, s_m, s_l)
 
     def score_many(self, requests: Sequence[ScoreRequest]) -> list[dict]:
-        """Replies to validated requests, in order; one kernel call per modality."""
-        messages = [r.log_message for r in requests if r.log_message is not None]
-        rows = [r.malware_features for r in requests if r.malware_features is not None]
-        s_l = iter(self.score_log(messages).tolist() if messages else ())
-        s_m = iter(self.score_malware(rows).tolist() if rows else ())
-        return [self._response(r, None if r.malware_features is None else next(s_m),
-                               None if r.log_message is None else next(s_l))
+        """Replies to validated requests, in order; one kernel call per modality.
+
+        Each distinct message and each distinct feature row is scored once
+        and its scores go to every request that holds it. A row is keyed by
+        ``tuple(features)``; equal tuples convert to the same float64 values
+        up to the sign of zero (an int equals a float only when the float
+        holds it exactly), and ``0.0`` and ``-0.0`` take the same branch at
+        every forest split. A score does not depend on the block it is
+        scored in, so sharing changes no bit.
+        """
+        messages = [r.log_message for r in requests]
+        rows = [None if r.malware_features is None else tuple(r.malware_features)
                 for r in requests]
+        s_l = _distinct_scores(self.score_log, messages)
+        s_m = _distinct_scores(self.score_malware, rows)
+        return [self._response(r, s_m.get(row), s_l.get(message))
+                for r, message, row in zip(requests, messages, rows)]

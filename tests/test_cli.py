@@ -166,6 +166,18 @@ class TestPipelineCommands:
         [line] = results.read_text().splitlines()
         assert "label" in json.loads(line)
 
+    def test_score_batch_counts_error_lines_apart(self, workspace, tmp_path, capsys):
+        requests = tmp_path / "req.ndjson"
+        results = tmp_path / "res.ndjson"
+        requests.write_text('{"log_message": "sshd: Accepted password for bob"}\n'
+                            '{"log_message": \n[1, 2]\n')
+        assert main(["score-batch", "--artifact", str(workspace / "artifact.json"),
+                     "--in", str(requests), "--out", str(results)]) == 0
+        assert capsys.readouterr().out \
+            == f"scored 1 request(s) and 2 error line(s) into {results}\n"
+        assert [sorted(json.loads(line)) for line in results.read_text().splitlines()] \
+            == [["label", "s_l"], ["error", "line"], ["error", "line"]]
+
     def test_save_restamps_created_at(self, workspace, tmp_path):
         out = tmp_path / "restamped.json"
         assert main(["save", "--artifact", str(workspace / "artifact.json"),
@@ -284,7 +296,7 @@ def test_a_manifest_line_without_named_labels_is_refused_by_number(workspace, tm
     manifest.write_text("\n".join([lines[0], json.dumps(unlabeled), *lines[2:]]) + "\n")
     assert main([command, "--artifact", str(artifact), "--manifest", str(manifest)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {manifest}: line 2: 0 is not a valid Label\n"
+    assert captured.err == f"error: {manifest}: line 2: log_label: 0 is not a valid Label\n"
     assert captured.out == ""
     assert artifact.read_bytes() == before
 

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import pytest
@@ -171,37 +172,39 @@ class TestBuildManifest:
         with pytest.raises(LoadError):
             read_manifest(path)
 
-    @pytest.mark.parametrize("bad", [
-        "[1, 2]",
-        '"just a string"',
-        '{"entity_id": 5, "log_message": "m", "malware_features": [1.0]}',
-        '{"entity_id": "e", "log_message": 7, "malware_features": [1.0]}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": 5}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [true]}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": ["1.5"]}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [NaN]}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [' + "9" * 400 + "]}",
-        '{"entity_id": "e", "log_message": "\\ud800", "malware_features": [1.0]}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 3}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 0, '
-        '"malware_label": "BENIGN"}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
-        '"log_label": "BENIGN", "malware_label": null}',
-        '{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
-        '"log_label": "BENIGN"}',
-        '{"log_message": "m", "malware_features": [1.0]}',
-        "[" * 100_000 + "]" * 100_000,
-        '{"entity_id": "e", "log_message": "m", "malware_features": [' + "1" * 5000 + "]}",
+    @pytest.mark.parametrize("bad,reason", [
+        ("[1, 2]", ""),
+        ('"just a string"', ""),
+        ('{"entity_id": 5, "log_message": "m", "malware_features": [1.0]}', ""),
+        ('{"entity_id": "e", "log_message": 7, "malware_features": [1.0]}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": 5}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [true]}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": ["1.5"]}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [NaN]}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [' + "9" * 400 + "]}", ""),
+        ('{"entity_id": "e", "log_message": "\\ud800", "malware_features": [1.0]}', ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 3}',
+         "log_label: 3 is not a valid Label"),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [1.0], "log_label": 0, '
+         '"malware_label": "BENIGN"}', "log_label: 0 is not a valid Label"),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
+         '"log_label": "BENIGN", "malware_label": null}',
+         "malware_label: None is not a valid Label"),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [1.0], '
+         '"log_label": "BENIGN"}', "malware_label: None is not a valid Label"),
+        ('{"log_message": "m", "malware_features": [1.0]}', ""),
+        ("[" * 100_000 + "]" * 100_000, ""),
+        ('{"entity_id": "e", "log_message": "m", "malware_features": [' + "1" * 5000 + "]}", ""),
     ], ids=["array", "string", "int-id", "int-message", "int-features", "bool-feature",
             "string-feature", "nan-feature", "int-beyond-float", "lone-surrogate",
             "bad-label", "zero-label", "null-label", "no-malware-label", "no-id",
             "deep-nesting", "5000-digits"])
-    def test_read_manifest_refuses_a_bad_line_by_number(self, tmp_path, bad):
+    def test_read_manifest_refuses_a_bad_line_by_number(self, tmp_path, bad, reason):
         good = ('{"entity_id": "e0", "log_message": "m", "malware_features": [0.5], '
                 '"log_label": "BENIGN", "malware_label": "MALICIOUS"}')
         path = tmp_path / "bad.ndjson"
         path.write_text("\n".join([good, "", bad, good]) + "\n", encoding="utf-8")
-        with pytest.raises(LoadError, match=r"bad\.ndjson: line 3: "):
+        with pytest.raises(LoadError, match=r"bad\.ndjson: line 3: " + re.escape(reason)):
             read_manifest(path)
 
     @pytest.mark.parametrize("features,reason", [

@@ -1,3 +1,4 @@
+import dataclasses
 import http.client
 import json
 import socket
@@ -5,11 +6,13 @@ import time
 import urllib.error
 import urllib.request
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aisoc.errors import ArtifactError, LoadError
+from aisoc.features import transform_dense
 from aisoc.fusion import fuse_scores
 from aisoc.pipeline import ExperimentConfig
 from aisoc.service import (ModelArtifact, RequestError, Scorer, ScoringService, score_lines,
@@ -378,7 +381,7 @@ class TestBlockBatch:
         errors = {r["error"] for r in got if "error" in r}
         assert any("standardizer expects" in e for e in errors)
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 257])
+    @pytest.mark.parametrize("n", [0, 1, 2, 127, 128, 129, 257, 511, 512, 513, 1025])
     def test_every_block_size_edge(self, demo_scorer, demo_result, n):
         lines = [json.dumps({"log_message": item.log.message,
                              "malware_features": list(item.malware.features)})
@@ -399,6 +402,80 @@ class TestBlockBatch:
         results = score_lines(demo_scorer, lines)
         assert results[0]["line"] == 1 and "recursion" in results[0]["error"]
         assert results[1]["s_l"] == demo_scorer.score_log(message)
+
+
+def _request_lines(requests) -> list[str]:
+    return [json.dumps(r, ensure_ascii=False) for r in requests]
+
+
+class TestDistinctInputs:
+    """A block scores each distinct message and feature row once; every reply
+    must still equal the per-line ``score_request`` reply bit for bit."""
+
+    def test_one_message_under_several_ids_and_modalities(self, demo_scorer, demo_result):
+        first, *others = demo_result.test_items
+        message, row = first.log.message, list(first.malware.features)
+        second = next(item for item in others if item.log.message != message
+                      and list(item.malware.features) != row)
+        requests = [{"entity_id": "a", "log_message": message},
+                    {"entity_id": "b", "log_message": message, "malware_features": row},
+                    {"malware_features": row},
+                    {"log_message": message},
+                    {"entity_id": "c", "log_message": second.log.message,
+                     "malware_features": row},
+                    {"entity_id": "a", "log_message": message,
+                     "malware_features": list(second.malware.features)}]
+        lines = _request_lines(requests * 3)
+        assert score_lines(demo_scorer, lines) == reference_score_lines(demo_scorer, lines)
+
+    def test_a_row_as_ints_floats_and_signed_zeros(self, demo_result):
+        base = demo_result.artifact.standardizer
+        scorer = dataclasses.replace(demo_result.artifact, standardizer=dataclasses.replace(
+            base, mean=np.zeros_like(base.mean)))
+        live = np.flatnonzero(base.std != 0)[:2]  # features the forest sees unchanged
+        integral = [round(v) for v in demo_result.test_items[0].malware.features]
+        for i in live:
+            integral[i] = 0
+        negated = [-0.0 if v == 0 else float(v) for v in integral]
+        assert np.signbit(transform_dense(negated, scorer.standardizer)[live]).all()
+
+        def big(value):
+            return [value if i == live[0] else v for i, v in enumerate(integral)]
+
+        rows = [integral, [float(v) for v in integral], negated, integral, negated,
+                big(2**53 + 1), big(2.0**53), big(2**53 + 1)]
+        lines = _request_lines({"malware_features": row} for row in rows)
+        assert score_lines(scorer, lines) == reference_score_lines(scorer, lines)
+        first_negated = lines[2::-1]  # the row the kernel sees is the first one of its key
+        assert score_lines(scorer, first_negated) == reference_score_lines(scorer, first_negated)
+
+    def test_repeats_on_both_sides_of_a_block_boundary(self, demo_scorer, demo_result):
+        block = batch_module.BLOCK_LINES
+        items = demo_result.test_items[:5]
+        requests = [{"entity_id": f"r{i}", "log_message": items[i % 5].log.message,
+                     "malware_features": list(items[i % 3].malware.features)}
+                    for i in range(2 * block + 7)]
+        lines = _request_lines(requests)
+        lines[block - 2:block - 2] = ["", '{"log_message": ']  # shifts the boundary by one line
+        assert score_lines(demo_scorer, lines) == reference_score_lines(demo_scorer, lines)
+
+    def test_the_block_kernel_gets_each_distinct_input_once(self, demo_scorer, demo_result,
+                                                            monkeypatch):
+        block = batch_module.BLOCK_LINES
+        items = demo_result.test_items[:7]
+        requests = [{"log_message": items[i % 7].log.message,
+                     "malware_features": list(items[i % 4].malware.features)}
+                    for i in range(block + 20)]
+        calls = {"score_log": [], "score_malware": []}
+        for name in calls:
+            def counting(self, inputs, kernel=getattr(Scorer, name), seen=calls[name]):
+                seen.append(sorted(x if isinstance(x, str) else tuple(x) for x in inputs))
+                return kernel(self, inputs)
+            monkeypatch.setattr(Scorer, name, counting)
+        score_lines(demo_scorer, _request_lines(requests))
+        for name, field in (("score_log", "log_message"), ("score_malware", "malware_features")):
+            keys = [r[field] if isinstance(r[field], str) else tuple(r[field]) for r in requests]
+            assert calls[name] == [sorted(set(keys[:block])), sorted(set(keys[block:]))]
 
 
 class TestHealthVersion:
