@@ -13,7 +13,11 @@ the digest of its output NDJSON is printed, followed by the digest of the
 digest is of ``score-batch`` over the manifest's requests drawn again and
 again, so that repeats cross several 128- and 512-line block boundaries,
 mixed with single-modality requests, integral rows written as ints and as
-floats, rows with a negated zero and malformed lines. Last, the
+floats, rows with a negated zero and malformed lines. The ``http.replies``
+digest pins the HTTP reply bytes: the chain's artifact answers each line of
+both ``score-batch`` inputs above that parses as JSON with ``score_request``,
+and each reply, or ``{"error": ...}`` for a ``RequestError``, is encoded as
+the HTTP handler encodes it, one per line. Last, the
 benchmark-sized seed-7 log corpus (3 hosts, 3000 s, 24 attack sessions) is
 deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
 ``(timestamp, label, message)`` list is printed. Finally, forests are trained
@@ -91,7 +95,7 @@ from aisoc.learn import train_forest
 from aisoc.metrics import classification_report, pr_auc, roc_auc
 from aisoc.pipeline import ExperimentConfig, run_experiment, train_log_detector
 from aisoc.seeding import derive_seed
-from aisoc.service import save_artifact
+from aisoc.service import RequestError, load_artifact, save_artifact
 
 SEED = "7"
 DEDUP_THRESHOLDS = (0.9, 0.7)
@@ -205,6 +209,24 @@ def batch_digests(chain: Path) -> dict[str, str]:
     run_cli(["score-batch", "--artifact", chain / "artifact.json", "--in", requests,
              "--out", results])
     return {"batch.repeats": sha256_bytes(results.read_bytes())}
+
+
+def http_digests(chain: Path) -> dict[str, str]:
+    """Digest of the HTTP replies to the chain's two batch inputs, line by line."""
+    scorer = load_artifact(chain / "artifact.json").to_scorer()
+    replies = []
+    for name in ("batch_requests.ndjson", "repeat_requests.ndjson"):
+        for line in (chain / name).read_text(encoding="utf-8").splitlines():
+            try:
+                request = json.loads(line)
+            except ValueError:
+                continue
+            try:
+                reply = scorer.score_request(request)
+            except RequestError as exc:
+                reply = {"error": str(exc)}
+            replies.append(json.dumps(reply, ensure_ascii=False) + "\n")
+    return {"http.replies": sha256_bytes("".join(replies).encode("utf-8"))}
 
 
 def benchmark_logs() -> list:
@@ -389,6 +411,7 @@ def main() -> int:
         chain = chain_dir or Path(tmp) / "chain"
         digests.update(cli_digests(chain))
         digests.update(batch_digests(chain))
+        digests.update(http_digests(chain))
         digests.update(loaders_digests(chain))
         digests.update(logistic_digests(chain))
     logs = benchmark_logs()

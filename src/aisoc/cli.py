@@ -386,9 +386,10 @@ def _cmd_serve(opts: dict) -> int:
     _require(opts, "artifact", "bind")
     artifact = load_artifact(opts["artifact"])
     host, _, port = str(opts["bind"]).rpartition(":")
-    if not host or not (port.isascii() and port.isdigit()) or int(port) > 65535:
+    digits = port.lstrip("0") or "0"  # int() refuses more than 4300 digits
+    if not (host and port.isascii() and port.isdigit() and len(digits) <= 5) or int(digits) > 65535:
         raise ConfigError(f"--bind must be host:port, got {opts['bind']!r}")
-    service = serve(artifact, (host, int(port)))
+    service = serve(artifact, (host, int(digits)))
     print(f"serving artifact {artifact.version} on {service.url}", flush=True)
     try:
         service.serve_forever()

@@ -69,8 +69,12 @@ def canonical_json_bytes(obj) -> bytes:
                       ensure_ascii=True, allow_nan=False).encode("ascii")
 
 
+def _checksum(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
 def checksum_of(payload: dict) -> str:
-    return "sha256:" + hashlib.sha256(canonical_json_bytes(payload)).hexdigest()
+    return _checksum(canonical_json_bytes(payload))
 
 
 @dataclass(frozen=True)
@@ -177,7 +181,7 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
         payload = canonical_json_bytes(artifact.to_payload())
     except ValueError as exc:  # a non-finite number: the canonical form has none
         raise ArtifactError(f"{path}: not saved, payload holds a non-finite number: {exc}") from exc
-    checksum = "sha256:" + hashlib.sha256(payload).hexdigest()
+    checksum = _checksum(payload)
     vars(artifact)["checksum"] = checksum  # seeds the cached property: one encode per save
     # the canonical envelope, spliced: sorted keys put "checksum" first
     _replace_file(Path(path), b'{"checksum":"%s","payload":%s}\n' % (checksum.encode(), payload))

@@ -21,7 +21,6 @@ from typing import Any, Iterable, Iterator, TextIO
 from ..corpus.loaders import decode_ndjson, read_ndjson, write_ndjson
 from .scorer import Scorer
 
-_BATCH_FIELDS = ("entity_id", "s_m", "s_l", "label")
 BLOCK_LINES = 512
 
 
@@ -30,11 +29,7 @@ def _score_blocks(scorer: Scorer, decoded: Iterator[tuple[int, Any, str | None]]
     while block := list(islice(decoded, BLOCK_LINES)):
         replies = iter(scorer.score_many([req for _, req, reason in block if reason is None]))
         for lineno, _, reason in block:
-            if reason is None:
-                response = next(replies)
-                results.append({k: response[k] for k in _BATCH_FIELDS if k in response})
-            else:
-                results.append({"error": reason, "line": lineno})
+            results.append(next(replies) if reason is None else {"error": reason, "line": lineno})
     return results
 
 

@@ -2,8 +2,8 @@
 
 Endpoints:
 
-* ``POST /v1/score`` — score one request; response carries the modality
-  scores, the fused label, the serving modality, and the artifact version.
+* ``POST /v1/score`` — score one request; response carries ``entity_id``, the
+  modality scores, the fused label, the serving modality and the artifact version.
 * ``GET /v1/health`` — liveness plus artifact version.
 * ``GET /v1/model-info`` — thresholds, calibration methods, fingerprints.
 
@@ -108,11 +108,11 @@ class _Handler(BaseHTTPRequestHandler):
         if not (declared.isascii() and declared.isdigit()):
             self._refuse(400, f"Content-Length must be a non-negative integer, got {declared!r}")
             return None
-        length = int(declared)
-        if length > MAX_BODY_BYTES:
-            self._refuse(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
+        digits = declared.lstrip("0") or "0"  # int() refuses more than 4300 digits
+        if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:
+            self._refuse(413, f"request body exceeds {MAX_BODY_BYTES} bytes")
             return None
-        return length
+        return int(digits)
 
     def handle_expect_100(self) -> bool:
         # A refused request is answered instead of ``100 Continue``, so the
@@ -132,7 +132,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         try:
             request = json.loads(body.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError, RecursionError) as exc:  # or nested too deep
+        except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
             self._send(400, {"error": f"malformed JSON request: {exc}"})
             return
         try:

@@ -8,9 +8,9 @@ float, or a block (a list of messages, an (n, d) matrix of feature rows)
 and return an array; either way the feature transform, the detector and
 the calibrator each run once per call, and the detector's raw score is
 ``raw_log_score`` or ``raw_malware_score``, the inputs calibration fits on.
-``score_request`` (HTTP) scores one request and ``score_many`` (batch,
-evaluation) a block of them, through the same ``validate`` and the same
-response builder, so both paths give the same bits.
+``score_request`` (HTTP) scores one request and ``score_many`` (batch) a
+block, through the same ``validate`` and reply builder: a batch line is the
+HTTP reply without its last two fields, ``modality`` and ``artifact_version``.
 """
 
 from __future__ import annotations
@@ -126,11 +126,10 @@ class Scorer:
         return ScoreRequest(message, features, entity_id)
 
     def _response(self, request: ScoreRequest, s_m: float | None, s_l: float | None) -> dict:
-        """The reply to one scored request.
+        """The reply to one scored request, as a batch line writes it.
 
         A missing modality contributes score 0.0 to the fusion rule (the
-        conservative no-evidence floor) and the reply names the degraded
-        modality.
+        conservative no-evidence floor).
         """
         response: dict = {}
         if request.entity_id is not None:
@@ -141,12 +140,11 @@ class Scorer:
             response["s_l"] = s_l
         response["label"] = self.triage(0.0 if s_m is None else s_m,
                                         0.0 if s_l is None else s_l).name
-        response["modality"] = request.modality
-        response["artifact_version"] = self.version
         return response
 
     def score_request(self, request) -> dict:
-        """Validate and score one request: the n = 1 case of ``score_many``.
+        """Validate and score one request: the n = 1 case of ``score_many``,
+        plus ``modality`` and ``artifact_version``.
 
         Each modality goes to the kernel as a single item, so one request
         pays for no block bookkeeping.
@@ -154,7 +152,8 @@ class Scorer:
         req = self.validate(request)
         s_m = None if req.malware_features is None else self.score_malware(req.malware_features)
         s_l = None if req.log_message is None else self.score_log(req.log_message)
-        return self._response(req, s_m, s_l)
+        return {**self._response(req, s_m, s_l),
+                "modality": req.modality, "artifact_version": self.version}
 
     def score_many(self, requests: Sequence[ScoreRequest]) -> list[dict]:
         """Replies to validated requests, in order; one kernel call per modality.

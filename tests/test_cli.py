@@ -594,5 +594,8 @@ def test_bad_input_lines_end_in_typed_outcomes(workspace, tmp_path, capsys):
     assert "label" in json.loads(first)
     assert json.loads(second) == {"error": "'utf-8' codec can't decode byte 0xff in position 0: "
                                            "invalid start byte", "line": 2}
-    assert main(["serve", "--artifact", artifact, "--bind", "127.0.0.1:http"]) == 2
-    assert "error: --bind must be host:port" in capsys.readouterr().err
+    # a port past int()'s 4300-digit limit, with and without leading zeros
+    for port in ("http", "9" * 5000, "0" * 5000 + "99999"):
+        bind = "127.0.0.1:" + port
+        assert main(["serve", "--artifact", artifact, "--bind", bind]) == 2
+        assert "error: --bind must be host:port" in capsys.readouterr().err

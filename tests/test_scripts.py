@@ -34,7 +34,7 @@ def test_run_robustness_sweeps_one_rate():
 DIGESTS = (
     "pipeline.artifact", "pipeline.report_logs", "pipeline.report_malware",
     "pipeline.report_fused", "pipeline.validation_macro_f1", "cli.artifact", "cli.report",
-    "cli.score_batch", "cli.probe", "batch.repeats", "loaders.logs",
+    "cli.score_batch", "cli.probe", "batch.repeats", "http.replies", "loaders.logs",
     "loaders.manifest", "loaders.score_batch", "logistic.balanced", "logistic.seed1234",
     "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties", "forest.overflow_1e308",
     "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks", "metrics.isotonic",

@@ -110,12 +110,13 @@ class TestHttpEndpoints:
         assert "error" in payload
 
     def test_invalid_json_body_gets_400(self, service):
-        request = urllib.request.Request(service.url + "/v1/score",
-                                         data=b"{truncated",
-                                         headers={"Content-Type": "application/json"})
-        with pytest.raises(urllib.error.HTTPError) as excinfo:
-            urllib.request.urlopen(request, timeout=CLIENT_TIMEOUT_S)
-        assert excinfo.value.code == 400
+        # not JSON; not UTF-8; an encoded surrogate, which strict UTF-8 refuses
+        for body in (b"{truncated", b"\xff\xfe", b'"\xed\xa0\x80"'):
+            request = urllib.request.Request(service.url + "/v1/score", data=body,
+                                             headers={"Content-Type": "application/json"})
+            with pytest.raises(urllib.error.HTTPError) as excinfo:
+                urllib.request.urlopen(request, timeout=CLIENT_TIMEOUT_S)
+            assert excinfo.value.code == 400
 
     def test_unknown_path_404(self, service):
         with pytest.raises(urllib.error.HTTPError) as excinfo:
@@ -199,6 +200,7 @@ class TestHttpTransport:
             assert json.loads(response.read())["modality"] == "logs_only"
 
     @pytest.mark.parametrize("length,status", [("5000000", 413), (str(MAX_BODY_BYTES + 1), 413),
+                                               pytest.param("9" * 5000, 413, id="9x5000-413"),
                                                ("-1", 400), ("abc", 400)])
     def test_expect_100_with_refused_length_gets_no_100(self, service, length, status):
         with socket.create_connection(service.address, timeout=CLIENT_TIMEOUT_S) as sock:
@@ -220,6 +222,18 @@ class TestHttpTransport:
         status, payload = _raw_request(service, _post_head(str(MAX_BODY_BYTES + 1)))
         assert status == 413
         assert "error" in payload
+
+    # past int()'s 4300-digit limit; leading zeros count as their value
+    @pytest.mark.parametrize("length,status", [
+        pytest.param("9" * 5000, 413, id="9x5000-413"),
+        pytest.param("0" * 5000 + str(MAX_BODY_BYTES + 1), 413, id="0x5000+over_cap-413"),
+        pytest.param("0" * 5000, 400, id="0x5000-400"),  # an empty body is not JSON
+    ])
+    def test_length_of_5000_digits_gets_a_typed_reply(self, service, capsys, length, status):
+        reply = _raw_request(service, _post_head(length))
+        assert reply is not None and reply[0] == status
+        assert len(reply[1]["error"]) < 100
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_half_closed_short_body_gets_400(self, service):
         status, payload = _raw_request(service, _post_head("100"), b'{"log_', half_close=True)
@@ -280,20 +294,22 @@ class TestBatch:
         assert results[2]["error"] and results[2]["line"] == 3
 
     def test_batch_equals_http(self, service, demo_scorer, demo_result):
-        requests = []
+        # each HTTP reply is the batch line, keys in order, then two fields
+        requests, modalities = [], ("logs_only", "malware_only", "fused")
         for i, item in enumerate(demo_result.test_items[:30]):
-            if i % 3 == 0:
-                requests.append({"log_message": item.log.message})
-            elif i % 3 == 1:
-                requests.append({"malware_features": list(item.malware.features)})
-            else:
-                requests.append({"log_message": item.log.message,
-                                 "malware_features": list(item.malware.features)})
+            request = {"entity_id": item.entity_id}
+            if i % 3 != 1:
+                request["log_message"] = item.log.message
+            if i % 3 != 0:
+                request["malware_features"] = list(item.malware.features)
+            requests.append(request)
         batch = score_lines(demo_scorer, [json.dumps(r) for r in requests])
-        for request, via_batch in zip(requests, batch):
+        for i, (request, via_batch) in enumerate(zip(requests, batch)):
+            assert via_batch["entity_id"] == request["entity_id"]
             _, via_http = _post(service.url + "/v1/score", request)
-            for key in ("s_m", "s_l", "label"):
-                assert via_batch.get(key) == via_http.get(key)
+            expected = {**via_batch, "modality": modalities[i % 3],
+                        "artifact_version": demo_result.artifact.version}
+            assert list(via_http.items()) == list(expected.items())
 
     def test_score_batch_file_roundtrip(self, tmp_path, demo_scorer):
         from aisoc.service import score_batch
