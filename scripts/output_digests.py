@@ -32,7 +32,12 @@ line readers over one fixed file with CRLF line ends, blank lines, a BOM on
 its first line, malformed JSON, non-ASCII messages and no final line end: the
 log records written back by ``write_log_ndjson`` plus the reject reasons, a
 manifest of those records written and read back, and ``score-batch`` (with
-the chain's artifact) over the same lines. The ``logistic.*`` digests hash
+the chain's artifact) over the same lines. ``batch.errors`` is the digest of
+``score-batch`` over one line of each kind those lines lack, each followed by
+a valid request: JSON whitespace, a form feed or an NBSP around a request,
+two values on one line, ``NaN``, a bool or a 5000-digit integer in a row, a
+100 000-deep array, bytes that are not UTF-8, a lone-surrogate ``entity_id``,
+a row one value too wide and a line of U+3000. The ``logistic.*`` digests hash
 the weights, bias, ``l2`` and ``training_meta`` of two logistic fits: a
 ``class_weight="balanced"`` fit on the chain's training logs, and the
 ``run_experiment`` fit at seed 1234, which stops at its epoch cap.
@@ -300,6 +305,37 @@ def loaders_digests(chain: Path) -> dict[str, str]:
             "loaders.score_batch": sha256_bytes(scored.read_bytes())}
 
 
+def write_error_lines(manifest: Path, path: Path) -> None:
+    """One line of each kind ``LOADER_LINES`` lacks, a valid request after each:
+    a request with JSON whitespace around it, one with a trailing form feed and
+    one with a trailing NBSP, two values on a line, ``NaN`` and a bool in a
+    row, a 5000-digit integer, a 100 000-deep array, bytes that are not UTF-8,
+    a lone-surrogate ``entity_id``, a row one value too wide and a line of
+    U+3000 (blank)."""
+    requests = manifest_requests(manifest)
+    row = requests[0]["malware_features"]
+    valid = [json.dumps(r, ensure_ascii=False).encode("utf-8") for r in requests]
+    odd = [b" \t" + valid[0] + b"\t ", valid[1] + b"\x0c", valid[2] + "\u00a0".encode("utf-8"),
+           b"{} {}", json.dumps({"malware_features": [float("nan")] + row[1:]}).encode("ascii"),
+           b'{"malware_features": [' + b"7" * 5000 + b"]}", b"[" * 100_000 + b"]" * 100_000,
+           json.dumps({"malware_features": [True] + row[1:]}).encode("ascii"),
+           b'{"log_message": "\xff\xfe"}',
+           b'{"entity_id": "\\ud800", "log_message": "sshd: session opened"}',
+           json.dumps({"malware_features": row + [0.5]}).encode("ascii"),
+           "\u3000".encode("utf-8")]
+    path.write_bytes(b"\n".join(itertools.chain.from_iterable(
+        zip(odd, itertools.cycle(valid[3:])))) + b"\n")
+
+
+def batch_error_digests(chain: Path) -> dict[str, str]:
+    """Digest of ``score-batch`` over ``write_error_lines``."""
+    requests, results = chain / "error_requests.ndjson", chain / "error_results.ndjson"
+    write_error_lines(chain / "splits" / "manifest_test.ndjson", requests)
+    run_cli(["score-batch", "--artifact", chain / "artifact.json", "--in", requests,
+             "--out", results])
+    return {"batch.errors": sha256_bytes(results.read_bytes())}
+
+
 def logistic_digests(chain: Path) -> dict[str, str]:
     """Digests of a balanced fit on the chain's training logs and the seed-1234 pipeline fit."""
     records = load_log_ndjson(chain / "splits" / "logs_train.ndjson").records
@@ -413,6 +449,7 @@ def main() -> int:
         digests.update(batch_digests(chain))
         digests.update(http_digests(chain))
         digests.update(loaders_digests(chain))
+        digests.update(batch_error_digests(chain))
         digests.update(logistic_digests(chain))
     logs = benchmark_logs()
     digests.update(dedup_digests(logs))

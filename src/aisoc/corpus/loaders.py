@@ -55,17 +55,35 @@ def _parse_log_line(obj: dict) -> LogRecord:
                      origin=Origin(obj.get("origin", "LOADED")))
 
 
+# One decoder for every line: ``raw_decode`` skips ``json.loads``' BOM test,
+# whitespace scans and extra-data check, which only the fallback needs.
+_RAW_DECODE = json.JSONDecoder().raw_decode
+
+
 def decode_ndjson(lines: Iterable[bytes | str],
                   parse: Callable[[Any], Any]) -> Iterator[tuple[int, Any, str | None]]:
     """``(number, parse(value), None)`` per non-blank line, or ``(number, None, reason)``
     when the line is not UTF-8, not JSON or fails ``parse`` (``ValueError``), or
-    nests too deep (``RecursionError``). Blank lines are skipped but numbered."""
+    nests too deep (``RecursionError``). Blank lines are skipped but numbered.
+
+    A line's value is ``json.loads(line)``'s, and a bad line's reason is its
+    error message: ``raw_decode`` reads the line, and only a value that ends
+    exactly at the line's end is taken from it; every other line (a BOM,
+    whitespace around the value, extra data, any error) is decoded again by
+    ``json.loads``. How deep a line may nest depends on the caller's stack,
+    as it does for ``json.loads``."""
     for lineno, line in enumerate(lines, start=1):
         try:
             text = line.decode("utf-8") if isinstance(line, bytes) else line
-            if not text.strip():
+            if not text or text.isspace():
                 continue
-            value = parse(json.loads(text))
+            try:
+                value, end = _RAW_DECODE(text)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(text):
+                value = json.loads(text)
+            value = parse(value)
         except (ValueError, RecursionError) as exc:
             yield lineno, None, str(exc)
         else:

@@ -1,4 +1,18 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and how their messages quote input."""
+
+from typing import Callable
+
+# At 20, the 400 reply to a 60 000-character ``Content-Length`` is under 300 bytes.
+_EXCERPT_CHARS = 20
+
+
+def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
+    """``show(text)``, or for a longer text ``show`` of its first ``_EXCERPT_CHARS``
+    characters, then ``…`` and its length: a message echoes a bounded part of
+    a client value."""
+    if len(text) <= _EXCERPT_CHARS:
+        return show(text)
+    return f"{show(text[:_EXCERPT_CHARS])}… ({len(text)} chars)"
 
 
 class AisocError(Exception):

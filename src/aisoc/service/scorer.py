@@ -35,11 +35,13 @@ class RequestError(ValueError):
 def check_feature_row(features) -> None:
     """Raise ``RequestError`` unless ``features`` is a list or tuple of finite numbers.
 
-    Booleans are not numbers here.
+    Booleans are not numbers here; instances of other ``int`` and ``float``
+    subclasses (``numpy.float64``) are. Each distinct value type is checked
+    once, not each value.
     """
     if (not isinstance(features, (list, tuple))
-            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
-                       for v in features)):
+            or not all(issubclass(t, (int, float)) and not issubclass(t, bool)
+                       for t in set(map(type, features)))):
         raise RequestError("malware_features must be an array of numbers")
     try:
         finite = all(map(math.isfinite, features))
@@ -100,9 +102,8 @@ class Scorer:
         """
         if not isinstance(request, dict):
             raise RequestError("request must be a JSON object")
-        unknown = set(request) - _REQUEST_FIELDS
-        if unknown:
-            raise RequestError(f"unknown request fields: {sorted(unknown)}")
+        if not _REQUEST_FIELDS.issuperset(request):
+            raise RequestError(f"unknown request fields: {sorted(set(request) - _REQUEST_FIELDS)}")
         message = request.get("log_message")
         features = request.get("malware_features")
         if message is None and features is None:

@@ -4,7 +4,8 @@ A file mixes a well-formed line of each reader's kind with lines no reader
 accepts (invalid UTF-8, deep nesting, a 5000-digit integer, non-object and
 malformed JSON), blank and whitespace-only lines, CRLF line ends and a
 missing final newline. Each reader must see the same non-blank lines under
-the same numbers and differ only in what it does with a bad one.
+the same numbers and differ only in what it does with a bad one. Under all
+three, ``decode_ndjson`` decodes a line as ``json.loads`` does, line for line.
 """
 
 import json
@@ -16,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aisoc.corpus import load_log_ndjson
+from aisoc.corpus.loaders import decode_ndjson
 from aisoc.errors import LoadError
 from aisoc.evaluate import read_manifest
 from aisoc.service import score_batch
@@ -89,3 +91,39 @@ def test_a_file_line_ends_at_lf_or_crlf_and_a_lone_cr_is_inside_the_line(tmp_pat
     assert len(loaded.records) == 2
     assert [(n, reason.split(":")[0]) for n, reason in loaded.reject_reasons] \
         == [(3, "Extra data")]
+
+
+# Text around a value: JSON whitespace, other Unicode whitespace and a BOM.
+AROUND = st.text(" \t\r\x0b\x0c\u00a0\u3000\ufeff", max_size=3)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                  max_size=3),
+    max_leaves=8)
+JSON_TEXTS = st.builds(
+    lambda value, ascii_only, compact: json.dumps(
+        value, ensure_ascii=ascii_only, separators=(",", ":") if compact else None),
+    JSON_VALUES, st.booleans(), st.booleans())
+ODD_TEXTS = st.sampled_from([
+    "{} {}", "NaN", "-Infinity", "7" * 5000, '{"n": ' + "7" * 5000 + "}", '"\\ud800"',
+    '"\ud800"', '{"a": 1, "a": 2}', "[" * 100_000 + "]" * 100_000, '{"log_message": ', "",
+])
+
+
+def loads_outcome(line: str) -> tuple[str | None, str | None]:
+    """``json.loads``' value as ``json.dumps`` text, or its error message."""
+    try:
+        return json.dumps(json.loads(line)), None
+    except (ValueError, RecursionError) as exc:
+        return None, str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(st.builds(lambda before, text, after: before + text + after,
+                                AROUND, JSON_TEXTS | ODD_TEXTS | st.text(max_size=6), AROUND),
+                      max_size=8))
+def test_a_line_decodes_as_json_loads_decodes_it(lines):
+    decoded = [(n, None if reason else json.dumps(value), reason)
+               for n, value, reason in decode_ndjson(lines, lambda value: value)]
+    assert decoded == [(n, *loads_outcome(line)) for n, line in enumerate(lines, start=1)
+                       if line.strip()]

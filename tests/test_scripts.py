@@ -35,10 +35,10 @@ DIGESTS = (
     "pipeline.artifact", "pipeline.report_logs", "pipeline.report_malware",
     "pipeline.report_fused", "pipeline.validation_macro_f1", "cli.artifact", "cli.report",
     "cli.score_batch", "cli.probe", "batch.repeats", "http.replies", "loaders.logs",
-    "loaders.manifest", "loaders.score_batch", "logistic.balanced", "logistic.seed1234",
-    "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties", "forest.overflow_1e308",
-    "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks", "metrics.isotonic",
-    "metrics.report", "augment.ops",
+    "loaders.manifest", "loaders.score_batch", "batch.errors", "logistic.balanced",
+    "logistic.seed1234", "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties",
+    "forest.overflow_1e308", "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks",
+    "metrics.isotonic", "metrics.report", "augment.ops",
 )
 
 

@@ -2,6 +2,7 @@ import dataclasses
 import http.client
 import itertools
 import json
+import math
 import socket
 import time
 import urllib.error
@@ -234,6 +235,25 @@ class TestHttpTransport:
         assert reply is not None and reply[0] == status
         assert len(reply[1]["error"]) < 100
         assert "Traceback" not in capsys.readouterr().err
+
+    # a refusal quotes at most 20 characters of the value it refuses, then its length
+    @pytest.mark.parametrize("head,status", [
+        pytest.param(_post_head("a" * 60_000), 400, id="content-length-a60000"),
+        pytest.param(b"GET /" + b"x" * 59_999 + b" HTTP/1.1\r\nHost: test\r\n\r\n", 404,
+                     id="get-path-60000"),
+        pytest.param(b"POST /" + b"x" * 59_999 + b" HTTP/1.1\r\nHost: test\r\n"
+                     b"Content-Length: 0\r\n\r\n", 404, id="post-path-60000"),
+    ])
+    def test_refusal_of_a_long_value_is_short(self, service, head, status):
+        with socket.create_connection(service.address, timeout=CLIENT_TIMEOUT_S) as sock:
+            sock.sendall(head)
+            sock.shutdown(socket.SHUT_WR)
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        assert reply.startswith(f"HTTP/1.1 {status} ".encode())
+        assert len(reply) < 300, reply
+        assert reply.endswith(b'\xe2\x80\xa6 (60000 chars)"}'), reply
 
     def test_half_closed_short_body_gets_400(self, service):
         status, payload = _raw_request(service, _post_head("100"), b'{"log_', half_close=True)
@@ -565,6 +585,48 @@ def test_feature_row_rule(row, reason):
     else:
         with pytest.raises(RequestError, match=f"^{reason}$"):
             check_feature_row(row)
+
+
+def per_value_feature_row_rule(features) -> None:
+    """``check_feature_row`` as it was before it checked each value type once: the reference."""
+    if (not isinstance(features, (list, tuple))
+            or not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                       for v in features)):
+        raise RequestError("malware_features must be an array of numbers")
+    try:
+        finite = all(map(math.isfinite, features))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise RequestError("malware_features must be finite")
+
+
+class _List(list):
+    pass
+
+
+def _rule_outcome(rule, row) -> str | None:
+    try:
+        rule(row)
+    except RequestError as exc:
+        return str(exc)
+    return None
+
+
+_ROW_VALUES = st.one_of(
+    st.integers(), st.floats(), st.booleans(), st.floats().map(np.float64),
+    st.integers(-2 ** 63, 2 ** 63 - 1).map(np.int64), st.booleans().map(np.bool_),
+    st.integers().map(_Int), st.floats().map(_Float), st.text(max_size=2), st.none(),
+    st.sampled_from([math.inf, -math.inf, math.nan, 10 ** 400, _Int(10 ** 400)]))
+_ROW_CONTAINERS = st.sampled_from([list, tuple, _List, lambda values: dict(enumerate(values)),
+                                   lambda values: "".join(map(str, values))])
+
+
+@settings(max_examples=300, deadline=None)
+@given(values=st.lists(_ROW_VALUES, max_size=8), container=_ROW_CONTAINERS)
+def test_per_type_number_rule_equals_the_per_value_rule(values, container):
+    row = container(values)
+    assert _rule_outcome(check_feature_row, row) == _rule_outcome(per_value_feature_row_rule, row)
 
 
 class TestRequestFuzz:
