@@ -48,9 +48,14 @@ and 1e300, some zeros negated, one all-tied set and n = 2 sets);
 ``metrics.isotonic`` hashes the knot bytes of ``fit_isotonic`` on tied
 scores at those scales; ``metrics.report`` hashes the JSON of a three-class
 ``classification_report`` in which one class has no truth and no predictions.
-Last, ``augment.ops`` hashes ``augment`` of the benchmark-sized corpus for
+Then ``augment.ops`` hashes ``augment`` of the benchmark-sized corpus for
 every non-empty operator subset and seeds 0-4 at rate 0.7: each output
-record's timestamp, label, message and origin, in output order.
+record's timestamp, label, message and origin, in output order. Last,
+``corpus.generate`` hashes the files ``write_log_ndjson`` and
+``write_malware_csv`` write for ``generate_corpus`` and ``generate_malware``
+at seeds 1-5, each in two scenarios: the default log scenario and 5 hosts,
+3 sessions, 3000 s at 0.7 events/s per host; 300+300 malware rows, and
+40+70 rows of 5 features at separation 1.0 with hard fraction 0.4.
 
 The chain runs in a fresh temporary directory, or in the directory given
 as the one positional argument, which must be empty or not exist yet: the
@@ -86,12 +91,15 @@ from aisoc.corpus import (
     AugmentOp,
     Label,
     MalwareSample,
+    MalwareScenario,
     ScenarioConfig,
     augment,
     dedup_near_identical,
     generate_corpus,
+    generate_malware,
     load_log_ndjson,
     write_log_ndjson,
+    write_malware_csv,
 )
 from aisoc.evaluate import ManifestItem, read_manifest, write_manifest
 from aisoc.calibrate import fit_isotonic
@@ -107,6 +115,12 @@ DEDUP_THRESHOLDS = (0.9, 0.7)
 AUGMENT_SEEDS = range(5)
 AUGMENT_RATE = 0.7
 REPEAT_LINES = 1700
+GENERATE_SEEDS = range(1, 6)
+# (benign_hosts, attack_sessions, duration_s, benign_rate_per_host): the
+# ExperimentConfig default, and a busier scenario with few sessions.
+LOG_SCENARIOS = ((3, 12, 1800.0, 0.25), (5, 3, 3000.0, 0.7))
+# (benign, malicious, n_features, separation, hard_fraction)
+MALWARE_SCENARIOS = ((300, 300, 8, 3.0, 0.0), (40, 70, 5, 1.0, 0.4))
 
 
 def sha256_bytes(data: bytes) -> str:
@@ -418,6 +432,25 @@ def augment_digests(logs: list) -> dict[str, str]:
     return {"augment.ops": sha256_bytes(json.dumps(runs, ensure_ascii=False).encode("utf-8"))}
 
 
+def generate_digests() -> dict[str, str]:
+    """Digest of both generators' files at seeds ``GENERATE_SEEDS`` in each scenario."""
+    data = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generated"
+        for seed in GENERATE_SEEDS:
+            for hosts, sessions, duration_s, rate in LOG_SCENARIOS:
+                write_log_ndjson(generate_corpus(ScenarioConfig(
+                    benign_hosts=hosts, attack_sessions=sessions, duration_s=duration_s,
+                    seed=seed, benign_rate_per_host=rate)), path)
+                data.append(path.read_bytes())
+            for benign, malicious, d, separation, hard in MALWARE_SCENARIOS:
+                write_malware_csv(generate_malware(MalwareScenario(
+                    benign_samples=benign, malicious_samples=malicious, seed=seed, n_features=d,
+                    separation=separation, hard_fraction=hard)), path)
+                data.append(path.read_bytes())
+    return {"corpus.generate": sha256_bytes(b"".join(data))}
+
+
 def metrics_digests() -> dict[str, str]:
     """Digests of rank AUCs, isotonic knots and a report with an empty class."""
     sets = tied_score_sets()
@@ -456,6 +489,7 @@ def main() -> int:
     digests.update(forest_digests())
     digests.update(metrics_digests())
     digests.update(augment_digests(logs))
+    digests.update(generate_digests())
     for name, digest in digests.items():
         print(f"{name} {digest}", flush=True)
     return 0

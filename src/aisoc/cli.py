@@ -394,7 +394,7 @@ def _cmd_serve(opts: dict) -> int:
     try:
         service.serve_forever()
     except KeyboardInterrupt:
-        service.shutdown()
+        service.server_close()
     return 0
 
 

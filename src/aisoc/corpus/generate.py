@@ -104,37 +104,29 @@ class MalwareScenario:
     hard_fraction: float = 0.0
 
 
+# Template fields in draw order: each placeholder a template holds draws a value.
+_FIELDS = {
+    "pid": lambda rng, host_ip: rng.randint(10_000, 99_999),
+    "ppid": lambda rng, host_ip: rng.randint(10_000, 99_999),
+    "user": lambda rng, host_ip: rng.choice(_USERS),
+    "bad_user": lambda rng, host_ip: rng.choice(_BAD_USERS),
+    "service": lambda rng, host_ip: rng.choice(_SERVICES),
+    "package": lambda rng, host_ip: rng.choice(_PACKAGES),
+    "lan_ip": lambda rng, host_ip: (host_ip if rng.random() < 0.3
+                                    else f"10.0.{rng.randint(1, 4)}.{rng.randint(2, 250)}"),
+    "wan_ip": lambda rng, host_ip: f"203.0.113.{rng.randint(2, 250)}",
+    "gw_ip": lambda rng, host_ip: "10.0.0.1",
+    "ntp_ip": lambda rng, host_ip: f"192.0.2.{rng.randint(2, 250)}",
+    "port": lambda rng, host_ip: rng.randint(20_000, 64_999),
+    "tty": lambda rng, host_ip: rng.randint(0, 6),
+    "sid": lambda rng, host_ip: rng.randint(100, 999),
+    "drift": lambda rng, host_ip: f"{rng.uniform(-0.1, 0.1):.6f}",
+}
+
+
 def _fill(template: str, rng: random.Random, host_ip: str) -> str:
-    fields = {}
-    if "{pid}" in template:
-        fields["pid"] = rng.randint(10_000, 99_999)
-    if "{ppid}" in template:
-        fields["ppid"] = rng.randint(10_000, 99_999)
-    if "{user}" in template:
-        fields["user"] = rng.choice(_USERS)
-    if "{bad_user}" in template:
-        fields["bad_user"] = rng.choice(_BAD_USERS)
-    if "{service}" in template:
-        fields["service"] = rng.choice(_SERVICES)
-    if "{package}" in template:
-        fields["package"] = rng.choice(_PACKAGES)
-    if "{lan_ip}" in template:
-        fields["lan_ip"] = host_ip if rng.random() < 0.3 else f"10.0.{rng.randint(1, 4)}.{rng.randint(2, 250)}"
-    if "{wan_ip}" in template:
-        fields["wan_ip"] = f"203.0.113.{rng.randint(2, 250)}"
-    if "{gw_ip}" in template:
-        fields["gw_ip"] = "10.0.0.1"
-    if "{ntp_ip}" in template:
-        fields["ntp_ip"] = f"192.0.2.{rng.randint(2, 250)}"
-    if "{port}" in template:
-        fields["port"] = rng.randint(20_000, 64_999)
-    if "{tty}" in template:
-        fields["tty"] = rng.randint(0, 6)
-    if "{sid}" in template:
-        fields["sid"] = rng.randint(100, 999)
-    if "{drift}" in template:
-        fields["drift"] = f"{rng.uniform(-0.1, 0.1):.6f}"
-    return template.format(**fields)
+    return template.format(**{name: draw(rng, host_ip) for name, draw in _FIELDS.items()
+                              if f"{{{name}}}" in template})
 
 
 def _attack_session(rng: random.Random, host: str, host_ip: str, start_ms: int) -> list[LogRecord]:
@@ -285,14 +277,9 @@ def generate_malware(scenario: MalwareScenario) -> list[MalwareSample]:
     benign = _draw(scenario.benign_samples, 0.0, n_hard_b)
     malicious = _draw(scenario.malicious_samples, scenario.separation, n_hard_m)
 
-    samples = []
-    for i, row in enumerate(benign):
-        samples.append(MalwareSample(sample_id=f"mw-{i:05d}",
-                                     features=tuple(float(v) for v in row),
-                                     label=Label.BENIGN))
-    for i, row in enumerate(malicious):
-        samples.append(MalwareSample(sample_id=f"mw-{scenario.benign_samples + i:05d}",
-                                     features=tuple(float(v) for v in row),
-                                     label=Label.MALICIOUS))
+    rows = np.vstack((benign, malicious)).tolist()
+    labels = [Label.BENIGN] * len(benign) + [Label.MALICIOUS] * len(malicious)
+    samples = [MalwareSample(sample_id=f"mw-{i:05d}", features=tuple(row), label=label)
+               for i, (row, label) in enumerate(zip(rows, labels))]
     order = rng.permutation(len(samples))
     return [samples[int(i)] for i in order]

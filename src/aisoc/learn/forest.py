@@ -60,6 +60,10 @@ NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
 # ``n_trees`` is left to the artifact check, which counts the trees held.
 _INTEGER_FIELDS = {"n_features": 1, "n_trees": 0, "max_depth": 1, "min_samples_leaf": 1,
                    "features_per_split": 1, "seed": 0}
+# Largest forest training builds: each tree's seed and bootstrap row ids are
+# held at once, so both the tree count and trees x rows are bounded.
+_MAX_TREES = 10_000
+_MAX_TREE_ROWS = 100_000_000
 
 
 @dataclass
@@ -471,6 +475,11 @@ def train_forest(X, y, n_trees: int = 100, max_depth: int = 12,
                         ("features_per_split", features_per_split)):
         if value is not None and value < 1:
             raise TrainingError(f"{name} must be >= 1, got {value}")
+    if seed < 0:
+        raise TrainingError(f"seed must be >= 0, got {seed}")
+    if n_trees > _MAX_TREES or n_trees * len(y) > _MAX_TREE_ROWS:
+        raise TrainingError(f"a forest of {n_trees} trees on {len(y)} rows is over the limit of "
+                            f"{_MAX_TREES} trees and {_MAX_TREE_ROWS} bootstrap rows in all")
     d = X.shape[1]
     if features_per_split is None:
         features_per_split = math.ceil(math.sqrt(d))

@@ -146,18 +146,16 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # keep the scoring path quiet; errors surface in responses
 
 
-class ScoringService:
-    """A running (or startable) scoring server bound to one artifact."""
+class ScoringService(ThreadingHTTPServer):
+    """The stdlib threaded HTTP server bound to one artifact; ``with`` serves from a thread."""
 
     def __init__(self, artifact: ModelArtifact, host: str = "127.0.0.1", port: int = 0):
-        artifact = artifact.to_scorer()  # refuses a PARTIAL artifact before binding
-        self._server = ThreadingHTTPServer((host, port), _Handler)
-        self._server.artifact = artifact  # type: ignore[attr-defined]
-        self._thread: threading.Thread | None = None
+        self.artifact = artifact.to_scorer()  # refuses a PARTIAL artifact before binding
+        super().__init__((host, port), _Handler)
 
     @property
     def address(self) -> tuple[str, int]:
-        host, port = self._server.server_address[:2]
+        host, port = self.server_address[:2]
         return str(host), int(port)
 
     @property
@@ -165,27 +163,15 @@ class ScoringService:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def start(self) -> "ScoringService":
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-        self._thread.start()
-        return self
-
-    def serve_forever(self) -> None:
-        self._server.serve_forever()
-
-    def shutdown(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        if self._thread is not None:
-            self._thread.join(timeout=5)
-
     def __enter__(self) -> "ScoringService":
-        return self.start()
+        threading.Thread(target=self.serve_forever, daemon=True).start()
+        return self
 
     def __exit__(self, *exc_info) -> None:
         self.shutdown()
+        self.server_close()
 
 
 def serve(artifact: ModelArtifact, bind: tuple[str, int] = ("127.0.0.1", 8080)) -> ScoringService:
-    """Create a service bound to ``bind``; call ``start()`` or ``serve_forever()``."""
+    """Create a service bound to ``bind``; enter it with ``with`` or call ``serve_forever()``."""
     return ScoringService(artifact, host=bind[0], port=bind[1])

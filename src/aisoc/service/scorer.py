@@ -25,8 +25,6 @@ from ..fusion import TriageLabel, fuse_scores
 from ..learn.forest import score_forest
 from ..learn.logistic import score_logistic
 
-_REQUEST_FIELDS = {"log_message", "malware_features", "entity_id"}
-
 
 class RequestError(ValueError):
     """A scoring request is malformed (HTTP layer maps this to 400)."""
@@ -70,6 +68,9 @@ class ScoreRequest(NamedTuple):
         if self.log_message is None:
             return "malware_only"
         return "logs_only" if self.malware_features is None else "fused"
+
+
+_REQUEST_FIELDS = frozenset(ScoreRequest._fields)
 
 
 class Scorer:

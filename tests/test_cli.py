@@ -1,5 +1,6 @@
 import hashlib
 import json
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -536,6 +537,24 @@ class TestConfigAndErrors:
         assert capsys.readouterr().err.startswith(f"error: {match}")
         assert not artifact.exists()
 
+    def test_forest_size_is_bounded_before_memory_runs_out(self, workspace, tmp_path):
+        # 1 GiB of address space: an unbounded forest fails with MemoryError
+        # here instead of growing until the host runs out of memory.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        artifact = tmp_path / "artifact.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "aisoc", "train-malware",
+             "--train", str(workspace / "splits" / "malware_train.csv"),
+             "--artifact", str(artifact), "--trees", "1000000000"],
+            capture_output=True, text=True, timeout=120, preexec_fn=limit_memory,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        assert result.returncode == 2, result.stderr
+        assert result.stderr.startswith("error: a forest of 1000000000 trees on ")
+        assert "over the limit of 10000 trees" in result.stderr
+        assert not artifact.exists()
+
     def test_module_entrypoint_subprocess(self, tmp_path):
         result = subprocess.run(
             [sys.executable, "-m", "aisoc", "generate",
@@ -594,6 +613,11 @@ def test_bad_input_lines_end_in_typed_outcomes(workspace, tmp_path, capsys):
     assert "label" in json.loads(first)
     assert json.loads(second) == {"error": "'utf-8' codec can't decode byte 0xff in position 0: "
                                            "invalid start byte", "line": 2}
+    forest = tmp_path / "forest.json"
+    assert main(["train-malware", "--train", str(splits / "malware_train.csv"),
+                 "--artifact", str(forest), "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+    assert not forest.exists()
     # a port past int()'s 4300-digit limit, with and without leading zeros; the
     # error echoes a bounded excerpt of the value and its length
     for port in ("http", "9" * 5000, "0" * 5000 + "99999"):

@@ -157,6 +157,20 @@ class TestTuneThresholds:
                 report = classification_report(preds, truth, TRIAGE_CLASSES)
                 assert report.macro_f1 <= best + 1e-12
 
+    @pytest.mark.parametrize("absent", TRIAGE_CLASSES)
+    def test_grid_f1_is_the_reported_f1_when_a_class_has_no_truth(self, absent):
+        rng = np.random.default_rng(int(absent))
+        present = [c for c in TRIAGE_CLASSES if c != absent]
+        pairs = [CalibratedScorePair(s_m=float(rng.random()), s_l=float(rng.random()))
+                 for _ in range(40)]
+        truth = present + [present[i] for i in rng.integers(0, 2, len(pairs) - 2)]
+        for t_m in threshold_grid(0.1):
+            for t_l in threshold_grid(0.1):
+                preds = [fuse_scores(p.s_m, p.s_l, t_m, t_l) for p in pairs]
+                report = classification_report(preds, truth, TRIAGE_CLASSES)
+                config = FusionConfig(t_m=float(t_m), t_l=float(t_l))
+                assert tuning_macro_f1(pairs, truth, config).hex() == report.macro_f1.hex()
+
 
 def test_tuning_f1_is_the_reported_f1_at_every_grid_cell(demo_config, demo_result):
     """Thresholds are chosen on the macro-F1 the fused report prints."""

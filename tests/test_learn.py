@@ -313,6 +313,17 @@ class TestForest:
         with pytest.raises(TrainingError, match=f"{name} must be >= 1, got {value}"):
             train_forest(np.array([[0.0], [1.0]]), [0, 1], n_trees=1, **{name: value})
 
+    def test_negative_seed_rejected(self):
+        with pytest.raises(TrainingError, match="seed must be >= 0, got -1"):
+            train_forest(np.array([[0.0], [1.0]]), [0, 1], n_trees=1, seed=-1)
+
+    @pytest.mark.parametrize("n_trees, rows", [(10_001, 2), (10_000, 10_002)])
+    def test_forest_over_the_size_limit_rejected_before_growing(self, n_trees, rows):
+        X = np.arange(rows, dtype=float)[:, None]
+        with pytest.raises(TrainingError, match=f"a forest of {n_trees} trees on {rows} rows "
+                                                "is over the limit of 10000 trees"):
+            train_forest(X, np.arange(rows) % 2, n_trees=n_trees)
+
     def test_score_dimension_check(self):
         model = forest_of([leaf(1, 1)])
         with pytest.raises(DimensionError):

@@ -3,10 +3,16 @@ import http.client
 import itertools
 import json
 import math
+import re
+import select
+import signal
 import socket
+import subprocess
+import sys
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,14 +23,15 @@ from aisoc.errors import ArtifactError, LoadError
 from aisoc.features import transform_dense
 from aisoc.fusion import fuse_scores
 from aisoc.pipeline import ExperimentConfig
-from aisoc.service import (ModelArtifact, RequestError, Scorer, ScoringService, score_lines,
-                           serve)
+from aisoc.service import (ModelArtifact, RequestError, Scorer, ScoringService, save_artifact,
+                           score_lines, serve)
 from aisoc.service import artifact as artifact_module
 from aisoc.service import batch as batch_module
 from aisoc.service.http_api import MAX_BODY_BYTES, _Handler
 from aisoc.service.scorer import check_feature_row
 
 CLIENT_TIMEOUT_S = 5.0  # every client socket: a regression fails instead of hanging
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(scope="module")
@@ -278,7 +285,7 @@ class TestHttpTransport:
         assert payload == {"error": "internal error: RuntimeError"}
 
     def test_unexpected_exception_in_get_gets_500(self, service, monkeypatch):
-        monkeypatch.setattr(service._server, "artifact", None)
+        monkeypatch.setattr(service, "artifact", None)
         with pytest.raises(urllib.error.HTTPError) as excinfo:
             urllib.request.urlopen(service.url + "/v1/health", timeout=CLIENT_TIMEOUT_S)
         assert excinfo.value.code == 500
@@ -290,6 +297,37 @@ class TestServiceLifecycle:
         partial = ModelArtifact(vocabulary=demo_result.artifact.vocabulary, created_at=0)
         with pytest.raises(ArtifactError, match="PARTIAL"):
             ScoringService(partial, port=0)
+
+    def test_port_is_freed_when_the_with_block_ends(self, demo_result):
+        with serve(demo_result.artifact, ("127.0.0.1", 0)) as service:
+            assert _get(service.url + "/v1/health")["status"] == "ok"
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(service.address, timeout=CLIENT_TIMEOUT_S)
+
+    def test_serve_command_stops_on_sigint_and_frees_the_port(self, demo_result, tmp_path):
+        artifact = tmp_path / "artifact.json"
+        save_artifact(demo_result.artifact, artifact)
+        process = subprocess.Popen(
+            [sys.executable, "-m", "aisoc", "serve", "--artifact", str(artifact),
+             "--bind", "127.0.0.1:0"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env={"PYTHONPATH": SRC, "PATH": "/usr/bin:/bin"})
+        try:
+            ready, _, _ = select.select([process.stdout], [], [], 30)
+            assert ready, "no serving line within 30 s"
+            line = process.stdout.readline()
+            match = re.fullmatch(r"serving artifact \w+ on (http://([\d.]+):(\d+))\n", line)
+            assert match, line
+            url, address = match.group(1), (match.group(2), int(match.group(3)))
+            with urllib.request.urlopen(url + "/v1/health", timeout=CLIENT_TIMEOUT_S) as reply:
+                assert reply.status == 200
+            process.send_signal(signal.SIGINT)
+            assert process.wait(timeout=10) == 0, process.stderr.read()
+        finally:
+            process.kill()
+            process.communicate()
+        with pytest.raises(ConnectionRefusedError):
+            socket.create_connection(address, timeout=CLIENT_TIMEOUT_S)
 
 
 class TestBatch:

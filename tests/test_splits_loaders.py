@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from aisoc.corpus import (
@@ -82,6 +82,33 @@ class TestStratifiedSplit:
         records = [LogRecord(timestamp=0, host="h", channel=Channel.AUTH, message="x")]
         with pytest.raises(SplitError):
             split(records * 4, SplitSpec(kind=SplitKind.STRATIFIED_RANDOM))
+
+    @settings(max_examples=200, deadline=None)
+    @given(sizes=st.tuples(st.integers(0, 60), st.integers(0, 60)).filter(any),
+           weights=st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).filter(any))
+    @example(sizes=(3, 0), weights=(8, 1, 1))  # floor of one: a 0.3 share takes a row
+    @example(sizes=(10, 7), weights=(1, 1, 1))  # the largest remainders get +1
+    def test_each_class_is_allocated_in_full_with_a_floor_of_one(self, sizes, weights):
+        fractions = tuple(w / sum(weights) for w in weights)
+        labels = (Label.BENIGN, Label.MALICIOUS)
+        records = [_rec(100 * c + i, label)
+                   for c, (label, n) in enumerate(zip(labels, sizes)) for i in range(n)]
+        positive = sum(w > 0 for w in weights)
+        try:
+            out = split(records, SplitSpec(kind=SplitKind.STRATIFIED_RANDOM,
+                                           fractions=fractions, seed=5))
+        except SplitError:  # only when no class can fill every positive part
+            assert all(n < positive for n in sizes)
+            return
+        for label, n in zip(labels, sizes):
+            counts = [sum(r.label == label for r in part)
+                      for part in (out.train, out.validation, out.test)]
+            assert sum(counts) == n
+            for w, count in zip(weights, counts):
+                if w == 0:
+                    assert count == 0
+                elif n >= positive:
+                    assert count >= 1
 
 
 class TestKFold:
