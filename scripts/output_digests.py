@@ -24,9 +24,12 @@ deduplicated at thresholds 0.9 and 0.7, and the digest of each kept
 on fixed edge shapes (many tied values, values and split midpoints that
 overflow to +-inf, no bootstrap with ``min_samples_leaf=5``, 20 features)
 and the digest of each forest is printed, so a change to the grower is
-byte-checked across commits. The forest digest hashes the JSON of the
-forest's fields with each tree as nested node objects, built from
-``ForestModel.trees``; it does not depend on how artifacts store trees.
+byte-checked across commits; ``forest.wide`` hashes two forests that draw
+their feature subsets one ``Generator.choice`` call at a time (201 of 10 001
+features per split) or ask for more features per split than they have. The
+forest digest hashes the JSON of the forest's fields with each tree as
+nested node objects, built from ``ForestModel.trees``; it does not depend
+on how artifacts store trees.
 The ``loaders.*`` digests, printed after the chain's, cover the three NDJSON
 line readers over one fixed file with CRLF line ends, blank lines, a BOM on
 its first line, malformed JSON, non-ASCII messages and no final line end: the
@@ -370,6 +373,12 @@ FOREST_SHAPES = {
                                          "min_samples_leaf": 5}),
     "d20": (600, 20, 1.0, {"n_trees": 30}),
 }
+# forest.wide: (rows, features, train_forest keywords) of each forest it
+# hashes. 201 of 10 001 features per split is past the size where numpy's
+# Generator.choice stops running Floyd's algorithm and shuffles a
+# permutation's tail; the second forest asks for more features than it has.
+WIDE_FORESTS = ((40, 10_001, {"n_trees": 3, "features_per_split": 201}),
+                (60, 6, {"n_trees": 10, "features_per_split": 9}))
 
 
 def node_object(node) -> dict:
@@ -389,16 +398,26 @@ def forest_object(model) -> dict:
             "training_meta": dict(model.training_meta)}
 
 
+def tied_rows(i: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """0.1-rounded Gaussian rows (many ties) and labels from their first half."""
+    rng = np.random.default_rng([int(SEED), i])
+    X = np.round(rng.normal(size=(n, d)), 1)
+    y = (X[:, :max(1, d // 2)].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
+    return X, y
+
+
 def forest_digests() -> dict[str, str]:
-    """Digests of forests trained on 0.1-rounded Gaussian rows (many ties)."""
+    """Digests of forests trained on ``tied_rows``."""
     digests = {}
     for i, (name, (n, d, scale, params)) in enumerate(FOREST_SHAPES.items()):
-        rng = np.random.default_rng([int(SEED), i])
-        X = np.round(rng.normal(size=(n, d)), 1)
-        y = (X[:, :max(1, d // 2)].sum(axis=1) + rng.normal(size=n) > 0).astype(int)
+        X, y = tied_rows(i, n, d)
         with np.errstate(over="ignore", invalid="ignore"):  # +-inf at 1e308 on purpose
             model = train_forest(X * scale, y, seed=int(SEED), **params)
         digests[f"forest.{name}"] = sha256_bytes(json.dumps(forest_object(model)).encode("utf-8"))
+    wide = [forest_object(train_forest(*tied_rows(len(FOREST_SHAPES) + j, n, d), seed=int(SEED),
+                                       **params))
+            for j, (n, d, params) in enumerate(WIDE_FORESTS)]
+    digests["forest.wide"] = sha256_bytes(json.dumps(wide).encode("utf-8"))
     return digests
 
 

@@ -51,7 +51,7 @@ from ..calibrate import CalibrationMethod, Calibrator
 from ..errors import ArtifactError
 from ..features import Standardizer, Vocabulary
 from ..fusion import FusionConfig
-from ..learn.forest import ForestModel, node_lists_of_nested
+from ..learn.forest import ForestModel, _integer_field_problems, node_lists_of_nested
 from ..learn.logistic import LogisticModel
 from .scorer import Scorer
 
@@ -268,10 +268,14 @@ def _mismatch(envelope: dict, artifact: ModelArtifact) -> str | None:
 def _forest_problems(forest: ForestModel) -> list[str]:
     """What keeps the node arrays from being ``n_trees`` trees that can score.
 
+    The integer fields must pass the rule ``ForestModel.from_dict`` applies.
     Every child id must exceed its parent's and every node but a root must
     have exactly one parent; then following parents from any node ends at
     its tree's root, so each tree is a tree.
     """
+    problems = _integer_field_problems(vars(forest))
+    if problems:
+        return problems
     sizes = forest.tree_sizes
     if len(sizes) != forest.n_trees or not len(sizes):
         return [f"forest declares {forest.n_trees} trees and holds {len(sizes)}"]

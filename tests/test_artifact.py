@@ -560,16 +560,22 @@ class TestComponentPayloads:
 
     @pytest.mark.parametrize("name, value", [
         ("max_depth", 10.0), ("max_depth", 10.5), ("max_depth", 0), ("min_samples_leaf", -3),
-        ("features_per_split", True), ("n_features", "8"), ("seed", -1),
-    ], ids=["float", "fraction", "zero", "negative", "bool", "string", "negative-seed"])
+        ("features_per_split", True), ("n_features", "8"), ("seed", -1), ("n_features", 0),
+    ], ids=["float", "fraction", "zero", "negative", "bool", "string", "negative-seed",
+            "no-features"])
     def test_forest_integer_field_outside_training_bounds_is_refused(self, tmp_path, payload,
-                                                                     name, value):
+                                                                     demo_result, name, value):
         broken = copy.deepcopy(payload)
         broken["forest"][name] = value
         _write(tmp_path / "a.json", broken)
-        with pytest.raises(ArtifactError, match=f"malformed component payload: forest {name} "
-                                                f"must be an integer >= [01], got {value!r}"):
+        problem = f"forest {name} must be an integer >= [01], got {value!r}"
+        with pytest.raises(ArtifactError, match=f"malformed component payload: {problem}"):
             load_artifact(tmp_path / "a.json")
+        artifact = dataclasses.replace(demo_result.artifact, forest=dataclasses.replace(
+            demo_result.artifact.forest, **{name: value}))
+        with pytest.raises(ArtifactError, match=f"not saved, inconsistent artifact: .*{problem}"):
+            save_artifact(artifact, tmp_path / "b.json")
+        assert not (tmp_path / "b.json").exists()
 
     def test_fusion_with_an_unknown_key_is_refused(self, tmp_path, payload):
         broken = copy.deepcopy(payload)

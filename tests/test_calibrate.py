@@ -90,6 +90,38 @@ class TestPlatt:
         cal = fit_platt(s, y)
         assert log_loss(apply(cal, s), y) <= log_loss(s, y) + 1e-9
 
+    def test_newton_stops_on_a_hessian_that_is_not_positive_definite(self):
+        # 100 000 scores at 3.0 and one a ulp above: the Hessian's determinant
+        # cancels to <= 0 in float64 at the first step, while the gradient in b
+        # is far from 0, so the fit keeps its starting point
+        s = np.full(100_000, 3.0)
+        s[0] = np.nextafter(3.0, 4.0)
+        y = (np.arange(100_000) < 10_000).astype(int)
+        t_pos, t_neg = platt_targets(10_000, 90_000)
+        b = float(np.log(10_001 / 90_001))
+        assert abs(100_000 / (1 + np.exp(-b)) - (10_000 * t_pos + 90_000 * t_neg)) > 1e-3
+        cal = fit_platt(s, y)
+        assert (cal.a, cal.b, cal.flipped) == (0.0, b, False)
+        assert cal.fit_meta["iterations"] == 0
+        assert_non_decreasing(cal, s)
+
+    def test_negative_slope_is_clamped_to_the_flat_fit(self):
+        # positives rank above most negatives (AUC 2/3, so not flipped), but two
+        # negatives far out at 10 pull the fitted slope below 0
+        s = np.array([1.0] * 5 + [0.0] * 4 + [10.0] * 2)
+        y = np.array([1] * 5 + [0] * 6)
+        t = np.where(y == 1, *platt_targets(5, 6))
+        mean_t = float(np.mean(t))
+        cal = fit_platt(s, y)
+        assert (cal.a, cal.b, cal.flipped) == (0.0, float(np.log(mean_t / (1.0 - mean_t))), False)
+        assert cal.fit_meta["iterations"] == 4
+        assert_non_decreasing(cal, s)
+
+
+def assert_non_decreasing(cal, scores):
+    grid = np.linspace(scores.min() - 1.0, scores.max() + 1.0, 101)
+    assert np.all(np.diff(apply(cal, grid)) >= 0.0)
+
 
 class TestIsotonic:
     def test_pav_pools_single_violation(self):

@@ -372,6 +372,16 @@ class TestConfigAndErrors:
         assert "error: feature columns [0]" in capsys.readouterr().err
         assert not artifact.exists()
 
+    def test_train_malware_rejects_a_table_without_feature_columns(self, tmp_path, capsys):
+        train = tmp_path / "malware.csv"
+        train.write_text("sample_id,label\n" + "".join(
+            f"s{i},{('BENIGN', 'MALICIOUS')[i % 2]}\n" for i in range(6)))
+        artifact = tmp_path / "artifact.json"
+        assert main(["train-malware", "--train", str(train), "--artifact", str(artifact),
+                     "--trees", "3"]) == 2
+        assert "error: training features have no columns" in capsys.readouterr().err
+        assert not artifact.exists()
+
     @pytest.mark.parametrize("flags", [
         ["split", "--fractions", "a,b,c"],
         ["split", "--fractions", "0.5,0.5"],

@@ -24,7 +24,7 @@ from aisoc.learn import (
     train_forest,
     train_logistic,
 )
-from aisoc.learn.forest import _PASS_ELEMENTS
+from aisoc.learn.forest import _BLOCK_NODES, _PASS_ELEMENTS, _feature_subsets
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -116,6 +116,17 @@ class TestLogistic:
         y[0], y[1] = 0, 1  # both classes present
         model = train_logistic(X, y, l2=1e-3, epochs=50)
         assert model.training_meta["final_loss"] <= model.training_meta["initial_loss"]
+
+    def test_line_search_without_a_decrease_stops_unconverged(self):
+        # at a feature scale of 1e10 even the last of 60 halvings of the unit
+        # step overshoots, so no step decreases the loss and the fit stops
+        # where it started, before its epoch cap
+        X = design_matrix([sv([v * 1e10, v]) for v in (-2.0, -1.0, 1.0, 2.0)])
+        model = train_logistic(X, [0, 1, 0, 1], l2=0.0, epochs=50)
+        assert dict(model.training_meta) == {
+            "iterations": 0, "initial_loss": math.log(2.0), "final_loss": math.log(2.0),
+            "converged": False, "seed": 0, "class_weight": None}
+        assert not model.weights.any() and model.bias == 0.0
 
     def test_fixed_inputs_reproduce_identical_weights(self):
         rng = np.random.default_rng(3)
@@ -316,6 +327,11 @@ class TestForest:
     def test_negative_seed_rejected(self):
         with pytest.raises(TrainingError, match="seed must be >= 0, got -1"):
             train_forest(np.array([[0.0], [1.0]]), [0, 1], n_trees=1, seed=-1)
+
+    def test_matrix_without_columns_rejected(self):
+        # such a forest would declare n_features 0, which no artifact load accepts
+        with pytest.raises(TrainingError, match="training features have no columns"):
+            train_forest(np.zeros((4, 0)), [0, 1, 0, 1], n_trees=2)
 
     @pytest.mark.parametrize("n_trees, rows", [(10_001, 2), (10_000, 10_002)])
     def test_forest_over_the_size_limit_rejected_before_growing(self, n_trees, rows):
@@ -664,6 +680,36 @@ class TestLockstepGrower:
         for k in (1, 2):
             part = train_forest(X, y, n_trees=k, max_depth=6, seed=5)
             assert model_bytes(part) == json.dumps(full.to_dict()["trees"][:k])
+
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32), d=st.integers(1, 300), data=st.data(),
+           bootstrap=st.integers(0, 50), blocks=st.integers(1, 2))
+    def test_feature_subsets_are_the_sorted_choice_draws(self, seed, d, data, bootstrap, blocks):
+        self.check_feature_subsets(seed, d, data.draw(st.integers(1, d)), bootstrap, blocks)
+
+    # numpy's choice runs Floyd's algorithm for d <= 10_000 or m <= d // 50 and
+    # shuffles a permutation's tail otherwise; the subsets match it on both
+    # sides, whether drawn in blocks (m <= 32) or one choice call at a time
+    @pytest.mark.parametrize("d, m", [(10_000, 200), (10_000, 201), (10_001, 200),
+                                      (10_001, 201), (10_001, 32), (20_000, 400), (20_000, 401)])
+    def test_feature_subsets_match_choice_on_both_sides_of_its_algorithm_switch(self, d, m):
+        for seed, bootstrap in ((0, 0), (1, 480)):
+            self.check_feature_subsets(seed, d, m, bootstrap, 1)
+
+    @staticmethod
+    def check_feature_subsets(seed, d, m, bootstrap, blocks):
+        """The first ``blocks`` blocks of subsets equal ``np.sort(choice(...))`` node by
+        node, from a generator that drew ``bootstrap`` rows first, and leave the
+        generator in the state those ``choice`` calls leave it."""
+        blocked, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        for rng in (blocked, reference):
+            rng.integers(0, bootstrap, size=bootstrap)
+        subsets = _feature_subsets(blocked, d, m)
+        got = np.array([next(subsets) for _ in range(blocks * _BLOCK_NODES)])
+        expected = np.array([np.sort(reference.choice(d, size=m, replace=False))
+                             for _ in range(blocks * _BLOCK_NODES)])
+        assert np.array_equal(got, expected)
+        assert blocked.bit_generator.state == reference.bit_generator.state
 
     def test_nan_features_rejected(self):
         X = np.array([[0.0, 1.0], [1.0, np.nan], [2.0, 0.0], [3.0, 1.0]])

@@ -37,8 +37,8 @@ DIGESTS = (
     "cli.score_batch", "cli.probe", "batch.repeats", "http.replies", "loaders.logs",
     "loaders.manifest", "loaders.score_batch", "batch.errors", "logistic.balanced",
     "logistic.seed1234", "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties",
-    "forest.overflow_1e308", "forest.no_bootstrap_leaf5", "forest.d20", "metrics.ranks",
-    "metrics.isotonic", "metrics.report", "augment.ops", "corpus.generate",
+    "forest.overflow_1e308", "forest.no_bootstrap_leaf5", "forest.d20", "forest.wide",
+    "metrics.ranks", "metrics.isotonic", "metrics.report", "augment.ops", "corpus.generate",
 )
 
 
