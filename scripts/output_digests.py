@@ -28,8 +28,9 @@ byte-checked across commits; ``forest.wide`` hashes two forests that draw
 their feature subsets one ``Generator.choice`` call at a time (201 of 10 001
 features per split) or ask for more features per split than they have. The
 forest digest hashes the JSON of the forest's fields with each tree as
-nested node objects, built from ``ForestModel.trees``; it does not depend
-on how artifacts store trees.
+nested node objects, built from the per-tree node lists that
+``ForestModel.to_dict()`` gives at every commit since artifact format 2; it
+does not depend on how artifacts store trees.
 The ``loaders.*`` digests, printed after the chain's, cover the three NDJSON
 line readers over one fixed file with CRLF line ends, blank lines, a BOM on
 its first line, malformed JSON, non-ASCII messages and no final line end: the
@@ -381,21 +382,24 @@ WIDE_FORESTS = ((40, 10_001, {"n_trees": 3, "features_per_split": 201}),
                 (60, 6, {"n_trees": 10, "features_per_split": 9}))
 
 
-def node_object(node) -> dict:
-    """A tree as nested node objects (artifact format 1), from its root ``TreeNode``."""
-    if node.is_leaf:
-        return {"counts": list(node.counts)}
-    return {"counts": list(node.counts), "feature": node.feature,
-            "threshold": float(node.threshold),
-            "left": node_object(node.left), "right": node_object(node.right)}
+def node_object(tree: dict, i: int = 0) -> dict:
+    """Node ``i`` of a tree's node lists and the nodes under it as nested node
+    objects (artifact format 1)."""
+    counts = [tree["negatives"][i], tree["positives"][i]]
+    if tree["feature"][i] < 0:
+        return {"counts": counts}
+    return {"counts": counts, "feature": tree["feature"][i],
+            "threshold": float(tree["threshold"][i]),
+            "left": node_object(tree, tree["left"][i]),
+            "right": node_object(tree, tree["right"][i])}
 
 
 def forest_object(model) -> dict:
-    return {"trees": [node_object(tree) for tree in model.trees],
-            **{key: getattr(model, key) for key in (
+    stored = model.to_dict()
+    return {"trees": [node_object(tree) for tree in stored["trees"]],
+            **{key: stored[key] for key in (
                 "n_features", "n_trees", "max_depth", "min_samples_leaf",
-                "features_per_split", "seed")},
-            "training_meta": dict(model.training_meta)}
+                "features_per_split", "seed", "training_meta")}}
 
 
 def tied_rows(i: int, n: int, d: int) -> tuple[np.ndarray, np.ndarray]:

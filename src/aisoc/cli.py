@@ -38,7 +38,7 @@ from .corpus import (
     write_malware_csv,
 )
 from .corpus.generate import MAX_GENERATED_ITEMS
-from .errors import AisocError, ConfigError, _excerpt
+from .errors import AisocError, ConfigError, excerpt
 from .evaluate import build_manifest, read_manifest, robustness_probe, run_baselines, write_manifest
 from .fusion import tune_thresholds, tuning_macro_f1
 from .pipeline import (
@@ -388,7 +388,7 @@ def _cmd_serve(opts: dict) -> int:
     host, _, port = str(opts["bind"]).rpartition(":")
     digits = port.lstrip("0") or "0"  # int() refuses more than 4300 digits
     if not (host and port.isascii() and port.isdigit() and len(digits) <= 5) or int(digits) > 65535:
-        raise ConfigError(f"--bind must be host:port, got {_excerpt(str(opts['bind']), repr)}")
+        raise ConfigError(f"--bind must be host:port, got {excerpt(str(opts['bind']), repr)}")
     service = serve(artifact, (host, int(digits)))
     print(f"serving artifact {artifact.version} on {service.url}", flush=True)
     try:

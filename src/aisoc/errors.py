@@ -6,7 +6,7 @@ from typing import Callable
 _EXCERPT_CHARS = 20
 
 
-def _excerpt(text: str, show: Callable[[str], str] = str) -> str:
+def excerpt(text: str, show: Callable[[str], str] = str) -> str:
     """``show(text)``, or for a longer text ``show`` of its first ``_EXCERPT_CHARS``
     characters, then ``…`` and its length: a message echoes a bounded part of
     a client value."""

@@ -121,8 +121,14 @@ def read_manifest(path: str | Path) -> list[ManifestItem]:
     return items
 
 
-def binary_labels(labels: Iterable[Label | None]) -> list[int]:
-    """0/1 targets for the detectors: 1 for MALICIOUS, 0 otherwise."""
+def binary_labels(labels: Iterable[Label | None], error: type[Exception] = MetricError,
+                  what: str = "records") -> list[int]:
+    """0/1 targets for the detectors: 1 for MALICIOUS, 0 for BENIGN. Unlabeled
+    ``what`` raise ``error`` with their count, so no fit takes them as BENIGN."""
+    labels = list(labels)
+    unlabeled = labels.count(None)
+    if unlabeled:
+        raise error(f"{unlabeled} of {len(labels)} {what} have no label")
     return [1 if label is Label.MALICIOUS else 0 for label in labels]
 
 

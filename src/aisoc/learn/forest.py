@@ -47,6 +47,10 @@ Nodes split in preorder, left subtree first, so every child's id is greater
 than its parent's. The grower appends each node as it creates it. Scoring
 walks every tree at once, for one row or a whole matrix of rows, over one
 layout of all trees that numpy builds from those arrays at the first score.
+
+This module states every rule of the stored forest: its node lists, its
+integer fields (``_INTEGER_FIELDS``) and that its nodes are trees
+(``ForestModel.problems``). Tree offsets come from ``_tree_starts`` alone.
 """
 
 from __future__ import annotations
@@ -69,7 +73,7 @@ from ..readonly import read_only
 NODE_FIELDS = {"feature": np.intp, "threshold": np.float64, "left": np.intp,
                "right": np.intp, "negatives": np.int64, "positives": np.int64}
 # Integer fields of a stored forest and the least value training gives each;
-# ``n_trees`` is left to the artifact check, which counts the trees held.
+# ``n_trees`` is left to ``ForestModel.problems``, which counts the trees held.
 _INTEGER_FIELDS = {"n_features": 1, "n_trees": 0, "max_depth": 1, "min_samples_leaf": 1,
                    "features_per_split": 1, "seed": 0}
 
@@ -150,6 +154,11 @@ class ForestModel:
     def __post_init__(self):
         object.__setattr__(self, "training_meta", read_only(self.training_meta))
 
+    @cached_property
+    def _tree_starts(self) -> np.ndarray:
+        """Forest-wide id of each tree's first node."""
+        return np.cumsum(self.tree_sizes) - self.tree_sizes
+
     @property
     def trees(self) -> list[TreeNode]:
         """Each tree as linked ``TreeNode``s, built anew on every access.
@@ -161,31 +170,22 @@ class ForestModel:
         left, right = self.left.tolist(), self.right.tolist()
         nodes = [TreeNode(counts=counts) for counts in
                  zip(self.negatives.tolist(), self.positives.tolist())]
-        roots, start = [], 0
-        for size in self.tree_sizes.tolist():
+        roots = []
+        for start, size in zip(self._tree_starts.tolist(), self.tree_sizes.tolist()):
             roots.append(nodes[start])
             for i in range(start, start + size):
                 if feature[i] >= 0:
                     node = nodes[i]
                     node.feature, node.threshold = feature[i], threshold[i]
                     node.left, node.right = nodes[start + left[i]], nodes[start + right[i]]
-            start += size
         return roots
 
     def to_dict(self) -> dict:
-        columns = {key: getattr(self, key).tolist() for key in NODE_FIELDS}
-        trees, start = [], 0
-        for size in self.tree_sizes.tolist():
-            trees.append({key: values[start:start + size] for key, values in columns.items()})
-            start += size
+        arrays = {key: getattr(self, key) for key in NODE_FIELDS}
         return {
-            "trees": trees,
-            "n_features": self.n_features,
-            "n_trees": self.n_trees,
-            "max_depth": self.max_depth,
-            "min_samples_leaf": self.min_samples_leaf,
-            "features_per_split": self.features_per_split,
-            "seed": self.seed,
+            "trees": [{key: values[start:start + size].tolist() for key, values in arrays.items()}
+                      for start, size in zip(self._tree_starts.tolist(), self.tree_sizes.tolist())],
+            **{name: getattr(self, name) for name in _INTEGER_FIELDS},
             "training_meta": dict(self.training_meta),
         }
 
@@ -199,6 +199,46 @@ class ForestModel:
             raise ValueError(problems[0])
         return cls(**_node_arrays(payload["trees"]), **sizes,
                    training_meta=payload.get("training_meta", {}))
+
+    def problems(self) -> list[str]:
+        """What keeps the node arrays from being ``n_trees`` trees that can score.
+
+        The integer fields must pass the rule ``from_dict`` applies. Every
+        child id must exceed its parent's and every node but a root must
+        have exactly one parent; then following parents from any node ends
+        at its tree's root, so each tree is a tree.
+        """
+        problems = _integer_field_problems(vars(self))
+        if problems:
+            return problems
+        sizes = self.tree_sizes
+        if len(sizes) != self.n_trees or not len(sizes):
+            return [f"forest declares {self.n_trees} trees and holds {len(sizes)}"]
+        if np.any(sizes < 1):
+            return ["forest holds a tree without nodes"]
+        problems = []
+        feature, left, right = self.feature, self.left, self.right
+        split = feature != -1
+        bad = np.unique(feature[split & ((feature < 0) | (feature >= self.n_features))])
+        if len(bad):
+            problems.append(f"forest splits on feature(s) {bad[:5].tolist()} outside "
+                            f"[0, {self.n_features})")
+        start = np.repeat(self._tree_starts, sizes)  # each node's tree, as its first id
+        node = np.arange(len(feature)) - start        # each node's id within its tree
+        end = np.repeat(sizes, sizes)
+        children_ok = np.where(split, (node < left) & (left < end) & (node < right) & (right < end),
+                               (left == -1) & (right == -1))
+        if not children_ok.all():
+            problems.append("forest has a child id not above its parent's, outside its tree, "
+                            "or on a leaf")
+        else:
+            parents = np.bincount(np.concatenate((left[split], right[split]))
+                                  + np.tile(start[split], 2), minlength=len(feature))
+            if np.any(parents != (node > 0)):
+                problems.append("forest has a node without exactly one parent")
+        if np.any(self.negatives < 0) or np.any(self.positives < 0):
+            problems.append("forest holds a negative class count")
+        return problems
 
     @cached_property
     def _walk(self) -> "_Walk":
@@ -225,11 +265,10 @@ class _Walk(NamedTuple):
 
     @classmethod
     def of(cls, model: ForestModel) -> "_Walk":
-        sizes = model.tree_sizes
-        roots = np.cumsum(sizes) - sizes
+        roots = model._tree_starts
         leaf = model.feature < 0
         node = np.arange(len(leaf))
-        start = np.repeat(roots, sizes)
+        start = np.repeat(roots, model.tree_sizes)
         left = np.where(leaf, node, model.left + start)
         right = np.where(leaf, node, model.right + start)
         total = model.negatives + model.positives

@@ -36,6 +36,7 @@ from .corpus import (
     k_fold,
     split,
 )
+from .errors import CalibrationError, TrainingError
 from .evaluate import (
     ManifestItem,
     binary_labels,
@@ -167,11 +168,12 @@ def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_featu
 
     Warns (``UserWarning``) when gradient descent used all ``epochs`` without
     reaching its gradient tolerance; ``training_meta`` holds the diagnostics.
+    An unlabeled record raises ``TrainingError`` before anything is fitted.
     """
+    y = binary_labels((r.label for r in train_records), TrainingError, "training log records")
     vocab = fit_vocabulary(train_records, min_df=min_df, max_features=max_features)
     X = transform_text([r.message for r in train_records], vocab)
-    model = train_logistic(X, binary_labels(r.label for r in train_records), l2=l2,
-                           epochs=epochs, seed=seed, class_weight=class_weight)
+    model = train_logistic(X, y, l2=l2, epochs=epochs, seed=seed, class_weight=class_weight)
     meta = model.training_meta
     if not meta["converged"] and meta["iterations"] == epochs:
         warnings.warn(f"logistic model did not converge in {epochs} epochs "
@@ -182,11 +184,13 @@ def train_log_detector(train_records: list[LogRecord], *, min_df: int, max_featu
 
 def train_malware_detector(train_samples: list[MalwareSample], *, n_trees: int,
                            max_depth: int, min_samples_leaf: int, seed: int):
-    """Fit standardizer + random forest on training malware rows."""
+    """Fit standardizer + random forest on training malware rows; an unlabeled
+    row raises ``TrainingError`` before anything is fitted."""
+    y = binary_labels((s.label for s in train_samples), TrainingError, "training malware rows")
     standardizer = fit_standardizer(train_samples)
     X = transform_dense(feature_matrix(train_samples, standardizer), standardizer)
-    forest = train_forest(X, binary_labels(s.label for s in train_samples), n_trees=n_trees,
-                          max_depth=max_depth, min_samples_leaf=min_samples_leaf, seed=seed)
+    forest = train_forest(X, y, n_trees=n_trees, max_depth=max_depth,
+                          min_samples_leaf=min_samples_leaf, seed=seed)
     return standardizer, forest
 
 
@@ -194,17 +198,21 @@ def calibrate_detectors(artifact: ModelArtifact, val_logs: list[LogRecord],
                         val_samples: list[MalwareSample], method: str) -> ModelArtifact:
     """``artifact`` with both calibrators fitted; ``method`` "auto" selects per detector.
 
-    An artifact without both detectors raises ``ArtifactError`` naming what is missing.
+    An artifact without both detectors raises ``ArtifactError`` naming what is missing,
+    and an unlabeled record ``CalibrationError``, before any fit: ``fit_calibrator``
+    itself turns a ``CalibrationError`` into an IDENTITY fallback.
     The fusion thresholds are cleared: they were tuned on the old calibrators' scores.
     """
     artifact.to_scorer(("vocabulary", "logistic", "standardizer", "forest"))
+    y_logs = binary_labels((r.label for r in val_logs), CalibrationError,
+                           "validation log records")
+    y_mw = binary_labels((s.label for s in val_samples), CalibrationError,
+                         "validation malware rows")
     chosen = None if method == "auto" else calibrate.CalibrationMethod(method.upper())
     raw_log = artifact.raw_log_score([r.message for r in val_logs])
-    calibrator_logs = calibrate.fit_calibrator(
-        raw_log, binary_labels(r.label for r in val_logs), chosen)
+    calibrator_logs = calibrate.fit_calibrator(raw_log, y_logs, chosen)
     raw_mw = artifact.raw_malware_score(feature_matrix(val_samples, artifact.standardizer))
-    calibrator_malware = calibrate.fit_calibrator(
-        raw_mw, binary_labels(s.label for s in val_samples), chosen)
+    calibrator_malware = calibrate.fit_calibrator(raw_mw, y_mw, chosen)
     return replace(artifact, calibrator_logs=calibrator_logs,
                    calibrator_malware=calibrator_malware, fusion=None)
 

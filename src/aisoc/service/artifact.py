@@ -13,9 +13,10 @@ checksum must equal the file's, so ``version`` is the hash of the file's
 payload. The stored payload is hashed only when they differ, to tell a
 corrupt file from one that does not round-trip. A wrong value that
 round-trips passes the rule (a ``created_at`` string, a ``max_depth`` of
-0), so the format version, an integer ``created_at``, the forest's integer
-fields and the components' agreement (``_inconsistencies``) are checked on
-their own.
+0), so besides the framing and the checksum this module checks the format
+version, an integer ``created_at``, that every number is finite and that
+the components agree (``_inconsistencies``). A stored forest's own rules
+are stated in ``learn.forest`` (``ForestModel.problems``).
 
 An artifact is an immutable value: a stage that fits a component returns
 a new artifact (``dataclasses.replace``), so each value hashes its payload
@@ -51,7 +52,7 @@ from ..calibrate import CalibrationMethod, Calibrator
 from ..errors import ArtifactError
 from ..features import Standardizer, Vocabulary
 from ..fusion import FusionConfig
-from ..learn.forest import ForestModel, _integer_field_problems, node_lists_of_nested
+from ..learn.forest import ForestModel, node_lists_of_nested
 from ..learn.logistic import LogisticModel
 from .scorer import Scorer
 
@@ -265,55 +266,14 @@ def _mismatch(envelope: dict, artifact: ModelArtifact) -> str | None:
             f"key(s) {keys} differ; missing components: {missing}")
 
 
-def _forest_problems(forest: ForestModel) -> list[str]:
-    """What keeps the node arrays from being ``n_trees`` trees that can score.
-
-    The integer fields must pass the rule ``ForestModel.from_dict`` applies.
-    Every child id must exceed its parent's and every node but a root must
-    have exactly one parent; then following parents from any node ends at
-    its tree's root, so each tree is a tree.
-    """
-    problems = _integer_field_problems(vars(forest))
-    if problems:
-        return problems
-    sizes = forest.tree_sizes
-    if len(sizes) != forest.n_trees or not len(sizes):
-        return [f"forest declares {forest.n_trees} trees and holds {len(sizes)}"]
-    if np.any(sizes < 1):
-        return ["forest holds a tree without nodes"]
-    problems = []
-    feature, left, right = forest.feature, forest.left, forest.right
-    split = feature != -1
-    bad = np.unique(feature[split & ((feature < 0) | (feature >= forest.n_features))])
-    if len(bad):
-        problems.append(f"forest splits on feature(s) {bad[:5].tolist()} outside "
-                        f"[0, {forest.n_features})")
-    start = np.repeat(np.cumsum(sizes) - sizes, sizes)  # each node's tree, as its first id
-    node = np.arange(len(feature)) - start              # each node's id within its tree
-    end = np.repeat(sizes, sizes)
-    children_ok = np.where(split, (node < left) & (left < end) & (node < right) & (right < end),
-                           (left == -1) & (right == -1))
-    if not children_ok.all():
-        problems.append("forest has a child id not above its parent's, outside its tree, "
-                        "or on a leaf")
-    else:
-        parents = np.bincount(np.concatenate((left[split], right[split]))
-                              + np.tile(start[split], 2), minlength=len(feature))
-        if np.any(parents != (node > 0)):
-            problems.append("forest has a node without exactly one parent")
-    if np.any(forest.negatives < 0) or np.any(forest.positives < 0):
-        problems.append("forest holds a negative class count")
-    return problems
-
-
 def _inconsistencies(artifact: ModelArtifact) -> list[str]:
     """What keeps the present components from scoring together, if anything.
 
     Each component parses on its own; this checks that their shapes agree,
     that their parameters are finite (a number stored as a string such as
-    ``"nan"`` passes the checksum and the parse), and that the IDF weights
+    ``"nan"`` passes the checksum and the parse), that the IDF weights
     are positive and the standardizer's scales not negative, as training
-    writes them.
+    writes them, and that the forest passes its own check.
     """
     problems = []
     numbers: dict[str, np.ndarray] = {}
@@ -341,7 +301,7 @@ def _inconsistencies(artifact: ModelArtifact) -> list[str]:
             problems.append("standardizer std holds a negative scale")
     if forest is not None:
         numbers["forest"] = forest.threshold
-        problems += _forest_problems(forest)
+        problems += forest.problems()
     for name in ("calibrator_logs", "calibrator_malware"):
         cal = getattr(artifact, name)
         if cal is None or cal.method is CalibrationMethod.IDENTITY:

@@ -26,7 +26,7 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..errors import _excerpt
+from ..errors import excerpt
 from .artifact import ModelArtifact
 from .scorer import RequestError
 
@@ -98,17 +98,17 @@ class _Handler(BaseHTTPRequestHandler):
         if self.path in replies:
             self._send(200, replies[self.path])
         else:
-            self._send(404, {"error": f"unknown path {_excerpt(self.path)}"})
+            self._send(404, {"error": f"unknown path {excerpt(self.path)}"})
 
     def _admitted_length(self) -> int | None:
         """Body length of an acceptable ``POST``; otherwise refuse it and return None."""
         if self.path != "/v1/score":
-            self._refuse(404, f"unknown path {_excerpt(self.path)}")
+            self._refuse(404, f"unknown path {excerpt(self.path)}")
             return None
         declared = (self.headers.get("Content-Length") or "").strip()
         if not (declared.isascii() and declared.isdigit()):
             self._refuse(400, "Content-Length must be a non-negative integer, got "
-                         + _excerpt(declared, repr))
+                         + excerpt(declared, repr))
             return None
         digits = declared.lstrip("0") or "0"  # int() refuses more than 4300 digits
         if len(digits) > len(str(MAX_BODY_BYTES)) or int(digits) > MAX_BODY_BYTES:

@@ -3,6 +3,7 @@ import dataclasses
 import errno
 import hashlib
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -806,3 +807,80 @@ class TestSave:
         monkeypatch.undo()
         save_artifact(later, path)
         assert load_artifact(path).created_at == 1
+
+
+def _empty_tree(p):
+    p["forest"]["trees"][2] = {key: [] for key in p["forest"]["trees"][2]}
+    return "inconsistent artifact: forest holds a tree without nodes"
+
+
+def _nested_left_ids(p):
+    for tree in p["forest"]["trees"]:
+        tree["left"] = [[child] for child in tree["left"]]
+    return "malformed component payload: forest left lists hold something other than numbers"
+
+
+def _scale_dropped(p):
+    scales = p["standardizer"]["std"]
+    scales.pop()
+    return (f"inconsistent artifact: standardizer has {len(scales) + 1} means and "
+            f"{len(scales)} scales")
+
+
+def _knot_value_dropped(p):
+    values = p["calibrators"]["logs"]["knot_values"]
+    values.pop()
+    return (f"inconsistent artifact: calibrator_logs has {len(values) + 1} knot scores and "
+            f"{len(values)} knot values")
+
+
+def _fusion_field(name, value):
+    def edit(p):
+        p["fusion"][name] = value
+        bounds = "(0, 0.5]" if name == "grid_step" else "[0, 1]"
+        return f"malformed component payload: {name} must be in {bounds}, got {value}"
+    return edit
+
+
+class TestRefusalMessages:
+    """Refusals that no other test reaches, each with its whole message."""
+
+    @pytest.fixture(scope="class")
+    def payload(self, tmp_path_factory, demo_result):
+        path = tmp_path_factory.mktemp("refusals") / "artifact.json"
+        save_artifact(demo_result.artifact, path)
+        payload = json.loads(path.read_text())["payload"]
+        assert payload["calibrators"]["logs"]["method"] == "ISOTONIC"
+        return payload
+
+    @pytest.mark.parametrize("edit", [
+        _empty_tree, _nested_left_ids, _scale_dropped, _knot_value_dropped,
+        _fusion_field("t_m", 1.5), _fusion_field("t_l", -0.25),
+        _fusion_field("grid_step", 0.0), _fusion_field("grid_step", 0.75),
+    ], ids=["tree-without-nodes", "node-lists-not-numbers", "means-and-scales",
+            "knot-scores-and-values", "t_m-above-1", "t_l-below-0", "grid-step-0",
+            "grid-step-above-half"])
+    def test_load_refuses_with_its_message(self, tmp_path, payload, edit):
+        broken = copy.deepcopy(payload)
+        message = edit(broken)
+        path = tmp_path / "a.json"
+        _write(path, broken)
+        with pytest.raises(ArtifactError, match=f"^{re.escape(f'{path}: {message}')}$"):
+            load_artifact(path)
+
+    def test_a_stored_payload_without_a_canonical_encoding_is_corrupt(self, tmp_path, payload):
+        # the artifact drops the unknown key, so it encodes; the stored payload cannot
+        path = tmp_path / "a.json"
+        _write(path, {**payload, "note": float("nan")}, checksum="sha256:0")
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}: checksum mismatch; "
+                                                "file is corrupt$"):
+            load_artifact(path)
+
+    def test_save_refuses_a_nan_in_training_meta(self, tmp_path, demo_result):
+        forest = dataclasses.replace(demo_result.artifact.forest,
+                                     training_meta={"n_samples": float("nan")})
+        path = tmp_path / "a.json"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}: not saved, payload "
+                                                "holds a non-finite number: Out of range float"):
+            save_artifact(dataclasses.replace(demo_result.artifact, forest=forest), path)
+        assert sorted(tmp_path.iterdir()) == []

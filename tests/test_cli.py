@@ -285,6 +285,73 @@ def test_calibrate_refuses_an_artifact_without_the_malware_detector(workspace, t
     assert artifact.read_bytes() == before
 
 
+def _unlabel_log_lines(path: Path, out: Path, count: int) -> int:
+    """``path`` with the label removed from its first ``count`` MALICIOUS lines,
+    written to ``out``; returns the number of lines."""
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    for line in [line for line in lines if line.get("label") == "MALICIOUS"][:count]:
+        del line["label"]
+    out.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    return len(lines)
+
+
+def _unlabel_csv_rows(path: Path, out: Path, count: int) -> int:
+    """``path`` with the label cell of its first ``count`` rows blanked, written
+    to ``out``; returns the number of rows."""
+    header, *rows = path.read_text().splitlines()
+    rows = [row.rsplit(",", 1)[0] + "," if i < count else row for i, row in enumerate(rows)]
+    out.write_text("\n".join([header, *rows]) + "\n")
+    return len(rows)
+
+
+# (command, input file, its option, what the error calls its records, unlabeled count)
+UNLABELED_INPUTS = [
+    ("train-log", "logs_train.ndjson", "--train", "training log records", 28),
+    ("train-malware", "malware_train.csv", "--train", "training malware rows", 3),
+    ("calibrate", "logs_validation.ndjson", "--val-logs", "validation log records", 10),
+    ("calibrate", "malware_validation.csv", "--val-malware", "validation malware rows", 1),
+]
+
+
+@pytest.mark.parametrize("command, name, option, what, count", UNLABELED_INPUTS,
+                         ids=["train-log", "train-malware", "calibrate-logs",
+                              "calibrate-malware"])
+def test_a_stage_refuses_unlabeled_records_and_writes_nothing(workspace, tmp_path, capsys,
+                                                              command, name, option, what,
+                                                              count):
+    artifact, splits = copied_artifact(workspace, tmp_path), workspace / "splits"
+    before = artifact.read_bytes()
+    unlabeled = tmp_path / name
+    unlabel = _unlabel_log_lines if name.endswith(".ndjson") else _unlabel_csv_rows
+    total = unlabel(splits / name, unlabeled, count)
+    argv = {"train-log": ["train-log"], "train-malware": ["train-malware", "--trees", "5"],
+            "calibrate": ["calibrate", "--val-logs", str(splits / "logs_validation.ndjson"),
+                          "--val-malware", str(splits / "malware_validation.csv")]}[command]
+    assert main([*argv, option, str(unlabeled), "--artifact", str(artifact)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {count} of {total} {what} have no label\n"
+    assert captured.out == ""
+    assert artifact.read_bytes() == before
+    assert sorted(tmp_path.iterdir()) == sorted([artifact, unlabeled])
+
+
+def test_a_config_file_that_is_not_an_object_is_refused(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text("[1, 2]")
+    assert main(["generate", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {config}: config must be a flat JSON object\n"
+
+
+def test_evaluate_refuses_an_empty_manifest(workspace, tmp_path, capsys):
+    manifest = tmp_path / "manifest.ndjson"
+    manifest.write_text("")
+    assert main(["evaluate", "--artifact", str(workspace / "artifact.json"),
+                 "--manifest", str(manifest), "--json-out", str(tmp_path / "r.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == "error: cannot evaluate an empty manifest\n"
+    assert captured.out == "" and not (tmp_path / "r.json").exists()
+
+
 @pytest.mark.parametrize("command", ["tune", "evaluate", "probe"])
 def test_a_manifest_line_without_named_labels_is_refused_by_number(workspace, tmp_path,
                                                                    capsys, command):

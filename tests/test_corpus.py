@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import pytest
@@ -24,6 +25,9 @@ from aisoc.corpus import (
 )
 from aisoc.corpus.generate import MAX_GENERATED_ITEMS
 from aisoc.errors import ConfigError
+
+# the module, which the package's ``augment`` function shadows
+augment_module = importlib.import_module("aisoc.corpus.augment")
 
 
 def malicious_runs(records):
@@ -243,6 +247,14 @@ class TestAugment:
         assert variant.message != record.message
         assert "bash" not in variant.message
         assert variant.label is Label.MALICIOUS
+
+    @pytest.mark.parametrize("label", [Label.BENIGN, None], ids=["labeled", "unlabeled"])
+    def test_noise_that_blanks_a_message_keeps_a_labeled_one(self, monkeypatch, label):
+        monkeypatch.setattr(augment_module, "mutate_message", lambda message, ops, rng: " ")
+        record = _rec(0, "x", label)
+        [source, variant] = augment([record], [AugmentOp.CHAR_NOISE], rate=1.0, seed=1)
+        assert source == record and variant.origin is Origin.AUGMENTED
+        assert variant.message == ("x" if label else " ")
 
     def test_empty_op_set_rejected(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 import re
 import warnings
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -15,9 +16,11 @@ from aisoc.corpus import (
     generate_corpus,
 )
 from aisoc.corpus.generate import MAX_GENERATED_ITEMS
-from aisoc.errors import ConfigError, LoadError, TrainingError
+from aisoc import pipeline
+from aisoc.errors import CalibrationError, ConfigError, LoadError, MetricError, TrainingError
 from aisoc.evaluate import (
     ManifestItem,
+    binary_labels,
     build_manifest,
     manifest_fingerprint,
     multi_seed,
@@ -32,9 +35,11 @@ from aisoc.metrics import EvalReport, classification_report
 from aisoc.pipeline import (
     ExperimentConfig,
     augmented_cv_corpus,
+    calibrate_detectors,
     cross_validate_log_model,
     generate_malware_rows,
     train_log_detector,
+    train_malware_detector,
 )
 
 
@@ -401,6 +406,60 @@ class TestTrainLogDetector:
             _, model = train_log_detector(records, min_df=1, max_features=1000, l2=1e-3,
                                           epochs=500, seed=0)
         assert model.training_meta["converged"] is True
+
+
+class TestUnlabeledRecords:
+    """A stage that fits on labels refuses an unlabeled record before it fits anything."""
+
+    @staticmethod
+    def unlabeled(records, count):
+        """``records`` with the label of their first ``count`` MALICIOUS ones removed."""
+        malicious = [i for i, r in enumerate(records) if r.label is Label.MALICIOUS][:count]
+        return [replace(r, label=None) if i in malicious else r for i, r in enumerate(records)]
+
+    def test_binary_labels_counts_the_unlabeled_in_the_callers_error(self):
+        labels = [Label.MALICIOUS, None, Label.BENIGN, None]
+        with pytest.raises(TrainingError, match="^2 of 4 rows have no label$"):
+            binary_labels(labels, TrainingError, "rows")
+        with pytest.raises(MetricError, match="^1 of 1 records have no label$"):
+            binary_labels(iter([None]))
+        assert binary_labels([Label.MALICIOUS, Label.BENIGN]) == [1, 0]
+
+    @pytest.mark.parametrize("every_malicious", [False, True], ids=["some", "all-malicious"])
+    def test_train_log_detector(self, demo_result, monkeypatch, every_malicious):
+        records = demo_result.log_split.train
+        n_malicious = sum(r.label is Label.MALICIOUS for r in records)
+        count = n_malicious if every_malicious else 5
+        monkeypatch.setattr(pipeline, "fit_vocabulary", self.no_fit)
+        with pytest.raises(TrainingError, match=f"^{count} of {len(records)} training log "
+                                                "records have no label$"):
+            train_log_detector(self.unlabeled(records, count), min_df=2, max_features=100,
+                               l2=1e-3, epochs=5, seed=0)
+
+    def test_train_malware_detector(self, demo_result, monkeypatch):
+        samples = demo_result.malware_split.train
+        monkeypatch.setattr(pipeline, "fit_standardizer", self.no_fit)
+        with pytest.raises(TrainingError, match=f"^3 of {len(samples)} training malware rows "
+                                                "have no label$"):
+            train_malware_detector(self.unlabeled(samples, 3), n_trees=2, max_depth=3,
+                                   min_samples_leaf=1, seed=0)
+
+    @pytest.mark.parametrize("which", ["logs", "malware"])
+    def test_calibrate_detectors_raises_instead_of_falling_back(self, demo_result, which):
+        logs, samples = demo_result.log_split.validation, demo_result.malware_split.validation
+        if which == "logs":
+            logs, message = self.unlabeled(logs, 4), f"4 of {len(logs)} validation log records"
+        else:
+            samples = self.unlabeled(samples, 4)
+            message = f"4 of {len(samples)} validation malware rows"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no IDENTITY fallback warning
+            with pytest.raises(CalibrationError, match=f"^{message} have no label$"):
+                calibrate_detectors(demo_result.artifact, logs, samples, "auto")
+
+    @staticmethod
+    def no_fit(*args, **kwargs):
+        raise AssertionError("fitted before the labels were checked")
 
 
 def test_cv_corpus_reads_no_malware_field():

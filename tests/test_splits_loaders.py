@@ -1,3 +1,5 @@
+import re
+
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -211,6 +213,21 @@ class TestLogNdjson:
         with pytest.raises(LoadError):
             load_log_ndjson(tmp_path / "nope.ndjson")
 
+    @pytest.mark.parametrize("line, reason", [
+        ('{"timestamp":1,"channel":"AUTH"}', "missing fields ['host', 'message']"),
+        ('{"timestamp":1,"host":7,"channel":"AUTH","message":"m"}',
+         "host and message must be strings"),
+        ('{"timestamp":1.5,"host":"h","channel":"AUTH","message":"m"}',
+         "timestamp must be an integer, got 1.5"),
+    ], ids=["missing-fields", "host-not-a-string", "timestamp-not-an-integer"])
+    def test_a_bad_line_is_skipped_with_its_reason(self, tmp_path, line, reason):
+        path = tmp_path / "bad.ndjson"
+        path.write_text('{"timestamp":0,"host":"h","channel":"AUTH","message":"ok"}\n'
+                        + line + "\n")
+        result = load_log_ndjson(path)
+        assert [r.message for r in result.records] == ["ok"]
+        assert result.reject_reasons == [(2, reason)]
+
     def test_write_read_roundtrip(self, tmp_path):
         records = [
             LogRecord(timestamp=5, host="a", channel=Channel.PROCESS,
@@ -249,6 +266,36 @@ class TestMalwareCsv:
         assert [s.sample_id for s in result.samples] == ["a"]
         assert result.rejected == 1
         assert result.reject_reasons == [(3, "sample 'b' has non-finite feature -inf")]
+
+    def test_blank_label_cell_is_unlabeled_and_unknown_text_is_skipped(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("sample_id,f0,label\na,1,  \nb,2,maybe\nc,3,0\n")
+        result = load_malware_csv(path, id_column="sample_id")
+        assert [(s.sample_id, s.label) for s in result.samples] == [("a", None),
+                                                                    ("c", Label.BENIGN)]
+        assert result.reject_reasons == [(3, "unrecognized label value 'maybe'")]
+
+    def test_empty_file_is_a_load_error(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("")
+        with pytest.raises(LoadError, match=f"^{re.escape(str(path))}: empty file, expected "
+                                            "a header row$"):
+            load_malware_csv(path)
+
+    def test_write_refuses_rows_of_unequal_width(self, tmp_path):
+        samples = [MalwareSample(sample_id="a", features=(1.0, 2.0)),
+                   MalwareSample(sample_id="b", features=(1.0,))]
+        path = tmp_path / "m.csv"
+        with pytest.raises(LoadError, match="^samples have inconsistent feature "
+                                            "dimensionality$"):
+            write_malware_csv(samples, path)
+        assert not path.exists()
+
+    def test_write_of_no_rows_is_a_header_alone(self, tmp_path):
+        path = tmp_path / "m.csv"
+        write_malware_csv([], path)
+        assert path.read_text() == "sample_id,label\n"
+        assert load_malware_csv(path).samples == []
 
     def test_missing_label_column(self, tmp_path):
         path = tmp_path / "m.csv"

@@ -1,10 +1,13 @@
-"""Every name a module under ``src/aisoc`` imports is used in that module.
+"""Every name a module under ``src/aisoc`` imports is used in that module,
+and none is another module's private (underscore-prefixed) name.
 
 No linter ships with the project, so this scan stands in for pyflakes'
 F401 with the standard library's ``ast``. A name counts as used when it
 appears as a name or an attribute root anywhere in the module, inside a
 quoted annotation, or as a string in the module's ``__all__``. An import
-line marked ``# noqa: F401`` is exempt, as it is for the linters.
+line marked ``# noqa: F401`` is exempt, as it is for the linters. The
+private-import scan has no exemptions: a rule that two modules share is
+a public name of the module that states it.
 """
 
 import ast
@@ -76,3 +79,37 @@ def test_the_scan_finds_an_unused_import():
     lines = ["import os", "import sys  # noqa: F401", "from typing import Any, List"]
     unused = set(imported_names(tree, lines)) - used_names(tree)
     assert unused == {"os", "Any"}
+
+
+def private_imports(tree: ast.Module) -> dict[str, int]:
+    """Each underscore-prefixed (not dunder) name or module path part the
+    module imports, with its line number."""
+    def private(part: str) -> bool:
+        return part.startswith("_") and not (part.startswith("__") and part.endswith("__"))
+
+    found = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            paths = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            paths = [f"{node.module}.{alias.name}" if node.module else alias.name
+                     for alias in node.names]
+        else:
+            continue
+        found.update((path, node.lineno) for path in paths
+                     if any(private(part) for part in path.split(".")))
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_module_imports_no_private_name(path):
+    private = private_imports(ast.parse(path.read_text(encoding="utf-8")))
+    assert not private, f"{path.relative_to(SRC)}: private import(s) {private}"
+
+
+def test_the_scan_finds_a_private_import():
+    tree = ast.parse("from __future__ import annotations\nimport os._path, sys\n"
+                     "from .errors import excerpt, _excerpt\nfrom ._impl import run\n"
+                     "from . import __version__, _state\n")
+    assert private_imports(tree) == {"os._path": 2, "errors._excerpt": 3, "_impl.run": 4,
+                                     "_state": 5}
