@@ -6,7 +6,10 @@ the saved artifact, of the three report JSON files and of the ``float.hex``
 of its ``validation_macro_f1``, then runs the seven-command CLI chain
 (generate -> split -> train-log -> train-malware -> calibrate -> tune ->
 evaluate) at seed 7 and prints the digest of its artifact and
-``report.json``. Then ``score-batch`` scores the chain's test manifest as
+``report.json``. ``cli.stage_artifacts`` hashes the artifact bytes after
+each stage that saves (train-log, train-malware, calibrate, tune), then the
+files ``aisoc save`` writes from the final artifact as it is and with
+``--created-at 1``. Then ``score-batch`` scores the chain's test manifest as
 requests, plus one logs-only, one malware-only and one malformed line, and
 the digest of its output NDJSON is printed, followed by the digest of the
 ``probe --json-out`` report on the same manifest. The ``batch.repeats``
@@ -183,8 +186,14 @@ def cli_digests(chain: Path) -> dict[str, str]:
         ["evaluate", "--artifact", artifact, "--manifest", splits / "manifest_test.ndjson",
          "--json-out", chain / "report.json"],
     ]
+    stage_bytes = []
     for argv in commands:
         run_cli(argv)
+        if argv[0] in ("train-log", "train-malware", "calibrate", "tune"):
+            stage_bytes.append(artifact.read_bytes())
+    for extra in ([], ["--created-at", 1]):
+        run_cli(["save", "--artifact", artifact, "--out", chain / "saved.json", *extra])
+        stage_bytes.append((chain / "saved.json").read_bytes())
     batch_in, batch_out = chain / "batch_requests.ndjson", chain / "batch_results.ndjson"
     write_batch_input(splits / "manifest_test.ndjson", batch_in)
     run_cli(["score-batch", "--artifact", artifact, "--in", batch_in, "--out", batch_out])
@@ -193,7 +202,8 @@ def cli_digests(chain: Path) -> dict[str, str]:
     return {"cli.artifact": sha256_bytes(artifact.read_bytes()),
             "cli.report": sha256_bytes((chain / "report.json").read_bytes()),
             "cli.score_batch": sha256_bytes(batch_out.read_bytes()),
-            "cli.probe": sha256_bytes((chain / "probe.json").read_bytes())}
+            "cli.probe": sha256_bytes((chain / "probe.json").read_bytes()),
+            "cli.stage_artifacts": sha256_bytes(b"".join(stage_bytes))}
 
 
 def write_repeats_input(manifest: Path, path: Path) -> None:

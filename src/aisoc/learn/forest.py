@@ -181,13 +181,18 @@ class ForestModel:
         return roots
 
     def to_dict(self) -> dict:
+        return {"trees": list(self.tree_dicts()), **self.header_dict()}
+
+    def tree_dicts(self) -> Iterator[dict]:
+        """The ``trees`` of ``to_dict``, one tree's node lists at a time."""
         arrays = {key: getattr(self, key) for key in NODE_FIELDS}
-        return {
-            "trees": [{key: values[start:start + size].tolist() for key, values in arrays.items()}
-                      for start, size in zip(self._tree_starts.tolist(), self.tree_sizes.tolist())],
-            **{name: getattr(self, name) for name in _INTEGER_FIELDS},
-            "training_meta": dict(self.training_meta),
-        }
+        for start, size in zip(self._tree_starts.tolist(), self.tree_sizes.tolist()):
+            yield {key: values[start:start + size].tolist() for key, values in arrays.items()}
+
+    def header_dict(self) -> dict:
+        """``to_dict`` without its ``trees``."""
+        return {**{name: getattr(self, name) for name in _INTEGER_FIELDS},
+                "training_meta": dict(self.training_meta)}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "ForestModel":
@@ -200,15 +205,20 @@ class ForestModel:
         return cls(**_node_arrays(payload["trees"]), **sizes,
                    training_meta=payload.get("training_meta", {}))
 
+    def field_problems(self) -> list[str]:
+        """Why each integer field is not an integer within training's bounds
+        (the rule ``from_dict`` applies); empty if none."""
+        return _integer_field_problems(vars(self))
+
     def problems(self) -> list[str]:
         """What keeps the node arrays from being ``n_trees`` trees that can score.
 
-        The integer fields must pass the rule ``from_dict`` applies. Every
+        The integer fields must pass (``field_problems``). Every
         child id must exceed its parent's and every node but a root must
         have exactly one parent; then following parents from any node ends
         at its tree's root, so each tree is a tree.
         """
-        problems = _integer_field_problems(vars(self))
+        problems = self.field_problems()
         if problems:
             return problems
         sizes = self.tree_sizes

@@ -7,15 +7,26 @@ so fixed-seed pipelines reproduce artifacts exactly. An artifact missing
 components is saved with status PARTIAL and is refused by the scorer and
 the HTTP service.
 
+Each component's canonical bytes are encoded at most once per component
+value and kept on it (``_component_bytes``); a forest is encoded one tree
+at a time, so its node lists never all exist as Python lists. The payload's
+bytes are spliced from those parts in sorted-key order (``_splice``), the
+same bytes ``canonical_json_bytes(artifact.to_payload())`` gives, and one
+table (``ModelArtifact._parts``) states the payload's keys for
+``to_payload``, the spliced bytes and ``_mismatch``. So a stage that saves
+components it did not change encodes none of them again.
+
 One rule loads a format-2 file: it must be the canonical encoding of the
-artifact it loads as. That artifact's payload is encoded once, and its
-checksum must equal the file's, so ``version`` is the hash of the file's
-payload. The stored payload is hashed only when they differ, to tell a
-corrupt file from one that does not round-trip. A wrong value that
-round-trips passes the rule (a ``created_at`` string, a ``max_depth`` of
-0), so besides the framing and the checksum this module checks the format
-version, an integer ``created_at``, that every number is finite and that
-the components agree (``_inconsistencies``). A stored forest's own rules
+artifact it loads as. That artifact's payload is encoded once, which fills
+its components' bytes, and its checksum must equal the file's, so
+``version`` is the hash of the file's payload. The stored payload is hashed
+only when they differ, to tell a corrupt file from one that does not
+round-trip, whose top-level keys are then compared with the parts the
+checksum hashed. A wrong value that round-trips passes the rule (a
+``created_at`` string, a ``max_depth`` of 0), so besides the framing and
+the checksum this module checks the format version, an integer
+``created_at``, that every number is finite and that the components agree
+(``_inconsistencies``). A stored forest's own rules
 are stated in ``learn.forest`` (``ForestModel.problems``).
 
 An artifact is an immutable value: a stage that fits a component returns
@@ -70,12 +81,60 @@ def canonical_json_bytes(obj) -> bytes:
                       ensure_ascii=True, allow_nan=False).encode("ascii")
 
 
-def _checksum(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+def _checksum(chunks: list[bytes]) -> str:
+    """The checksum of the bytes ``chunks`` join to, without joining them."""
+    digest = hashlib.sha256()
+    for chunk in chunks:
+        digest.update(chunk)
+    return "sha256:" + digest.hexdigest()
 
 
 def checksum_of(payload: dict) -> str:
-    return _checksum(canonical_json_bytes(payload))
+    return _checksum([canonical_json_bytes(payload)])
+
+
+def _splice(parts: Mapping[str, bytes]) -> list[bytes]:
+    """``canonical_json_bytes`` of ``{key: value}`` in pieces, from each value's
+    canonical bytes; keys are plain names, so they need no escapes."""
+    chunks = [b"{"]
+    for n, key in enumerate(sorted(parts)):
+        chunks += [b'%s"%s":' % (b"," if n else b"", key.encode("ascii")), parts[key]]
+    return chunks + [b"}"]
+
+
+def _component_bytes(component) -> bytes:
+    """``canonical_json_bytes(component.to_dict())``, encoded once per component
+    value and kept on it: components are frozen and their arrays read-only. A
+    forest is encoded one tree at a time, its other fields one by one."""
+    encoded = vars(component).get("_canonical_bytes")
+    if encoded is None:
+        if isinstance(component, ForestModel):
+            parts = {key: canonical_json_bytes(value)
+                     for key, value in component.header_dict().items()}
+            parts["trees"] = b"[%s]" % b",".join(map(canonical_json_bytes, component.tree_dicts()))
+            encoded = b"".join(_splice(parts))
+        else:
+            encoded = canonical_json_bytes(component.to_dict())
+        vars(component)["_canonical_bytes"] = encoded
+    return encoded
+
+
+def _part_json(part):
+    """A payload part (see ``ModelArtifact._parts``) as JSON data."""
+    if isinstance(part, dict):
+        return {key: _part_json(value) for key, value in part.items()}
+    if hasattr(part, "to_dict"):
+        return part.to_dict()
+    return dict(part) if isinstance(part, Mapping) else part
+
+
+def _part_bytes(part) -> bytes:
+    """``canonical_json_bytes(_part_json(part))``, a component's from its kept bytes."""
+    if isinstance(part, dict):
+        return b"".join(_splice({key: _part_bytes(value) for key, value in part.items()}))
+    if hasattr(part, "to_dict"):
+        return _component_bytes(part)
+    return canonical_json_bytes(_part_json(part))
 
 
 @dataclass(frozen=True)
@@ -114,27 +173,37 @@ class ModelArtifact(Scorer):
     def status(self) -> str:
         return SERVING if not self.missing_components() else PARTIAL
 
-    def to_payload(self) -> dict:
-        def _opt(component):
-            return None if component is None else component.to_dict()
-
+    def _parts(self) -> dict:
+        """The payload's keys, each with its part: a component (``None`` if
+        absent), a dict of components (``calibrators``) or a JSON value (the
+        ``fingerprints`` as their read-only mapping)."""
         return {
             "format_version": self.format_version,
             "created_at": self.created_at,
             "status": self.status,
-            "vocabulary": _opt(self.vocabulary),
-            "logistic": _opt(self.logistic),
-            "calibrators": {"logs": _opt(self.calibrator_logs),
-                            "malware": _opt(self.calibrator_malware)},
-            "standardizer": _opt(self.standardizer),
-            "forest": _opt(self.forest),
-            "fusion": _opt(self.fusion),
-            "fingerprints": dict(self.fingerprints),
+            "vocabulary": self.vocabulary,
+            "logistic": self.logistic,
+            "calibrators": {"logs": self.calibrator_logs, "malware": self.calibrator_malware},
+            "standardizer": self.standardizer,
+            "forest": self.forest,
+            "fusion": self.fusion,
+            "fingerprints": self.fingerprints,
         }
+
+    def to_payload(self) -> dict:
+        return _part_json(self._parts())
+
+    def _encoded_parts(self) -> dict[str, bytes]:
+        """Each payload key's canonical bytes."""
+        return {key: _part_bytes(part) for key, part in self._parts().items()}
+
+    def payload_chunks(self) -> list[bytes]:
+        """``canonical_json_bytes(self.to_payload())``, in pieces to write or hash."""
+        return _splice(self._encoded_parts())
 
     @cached_property
     def checksum(self) -> str:
-        return checksum_of(self.to_payload())
+        return _checksum(self.payload_chunks())
 
     @cached_property
     def version(self) -> str:
@@ -179,22 +248,24 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> str:
     if problems:
         raise ArtifactError(f"{path}: not saved, inconsistent artifact: {'; '.join(problems)}")
     try:
-        payload = canonical_json_bytes(artifact.to_payload())
+        payload = artifact.payload_chunks()
     except ValueError as exc:  # a non-finite number: the canonical form has none
         raise ArtifactError(f"{path}: not saved, payload holds a non-finite number: {exc}") from exc
     checksum = _checksum(payload)
-    vars(artifact)["checksum"] = checksum  # seeds the cached property: one encode per save
+    vars(artifact)["checksum"] = checksum  # seeds the cached property: one hash per save
     # the canonical envelope, spliced: sorted keys put "checksum" first
-    _replace_file(Path(path), b'{"checksum":"%s","payload":%s}\n' % (checksum.encode(), payload))
+    _replace_file(Path(path), [b'{"checksum":"%s","payload":' % checksum.encode(), *payload,
+                               b"}\n"])
     return checksum
 
 
-def _replace_file(path: Path, data: bytes) -> None:
-    """Write ``data`` to a new file beside ``path``, then rename it over ``path``."""
+def _replace_file(path: Path, chunks: list[bytes]) -> None:
+    """Write ``chunks`` to a new file beside ``path``, then rename it over ``path``."""
     part = path.with_name(f".{path.name}.{secrets.token_hex(4)}.part")
     try:
         with open(part, "xb") as out:
-            out.write(data)
+            for chunk in chunks:
+                out.write(chunk)
         os.replace(part, path)
     except BaseException:
         part.unlink(missing_ok=True)
@@ -258,8 +329,8 @@ def _mismatch(envelope: dict, artifact: ModelArtifact) -> str | None:
         return "checksum mismatch; file is corrupt"
     if payload["format_version"] == "1":
         return None
-    stored, written = ({key: canonical_json_bytes(value) for key, value in p.items()}
-                       for p in (payload, artifact.to_payload()))
+    stored = {key: canonical_json_bytes(value) for key, value in payload.items()}
+    written = artifact._encoded_parts()  # the parts the checksum hashed
     keys = sorted(k for k in stored.keys() | written.keys() if stored.get(k) != written.get(k))
     missing = ", ".join(artifact.missing_components()) or "none"
     return (f"payload is not the canonical encoding of the artifact it loads as: "
@@ -294,7 +365,8 @@ def _inconsistencies(artifact: ModelArtifact) -> list[str]:
         numbers["standardizer"] = np.append(std.mean, std.std)
         if std.mean.ndim != 1 or std.std.shape != std.mean.shape:
             problems.append(f"standardizer has {std.mean.size} means and {std.std.size} scales")
-        elif forest is not None and std.dimension != forest.n_features:
+        elif (forest is not None and not forest.field_problems()
+              and std.dimension != forest.n_features):
             problems.append(f"standardizer has {std.dimension} features, "
                             f"the forest {forest.n_features}")
         if np.any(std.std < 0.0):

@@ -11,16 +11,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from aisoc.calibrate import identity_calibrator
 from aisoc.cli import main as cli_main
 from aisoc.corpus import EPOCH_MS
 from aisoc.errors import ArtifactError
+from aisoc.features import Standardizer
 from aisoc.fusion import FusionConfig
-from aisoc.learn import train_forest
+from aisoc.learn import ForestModel, train_forest
+from aisoc.learn.forest import node_lists_of_nested
 from aisoc.pipeline import ExperimentConfig, calibrate_detectors, run_experiment
 from aisoc.service import artifact as artifact_module
 from aisoc.service import ModelArtifact, load_artifact, save_artifact
-from aisoc.service.artifact import (FORMAT_VERSION, PARTIAL, SERVING, canonical_json_bytes,
-                                    checksum_of)
+from aisoc.service.artifact import (FORMAT_VERSION, PAIR_COMPONENTS, PARTIAL, SERVING,
+                                    canonical_json_bytes, checksum_of)
 
 # Written by the last commit that stored trees as nested node objects:
 # ``run_experiment(ExperimentConfig(seed=7, forest_trees=3))``, then ``save_artifact``.
@@ -149,20 +152,21 @@ class TestImmutableValue:
         assert artifact.checksum == checksum_of(artifact.to_payload()) == before
         assert artifact.fingerprints == {"seed": "7"} and later.fingerprints == {"seed": "8"}
 
-    def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch):
-        artifact = dataclasses.replace(demo_result.artifact)  # a new value, not hashed yet
+    def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch, encodes):
+        artifact = _fresh(demo_result.artifact)  # a new value of new components, not hashed yet
         expected = demo_result.artifact.version
         calls = []
-        original = artifact_module.checksum_of
+        original = artifact_module._checksum
 
-        def counting(payload):
+        def counting(chunks):
             calls.append(1)
-            return original(payload)
+            return original(chunks)
 
-        monkeypatch.setattr(artifact_module, "checksum_of", counting)
+        monkeypatch.setattr(artifact_module, "_checksum", counting)
         version = artifact.version
         assert artifact.to_scorer().version == version == expected
         assert len(calls) == 1
+        assert _sorted_bytes(encodes) == _payload_parts(artifact.to_payload())
 
     def test_component_arrays_are_read_only(self, tmp_path, demo_result):
         path = tmp_path / "artifact.json"
@@ -277,6 +281,47 @@ def _write(path, payload, checksum=None) -> None:
     if checksum is None:
         checksum = checksum_of(payload)
     path.write_text(json.dumps({"checksum": checksum, "payload": payload}))
+
+
+@pytest.fixture
+def encodes(monkeypatch):
+    """Each object the artifact module encodes with ``canonical_json_bytes``, in order."""
+    calls = []
+    original = artifact_module.canonical_json_bytes
+
+    def recording(obj):
+        calls.append(obj)
+        return original(obj)
+
+    monkeypatch.setattr(artifact_module, "canonical_json_bytes", recording)
+    return calls
+
+
+def _sorted_bytes(objects) -> list[bytes]:
+    return sorted(map(canonical_json_bytes, objects))
+
+
+def _payload_parts(payload) -> list[bytes]:
+    """The canonical bytes of each part of a SERVING payload that a load, or a
+    save of new components, encodes once: each top-level value but the
+    calibrators and the forest, each calibrator, each forest field but the
+    trees, and each tree."""
+    forest = payload["forest"]
+    parts = [value for key, value in payload.items() if key not in ("calibrators", "forest")]
+    parts += [*payload["calibrators"].values(),
+              *(value for key, value in forest.items() if key != "trees"), *forest["trees"]]
+    return _sorted_bytes(parts)
+
+
+def _fresh(artifact) -> ModelArtifact:
+    """``artifact`` with each component rebuilt from its fields, so none is encoded yet."""
+    return dataclasses.replace(artifact, **{
+        name: dataclasses.replace(getattr(artifact, name)) for name in (*PAIR_COMPONENTS, "fusion")
+        if getattr(artifact, name) is not None})
+
+
+def _spliced(artifact) -> bytes:
+    return b"".join(artifact.payload_chunks())
 
 
 def _payload_version(path) -> str:
@@ -578,6 +623,18 @@ class TestComponentPayloads:
             save_artifact(artifact, tmp_path / "b.json")
         assert not (tmp_path / "b.json").exists()
 
+    def test_non_integer_n_features_is_the_only_problem_beside_a_standardizer(self, tmp_path):
+        forest = train_forest([[0.0, 1.0], [1.0, 0.0], [0.0, 0.0], [1.0, 1.0]], [0, 1, 0, 1],
+                              n_trees=2, min_samples_leaf=1)
+        artifact = ModelArtifact(standardizer=Standardizer(mean=np.zeros(2), std=np.ones(2)),
+                                 forest=dataclasses.replace(forest, n_features="2"), created_at=0)
+        path = tmp_path / "a.json"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}: not saved, inconsistent "
+                                                "artifact: forest n_features must be an integer "
+                                                ">= 1, got '2'$"):
+            save_artifact(artifact, path)
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_fusion_with_an_unknown_key_is_refused(self, tmp_path, payload):
         broken = copy.deepcopy(payload)
         broken["fusion"]["note"] = "hand-edited"
@@ -610,22 +667,38 @@ class TestOneLoadRule:
         return path
 
     def test_load_and_save_each_encode_the_payload_once(self, tmp_path, saved, demo_result,
-                                                        monkeypatch):
-        calls = []
-        original = artifact_module.canonical_json_bytes
-
-        def counting(obj):
-            calls.append(1)
-            return original(obj)
-
-        monkeypatch.setattr(artifact_module, "canonical_json_bytes", counting)
+                                                        encodes):
+        parts = _payload_parts(json.loads(saved.read_text())["payload"])
         assert load_artifact(saved).version == _payload_version(saved)
-        assert len(calls) == 1
-        calls.clear()
-        fresh = dataclasses.replace(demo_result.artifact)  # a new value, not hashed yet
+        assert _sorted_bytes(encodes) == parts
+        encodes.clear()
+        fresh = _fresh(demo_result.artifact)  # no component encoded yet
         save_artifact(fresh, tmp_path / "a.json")
         assert fresh.version == _payload_version(tmp_path / "a.json") == _payload_version(saved)
-        assert len(calls) == 1
+        assert _sorted_bytes(encodes) == parts
+
+    def test_a_fresh_save_encodes_each_tree_once(self, tmp_path, demo_result, encodes):
+        fresh = _fresh(demo_result.artifact)
+        save_artifact(fresh, tmp_path / "a.json")
+        trees = [obj for obj in encodes if isinstance(obj, dict) and "feature" in obj]
+        assert trees == list(fresh.forest.tree_dicts())
+        encodes.clear()
+        save_artifact(fresh, tmp_path / "b.json")  # the same value again: no component
+        assert _sorted_bytes(encodes) == _sorted_bytes(
+            [FORMAT_VERSION, fresh.created_at, SERVING, dict(fresh.fingerprints)])
+        assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
+
+    def test_a_save_of_a_new_fusion_encodes_no_tree(self, tmp_path, saved, encodes):
+        loaded = load_artifact(saved)
+        encodes.clear()
+        tuned = dataclasses.replace(loaded, fusion=FusionConfig(t_m=0.25, t_l=0.5))
+        save_artifact(tuned, tmp_path / "a.json")
+        assert _sorted_bytes(encodes) == _sorted_bytes(
+            [FORMAT_VERSION, tuned.created_at, SERVING, tuned.fusion.to_dict(),
+             dict(tuned.fingerprints)])
+        envelope = {"checksum": tuned.checksum, "payload": tuned.to_payload()}
+        assert (tmp_path / "a.json").read_bytes() == canonical_json_bytes(envelope) + b"\n"
+        assert load_artifact(tmp_path / "a.json").version == tuned.version != loaded.version
 
     def test_a_payload_too_deep_to_encode_again_is_refused(self, tmp_path):
         # the range straddles the depth that json.loads parses and the
@@ -669,6 +742,7 @@ class TestOneLoadRule:
             loaded = load_artifact(artifact)
             assert loaded.status == (SERVING if n == len(stages) - 1 else PARTIAL)
             assert loaded.version == _payload_version(artifact)
+            assert _spliced(loaded) == canonical_json_bytes(loaded.to_payload())
 
     @pytest.mark.parametrize("edit, match", [
         (_integral_knots_as_ints, r"\['calibrators'\] differ"),
@@ -876,6 +950,44 @@ class TestRefusalMessages:
                                                 "file is corrupt$"):
             load_artifact(path)
 
+    def test_a_payload_that_does_not_round_trip_names_its_keys(self, tmp_path, payload):
+        path = tmp_path / "a.json"
+        _write(path, {**payload, "status": PARTIAL, "note": "hand-edited"})
+        with pytest.raises(ArtifactError, match=f"^{re.escape(str(path))}: payload is not the "
+                                                "canonical encoding of the artifact it loads as: "
+                                                r"key\(s\) \['note', 'status'\] differ; "
+                                                "missing components: none$"):
+            load_artifact(path)
+
+    def test_fingerprints_too_deep_to_encode_again_are_refused(self, tmp_path):
+        payload = ModelArtifact(created_at=EPOCH_MS).to_payload()
+        path = tmp_path / "a.json"
+        refusals = set()
+        for depth in range(850, 1000):
+            nested = "[" * depth + "]" * depth
+            text = json.dumps({**payload, "fingerprints": {"x": "@"}}).replace('"@"', nested)
+            path.write_text(f'{{"checksum":"sha256:0","payload":{text}}}')
+            with pytest.raises(ArtifactError) as refused:
+                load_artifact(path)
+            refusals.add(str(refused.value).removeprefix(f"{path}: ").split(" from ")[0])
+        assert refusals == {
+            "checksum mismatch; file is corrupt",
+            "payload has no canonical encoding: maximum recursion depth exceeded while "
+            "encoding a JSON object",
+            "not a valid artifact container (truncated or corrupt, checksum cannot be "
+            "verified): maximum recursion depth exceeded while decoding a JSON array"}
+
+    @pytest.mark.parametrize("encoded", [False, True], ids=["new-forest", "encoded-forest"])
+    def test_save_refuses_a_nan_beside_a_forest(self, tmp_path, demo_result, encoded):
+        artifact = demo_result.artifact if encoded else _fresh(demo_result.artifact)
+        path = tmp_path / "a.json"
+        with pytest.raises(ValueError) as nan:
+            json.dumps(float("nan"), allow_nan=False)
+        message = f"{path}: not saved, payload holds a non-finite number: {nan.value}"
+        with pytest.raises(ArtifactError, match=f"^{re.escape(message)}$"):
+            save_artifact(dataclasses.replace(artifact, fingerprints={"x": float("nan")}), path)
+        assert sorted(tmp_path.iterdir()) == []
+
     def test_save_refuses_a_nan_in_training_meta(self, tmp_path, demo_result):
         forest = dataclasses.replace(demo_result.artifact.forest,
                                      training_meta={"n_samples": float("nan")})
@@ -884,3 +996,74 @@ class TestRefusalMessages:
                                                 "holds a non-finite number: Out of range float"):
             save_artifact(dataclasses.replace(demo_result.artifact, forest=forest), path)
         assert sorted(tmp_path.iterdir()) == []
+
+
+# Format-1 nested trees of up to 6 leaves: thresholds include a negated zero,
+# the smallest subnormal and numbers near the top of the float range.
+_THRESHOLDS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300,
+                                         1.7976931348623157e308, 0.1]),
+                        st.floats(allow_nan=False, allow_infinity=False))
+_COUNTS = st.lists(st.integers(0, 2**53), min_size=2, max_size=2)
+_NESTED_TREES = st.recursive(
+    st.builds(lambda counts: {"counts": counts}, _COUNTS),
+    lambda children: st.builds(
+        lambda counts, feature, threshold, left, right: {
+            "counts": counts, "feature": feature, "threshold": threshold, "left": left,
+            "right": right},
+        _COUNTS, st.integers(0, 2), _THRESHOLDS, children, children),
+    max_leaves=6)
+
+
+class TestSplicedPayload:
+    """The payload spliced from each component's bytes is, byte for byte,
+    ``canonical_json_bytes(artifact.to_payload())``, and saves and loads as such."""
+
+    @staticmethod
+    def check(artifact, path) -> None:
+        assert _spliced(artifact) == canonical_json_bytes(artifact.to_payload())
+        save_artifact(artifact, path)
+        envelope = {"checksum": artifact.checksum, "payload": artifact.to_payload()}
+        assert path.read_bytes() == canonical_json_bytes(envelope) + b"\n"
+        loaded = load_artifact(path)
+        assert _spliced(loaded) == _spliced(artifact) and loaded.version == artifact.version
+
+    def test_empty_artifact(self, tmp_path):
+        self.check(ModelArtifact(created_at=0), tmp_path / "a.json")
+
+    def test_run_experiment_and_format_1(self, tmp_path, demo_result):
+        self.check(demo_result.artifact, tmp_path / "a.json")
+        self.check(_fresh(demo_result.artifact), tmp_path / "b.json")
+        self.check(load_artifact(FORMAT_1), tmp_path / "c.json")
+
+    @pytest.mark.parametrize("calibrator", [
+        lambda a: identity_calibrator(), lambda a: identity_calibrator("one class"),
+        lambda a: a.calibrator_malware, lambda a: a.calibrator_logs,
+    ], ids=["identity", "identity-with-reason", "platt", "isotonic"])
+    def test_each_calibrator_kind(self, tmp_path, demo_result, calibrator):
+        artifact = demo_result.artifact
+        cal = dataclasses.replace(calibrator(artifact))
+        self.check(dataclasses.replace(artifact, calibrator_logs=cal, calibrator_malware=cal),
+                   tmp_path / "a.json")
+        self.check(ModelArtifact(calibrator_malware=cal, created_at=1), tmp_path / "b.json")
+
+    @settings(max_examples=40, deadline=None)
+    @given(fingerprints=st.dictionaries(st.text(max_size=6), st.text(max_size=12), max_size=4))
+    def test_fingerprints_of_any_text(self, tmp_path_factory, fingerprints):
+        fingerprints["na\u00efve \u65e5\u672c \U0001f600"] = "\u00e9\u0000\"\\"
+        path = tmp_path_factory.mktemp("fingerprints") / "a.json"
+        self.check(ModelArtifact(created_at=EPOCH_MS, fingerprints=fingerprints), path)
+        assert load_artifact(path).fingerprints == fingerprints
+
+    @settings(max_examples=60, deadline=None)
+    @given(trees=st.lists(_NESTED_TREES, min_size=1, max_size=3),
+           meta=st.dictionaries(st.text(max_size=4), st.floats(allow_nan=False,
+                                                                allow_infinity=False), max_size=2))
+    def test_small_forests(self, tmp_path_factory, trees, meta):
+        forest = ForestModel.from_dict({
+            "trees": node_lists_of_nested(trees), "n_features": 3, "n_trees": len(trees),
+            "max_depth": 4, "min_samples_leaf": 1, "features_per_split": 2, "seed": 0,
+            "training_meta": meta})
+        path = tmp_path_factory.mktemp("forest") / "a.json"
+        self.check(ModelArtifact(forest=forest, created_at=0), path)
+        stored = load_artifact(path).forest
+        assert stored.threshold.tobytes() == forest.threshold.tobytes()  # -0.0 keeps its sign

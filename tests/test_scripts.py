@@ -34,9 +34,9 @@ def test_run_robustness_sweeps_one_rate():
 DIGESTS = (
     "pipeline.artifact", "pipeline.report_logs", "pipeline.report_malware",
     "pipeline.report_fused", "pipeline.validation_macro_f1", "cli.artifact", "cli.report",
-    "cli.score_batch", "cli.probe", "batch.repeats", "http.replies", "loaders.logs",
-    "loaders.manifest", "loaders.score_batch", "batch.errors", "logistic.balanced",
-    "logistic.seed1234", "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties",
+    "cli.score_batch", "cli.probe", "cli.stage_artifacts", "batch.repeats", "http.replies",
+    "loaders.logs", "loaders.manifest", "loaders.score_batch", "batch.errors",
+    "logistic.balanced", "logistic.seed1234", "dedup.kept_0.9", "dedup.kept_0.7", "forest.ties",
     "forest.overflow_1e308", "forest.no_bootstrap_leaf5", "forest.d20", "forest.wide",
     "metrics.ranks", "metrics.isotonic", "metrics.report", "augment.ops", "corpus.generate",
 )

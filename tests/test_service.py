@@ -535,13 +535,13 @@ class TestHealthVersion:
                                                       monkeypatch):
         expected = demo_result.artifact.version
         calls = []
-        original = artifact_module.checksum_of
+        original = artifact_module._checksum
 
-        def counting(payload):
+        def counting(chunks):
             calls.append(1)
-            return original(payload)
+            return original(chunks)
 
-        monkeypatch.setattr(artifact_module, "checksum_of", counting)
+        monkeypatch.setattr(artifact_module, "_checksum", counting)
         for _ in range(3):
             assert _get(service.url + "/v1/health") == {"status": "ok",
                                                        "artifact_version": expected}
