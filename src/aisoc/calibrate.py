@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import CalibrationError
 from .learn.logistic import margin_log_loss, sigmoid
-from .metrics import check_scores, roc_auc, tie_groups
+from .metrics import check_scores, log_loss, roc_auc, tie_groups
 from .readonly import read_only
 
 _NEWTON_MAX_ITER = 100
@@ -47,6 +47,7 @@ _MIN_SELECT_POINTS = 12
 # 0/1 edge blocks are penalized, not annihilated, when a held-out point
 # lands on the wrong side of them.
 _SELECT_CLIP = 1e-3
+_SELECT_FOLDS = 3
 
 
 class CalibrationMethod(str, Enum):
@@ -200,23 +201,19 @@ def fit_isotonic(scores, labels) -> Calibrator:
 _FITTERS = {CalibrationMethod.PLATT: fit_platt, CalibrationMethod.ISOTONIC: fit_isotonic}
 
 
-def _cross_fit_loss(s: np.ndarray, y: np.ndarray, fit, n_folds: int = 3) -> float:
+def _cross_fit_loss(s: np.ndarray, y: np.ndarray, fit) -> float:
     """Held-out log-loss of ``fit`` per point; inf if it cannot fit a fold."""
     order = np.argsort(s, kind="mergesort")
-    folds = [order[k::n_folds] for k in range(n_folds)]
-    total = 0.0
-    count = 0
-    for k in range(n_folds):
-        test_idx = folds[k]
-        train_idx = np.concatenate([folds[j] for j in range(n_folds) if j != k])
+    folds = [order[k::_SELECT_FOLDS] for k in range(_SELECT_FOLDS)]
+    held_out = []
+    for k, test_idx in enumerate(folds):
+        train_idx = np.concatenate(folds[:k] + folds[k + 1:])
         try:
             cal = fit(s[train_idx], y[train_idx])
         except CalibrationError:
             return float("inf")
-        p = np.clip(apply(cal, s[test_idx]), _SELECT_CLIP, 1.0 - _SELECT_CLIP)
-        total += float(-np.sum(y[test_idx] * np.log(p) + (1 - y[test_idx]) * np.log(1 - p)))
-        count += len(test_idx)
-    return total / count
+        held_out.append(apply(cal, s[test_idx]))
+    return log_loss(np.concatenate(held_out), y[np.concatenate(folds)], eps=_SELECT_CLIP)
 
 
 def select_method(scores, labels) -> CalibrationMethod:

@@ -38,6 +38,7 @@ from .corpus import (
     write_malware_csv,
 )
 from .corpus.generate import MAX_GENERATED_ITEMS
+from .corpus.loaders import ID_COLUMN, LABEL_COLUMN
 from .errors import AisocError, ConfigError, excerpt
 from .evaluate import build_manifest, read_manifest, robustness_probe, run_baselines, write_manifest
 from .fusion import tune_thresholds, tuning_macro_f1
@@ -444,8 +445,8 @@ _COMMANDS: dict[str, tuple] = {
         ("--folds", None, {"type": int, "help": "number of folds with --kind K_FOLD (default 5)"}),
         ("--val-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
         ("--test-supports", None, {"help": "NORMAL,SUSPICIOUS,HIGH manifest supports"}),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {"help": "id column name; empty string if absent"}),
+        ("--label-column", LABEL_COLUMN, {}),
+        ("--id-column", ID_COLUMN, {"help": "id column name; empty string if absent"}),
     ]),
     "train-log": (_cmd_train_log, "fit vocabulary + logistic model on training logs", [
         ("--train", None, {"help": "training NDJSON log file"}),
@@ -459,8 +460,8 @@ _COMMANDS: dict[str, tuple] = {
     "train-malware": (_cmd_train_malware, "fit standardizer + random forest on training rows", [
         ("--train", None, {"help": "training malware CSV"}),
         ("--artifact", None, {"help": "artifact path to create or update"}),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {}),
+        ("--label-column", LABEL_COLUMN, {}),
+        ("--id-column", ID_COLUMN, {}),
         # released CLI defaults; run_experiment uses forest_trees=30 and forest_depth=10
         ("--trees", 100, {"type": int}),
         ("--max-depth", 12, {"type": int}),
@@ -471,8 +472,8 @@ _COMMANDS: dict[str, tuple] = {
         ("--val-logs", None, {"help": "validation NDJSON log file"}),
         ("--val-malware", None, {"help": "validation malware CSV"}),
         _knob("--method", "calibration", choices=["auto", "platt", "isotonic", "identity"]),
-        ("--label-column", "label", {}),
-        ("--id-column", "sample_id", {}),
+        ("--label-column", LABEL_COLUMN, {}),
+        ("--id-column", ID_COLUMN, {}),
     ]),
     "tune": (_cmd_tune, "grid-search fusion thresholds on a validation manifest", [
         ("--artifact", None, {}),

@@ -19,6 +19,10 @@ from typing import Any, Callable, Iterable, Iterator, TextIO
 from ..errors import LoadError
 from .records import Channel, Label, LogRecord, MalwareSample, Origin, parse_label
 
+# The malware CSV's non-feature columns, which the writer writes and the loader reads
+LABEL_COLUMN = "label"
+ID_COLUMN = "sample_id"
+
 _LOG_FIELDS = {"timestamp", "host", "channel", "message", "label", "origin"}
 _LOG_REQUIRED = {"timestamp", "host", "channel", "message"}
 
@@ -102,19 +106,18 @@ def read_ndjson(path: str | Path, parse: Callable[[Any], Any],
                                  parse)
 
 
-# One encoder for every line: ``json.dumps(obj, ensure_ascii=False)`` gives the
-# same text but builds a new encoder per call.
-_NDJSON_ENCODER = json.JSONEncoder(ensure_ascii=False)
+# One JSON line's text, for NDJSON files and HTTP replies: ``json.dumps(obj,
+# ensure_ascii=False)`` gives the same text but builds a new encoder per call.
+encode_json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_ndjson(objs: Iterable, target: str | Path | TextIO) -> None:
-    """Each object as one ``json.dumps(obj, ensure_ascii=False)`` line, to an open
-    text stream or to the file at ``target`` (UTF-8, LF line ends)."""
+    """Each object as one ``encode_json_line`` line, to an open text stream or
+    to the file at ``target`` (UTF-8, LF line ends)."""
     if isinstance(target, (str, Path)):
         with open(target, "w", encoding="utf-8", newline="\n") as fh:
             return write_ndjson(objs, fh)
-    encode = _NDJSON_ENCODER.encode
-    target.writelines(encode(obj) + "\n" for obj in objs)
+    target.writelines(encode_json_line(obj) + "\n" for obj in objs)
 
 
 def load_log_ndjson(path: str | Path) -> LogLoadResult:
@@ -135,9 +138,10 @@ def write_log_ndjson(records: list[LogRecord], path: str | Path) -> None:
                    "origin": r.origin.value} for r in records), path)
 
 
-def load_malware_csv(path: str | Path, label_column: str = "label",
-                     id_column: str | None = None) -> MalwareLoadResult:
-    """Load malware samples from an RFC-4180 CSV file with a header row."""
+def load_malware_csv(path: str | Path, label_column: str = LABEL_COLUMN,
+                     id_column: str | None = ID_COLUMN) -> MalwareLoadResult:
+    """Load malware samples from an RFC-4180 CSV file with a header row; a file
+    without an id column needs ``id_column=None`` (samples named ``row<line>``)."""
     try:
         data = Path(path).read_bytes()
         reader = csv.reader(io.StringIO(data.decode("utf-8"), newline=""))
@@ -177,8 +181,8 @@ def load_malware_csv(path: str | Path, label_column: str = "label",
     return result
 
 
-def write_malware_csv(samples: list[MalwareSample], path: str | Path,
-                      label_column: str = "label", id_column: str = "sample_id") -> None:
+def write_malware_csv(samples: list[MalwareSample], path: str | Path) -> None:
+    """``samples`` under the header ``sample_id,f0,...,f<d-1>,label``."""
     if samples:
         dim = samples[0].dimension
         if any(s.dimension != dim for s in samples):
@@ -187,7 +191,7 @@ def write_malware_csv(samples: list[MalwareSample], path: str | Path,
         dim = 0
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow([id_column, *[f"f{i}" for i in range(dim)], label_column])
+        writer.writerow([ID_COLUMN, *[f"f{i}" for i in range(dim)], LABEL_COLUMN])
         for s in samples:
             label = "" if s.label is None else s.label.value
             writer.writerow([s.sample_id, *[repr(v) for v in s.features], label])

@@ -500,8 +500,8 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
         rng = np.random.default_rng(seed)
         rows = (rng.integers(0, n, size=n) if bootstrap else np.arange(n)).astype(np.int32)
         n_pos = int(y[rows].sum())
-        trees.append({"feature": [-1], "threshold": [0.0], "left": [-1], "right": [-1],
-                      "negatives": [n - n_pos], "positives": [n_pos]})
+        trees.append({key: [] for key in NODE_FIELDS})
+        _add_node(trees[-1], n - n_pos, n_pos)
         stacks.append([(0, rows, 0)] if may_split(n, n_pos, 0) else [])
         subsets.append(_feature_subsets(rng, d, m))
     pending: list = [None] * len(seeds)
@@ -551,17 +551,12 @@ def _grow_trees(X: np.ndarray, y: np.ndarray, seeds: list, bootstrap: bool, max_
         feature, threshold = feature.tolist(), threshold.tolist()
         for k in split:
             tree, stack, (node, _, depth, _) = trees[batch[k]], stacks[batch[k]], nodes[k]
-            left = len(tree["feature"])
-            tree["feature"][node], tree["threshold"][node] = feature[k], threshold[k]
-            tree["left"][node], tree["right"][node] = left, left + 1
             start, middle, end = offsets[2 * k:2 * k + 3]
             pos_left, pos_right = child_pos[2 * k:2 * k + 2]
-            tree["feature"] += (-1, -1)
-            tree["threshold"] += (0.0, 0.0)
-            tree["left"] += (-1, -1)
-            tree["right"] += (-1, -1)
-            tree["negatives"] += (middle - start - pos_left, end - middle - pos_right)
-            tree["positives"] += (pos_left, pos_right)
+            left = _add_node(tree, middle - start - pos_left, pos_left)
+            _add_node(tree, end - middle - pos_right, pos_right)
+            tree["feature"][node], tree["threshold"][node] = feature[k], threshold[k]
+            tree["left"][node], tree["right"][node] = left, left + 1
             # left on top of the stack: preorder
             for child_id, lo, hi, pos in ((left + 1, middle, end, pos_right),
                                           (left, start, middle, pos_left)):

@@ -11,12 +11,12 @@ threshold grid search and isotonic calibration use them too.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import MetricError
+from .readonly import canonical_json_bytes
 
 
 @dataclass
@@ -69,8 +69,7 @@ class EvalReport:
         }
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(self.to_json_dict(), sort_keys=True,
-                          separators=(",", ":"), allow_nan=False).encode("utf-8")
+        return canonical_json_bytes(self.to_json_dict())
 
     def render_table(self) -> str:
         width = max(24, *(len(c.name) for c in self.per_class)) + 2

@@ -1,7 +1,10 @@
-"""Read-only copies of the dicts that fitted components and cached tables hold."""
+"""Read-only copies of the dicts that fitted components and cached tables hold,
+and the one definition of canonical JSON bytes (sorted keys, compact, ASCII,
+no NaN): the form of artifact payloads, their checksums and report files."""
 
 from __future__ import annotations
 
+import json
 from types import MappingProxyType
 from typing import Mapping
 
@@ -15,3 +18,8 @@ def read_only(mapping: Mapping) -> Mapping:
     """
     return MappingProxyType({key: tuple(value) if isinstance(value, list) else value
                              for key, value in mapping.items()})
+
+
+def canonical_json_bytes(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
+                      ensure_ascii=True, allow_nan=False).encode("ascii")

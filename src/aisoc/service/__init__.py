@@ -1,12 +1,7 @@
 """Artifact persistence, request scoring, HTTP serving, and batch scoring."""
 
-from .artifact import (
-    FORMAT_VERSION,
-    ModelArtifact,
-    canonical_json_bytes,
-    load_artifact,
-    save_artifact,
-)
+from ..readonly import canonical_json_bytes
+from .artifact import FORMAT_VERSION, ModelArtifact, load_artifact, save_artifact
 from .batch import score_batch, score_lines
 from .http_api import ScoringService, serve
 from .scorer import RequestError, Scorer

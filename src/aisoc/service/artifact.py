@@ -54,7 +54,6 @@ import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from types import MappingProxyType
 from typing import Mapping
 
 import numpy as np
@@ -65,6 +64,7 @@ from ..features import Standardizer, Vocabulary
 from ..fusion import FusionConfig
 from ..learn.forest import ForestModel, node_lists_of_nested
 from ..learn.logistic import LogisticModel
+from ..readonly import canonical_json_bytes, read_only
 from .scorer import Scorer
 
 FORMAT_VERSION = "2"
@@ -74,11 +74,6 @@ PARTIAL = "PARTIAL"
 _COMPONENTS = ("vocabulary", "logistic", "calibrator_logs", "standardizer",
                "forest", "calibrator_malware", "fusion")
 PAIR_COMPONENTS = _COMPONENTS[:-1]  # what scores a pair; ``fusion`` only triages it
-
-
-def canonical_json_bytes(obj) -> bytes:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"),
-                      ensure_ascii=True, allow_nan=False).encode("ascii")
 
 
 def _checksum(chunks: list[bytes]) -> str:
@@ -159,7 +154,7 @@ class ModelArtifact(Scorer):
     fingerprints: Mapping[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "fingerprints", MappingProxyType(dict(self.fingerprints)))
+        object.__setattr__(self, "fingerprints", read_only(self.fingerprints))
         for name in _COMPONENTS:
             component = getattr(self, name)
             for value in () if component is None else vars(component).values():

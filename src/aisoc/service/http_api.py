@@ -26,6 +26,7 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+from ..corpus.loaders import encode_json_line
 from ..errors import excerpt
 from .artifact import ModelArtifact
 from .scorer import RequestError
@@ -65,7 +66,7 @@ class _Handler(BaseHTTPRequestHandler):
     def _send(self, status: int, payload: dict) -> None:
         # One write per response: the status line, headers and body leave
         # together, whatever the socket's buffering.
-        body = json.dumps(payload, ensure_ascii=False).encode("utf-8")
+        body = encode_json_line(payload).encode("utf-8")
         head = (f"{self.protocol_version} {status} {self.responses[status][0]}\r\n"
                 f"Server: {self.version_string()}\r\n"
                 f"Date: {self.date_time_string()}\r\n"

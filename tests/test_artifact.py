@@ -152,6 +152,21 @@ class TestImmutableValue:
         assert artifact.checksum == checksum_of(artifact.to_payload()) == before
         assert artifact.fingerprints == {"seed": "7"} and later.fingerprints == {"seed": "8"}
 
+    def test_a_list_in_the_fingerprints_loads_as_a_tuple(self, tmp_path):
+        payload = {**ModelArtifact(created_at=EPOCH_MS).to_payload(),
+                   "fingerprints": {"ports": [22, 443], "seed": "7"}}
+        path, again = tmp_path / "a.json", tmp_path / "b.json"
+        path.write_bytes(canonical_json_bytes({"checksum": checksum_of(payload),
+                                               "payload": payload}) + b"\n")
+        loaded = load_artifact(path)
+        assert loaded.fingerprints["ports"] == (22, 443)
+        with pytest.raises(AttributeError):
+            loaded.fingerprints["ports"].append(8080)
+        version = loaded.version
+        save_artifact(loaded, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert loaded.version == version == _payload_version(path)
+
     def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch, encodes):
         artifact = _fresh(demo_result.artifact)  # a new value of new components, not hashed yet
         expected = demo_result.artifact.version

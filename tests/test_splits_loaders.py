@@ -246,7 +246,7 @@ class TestMalwareCsv:
     def test_three_feature_columns(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("f0,f1,f2,label\n1.0,2.0,3.0,BENIGN\n4,5,6,1\n")
-        result = load_malware_csv(path)
+        result = load_malware_csv(path, id_column=None)
         assert result.rejected == 0
         assert [s.dimension for s in result.samples] == [3, 3]
         assert result.samples[0].label is Label.BENIGN
@@ -255,7 +255,7 @@ class TestMalwareCsv:
     def test_nan_row_rejected_with_count(self, tmp_path):
         path = tmp_path / "m.csv"
         path.write_text("f0,f1,label\n1.0,NaN,0\n1.0,2.0,1\n")
-        result = load_malware_csv(path)
+        result = load_malware_csv(path, id_column=None)
         assert result.rejected == 1
         assert len(result.samples) == 1
 
@@ -319,7 +319,7 @@ class TestMalwareCsv:
         path = tmp_path / "m.csv"
         path.write_text("f0,f1,label\n1,2,0\n1,2\n")
         with pytest.raises(LoadError, match="line 3"):
-            load_malware_csv(path)
+            load_malware_csv(path, id_column=None)
 
     def test_id_column_excluded_from_features(self, tmp_path):
         path = tmp_path / "m.csv"
@@ -327,6 +327,17 @@ class TestMalwareCsv:
         result = load_malware_csv(path, id_column="sample_id")
         assert result.samples[0].sample_id == "s1"
         assert result.samples[0].features == (1.0, 2.0)
+
+    def test_default_write_then_load_keeps_every_row_and_id(self, tmp_path):
+        samples = [MalwareSample(sample_id=f"mw-{i:05d}", features=(float(i), -0.5),
+                                 label=[Label.BENIGN, Label.MALICIOUS, None][i % 3])
+                   for i in range(6)]
+        path = tmp_path / "m.csv"
+        write_malware_csv(samples, path)
+        assert path.read_text().splitlines()[0] == "sample_id,f0,f1,label"
+        loaded = load_malware_csv(path)
+        assert loaded.rejected == 0
+        assert loaded.samples == samples
 
     def test_write_read_roundtrip(self, tmp_path):
         samples = [MalwareSample(sample_id="a", features=(0.125, -7.5), label=Label.MALICIOUS),
