@@ -59,7 +59,6 @@ from .service import (
     load_artifact,
     save_artifact,
     score_batch,
-    serve,
 )
 
 _FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
@@ -384,6 +383,8 @@ def _cmd_save(opts: dict) -> int:
 
 
 def _cmd_serve(opts: dict) -> int:
+    from .service import serve  # the HTTP stack, loaded by this command alone
+
     _require(opts, "artifact", "bind")
     artifact = load_artifact(opts["artifact"])
     host, _, port = str(opts["bind"]).rpartition(":")

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TextIO
 
 from ..errors import LoadError
+from ..readonly import encode_json_line
 from .records import Channel, Label, LogRecord, MalwareSample, Origin, parse_label
 
 # The malware CSV's non-feature columns, which the writer writes and the loader reads
@@ -104,11 +105,6 @@ def read_ndjson(path: str | Path, parse: Callable[[Any], Any],
     with fh:
         yield from decode_ndjson((line.removesuffix(b"\n").removesuffix(b"\r") for line in fh),
                                  parse)
-
-
-# One JSON line's text, for NDJSON files and HTTP replies: ``json.dumps(obj,
-# ensure_ascii=False)`` gives the same text but builds a new encoder per call.
-encode_json_line = json.JSONEncoder(ensure_ascii=False).encode
 
 
 def write_ndjson(objs: Iterable, target: str | Path | TextIO) -> None:

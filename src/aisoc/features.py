@@ -15,15 +15,16 @@ IDF uses the smoothed variant ``ln((1 + N) / (1 + df)) + 1`` (always > 0),
 TF is the raw in-message count, and every non-empty vector is L2-normalized.
 
 ``transform_text`` turns a list of messages into one ``DesignMatrix`` in one
-pass: Python maps each message's tokens to term ids, one ``np.unique`` over
-the keys ``row * V + id`` gives every row's sorted term counts, and the
-TF-IDF values are computed elementwise. A row's L2 norm is the ``np.sum`` of
-its squared values taken along axis 1 of a 2-D array of rows of equal
-length, which sums each row in the same order as a 1-D ``np.sum`` of that
-row alone (``np.add.reduceat`` does not). One message is the block of one,
-returned as its ``SparseVector``; it counts its ids with a ``Counter`` and
-needs no grouping. A message transforms to the same bits alone and in any
-block.
+pass: Python maps each message's tokens to term ids, one ``np.sort`` of the
+keys ``row * V + id`` and the lengths of its runs of equal keys give every
+row's sorted term counts, and the TF-IDF values are computed elementwise. A
+row's L2 norm is the ``np.sum`` of its squared values taken along axis 1 of
+a 2-D array of rows of equal length, which sums each row in the same order
+as a 1-D ``np.sum`` of that row alone (``np.add.reduceat`` does not). No
+step calls ``np.unique``, whose first call imports ``numpy.ma``, so scoring
+does not load it. One message is the block of one, returned as its
+``SparseVector``; it counts its ids with a ``Counter`` and needs no
+grouping. A message transforms to the same bits alone and in any block.
 """
 
 from __future__ import annotations
@@ -225,15 +226,17 @@ def transform_text(messages: str | Sequence[str],
         return SparseVector(indices=indices, values=values / np.sqrt(np.sum(values ** 2)),
                             dim=dim)
     keys = np.repeat(np.arange(len(lengths), dtype=np.int64) * dim, lengths)
-    keys, tf = np.unique(keys + np.array(ids, dtype=np.int64), return_counts=True)
-    rows, indices = np.divmod(keys, dim)
+    keys = np.sort(keys + np.array(ids, dtype=np.int64))
+    first = np.flatnonzero(np.diff(keys, prepend=-1))  # where each run of equal keys starts
+    tf = np.diff(first, append=len(keys))
+    rows, indices = np.divmod(keys[first], dim)
     values = tf * vocab.idf[indices]
     squares = values ** 2
     n = len(lengths)
     terms = np.bincount(rows, minlength=n)
     starts = np.cumsum(terms) - terms
     norms = np.zeros(n)
-    for length in np.unique(terms[terms > 0]).tolist():
+    for length in (np.flatnonzero(np.bincount(terms)[1:]) + 1).tolist():  # each nonzero count
         group = np.flatnonzero(terms == length)
         norms[group] = np.sum(squares[starts[group, None] + np.arange(length)], axis=1)
     return DesignMatrix(rows=rows, indices=indices, data=values / np.sqrt(norms)[rows],

@@ -26,8 +26,10 @@ class TriageLabel(IntEnum):
 
 
 TRIAGE_CLASSES = (TriageLabel.NORMAL, TriageLabel.SUSPICIOUS, TriageLabel.HIGH_CONFIDENCE_ATTACK)
-# The finest tuning grid: at most 1001 thresholds per axis, so the grid search's
-# (3, 3, G, G) float64 counts stay near 72 MB.
+# The finest tuning grid: at most 1001 thresholds per axis, so each of the grid
+# search's (G, G) arrays is 8 MB and its peak allocation stays near 96 MB for any
+# item count (tracemalloc; a (3, 3, G, G) count table and n x G hit matrices
+# peaked at 168 MB for 300 items and 226 MB for 3000).
 MIN_GRID_STEP = 0.001
 
 
@@ -93,29 +95,43 @@ def threshold_grid(grid_step: float) -> np.ndarray:
     return values
 
 
+def _by_prediction(reached_m: np.ndarray, reached_l: np.ndarray, shape: tuple) -> tuple:
+    """How many items the fused label calls NORMAL, SUSPICIOUS and HIGH at each
+    cell of a ``shape`` grid, from how many of each axis's ascending thresholds
+    each item reaches: it reaches the i-th when that count exceeds i. The
+    counts are whole numbers, exact in float64."""
+    g_m, g_l = shape
+    cells = np.bincount(reached_m * (g_l + 1) + reached_l,  # items by thresholds reached
+                        minlength=(g_m + 1) * (g_l + 1)).reshape(g_m + 1, g_l + 1)
+    at_most = cells.cumsum(axis=0).cumsum(axis=1)  # items reaching <= i and <= j of them
+    at_least = cells[::-1, ::-1].cumsum(axis=0).cumsum(axis=1)[::-1, ::-1]  # >= i and >= j
+    neither = at_most[:g_m, :g_l].astype(float)
+    both = at_least[1:, 1:].astype(float)
+    return neither, len(reached_m) - both - neither, both
+
+
 def macro_f1_grid(pairs: list[CalibratedScorePair], truth: list[TriageLabel],
                   grid_m: np.ndarray, grid_l: np.ndarray) -> np.ndarray:
-    """Macro-F1 of the fused label at every (t_m, t_l) cell of the grid."""
-    s_m = np.array([p.s_m for p in pairs])
-    s_l = np.array([p.s_l for p in pairs])
-    y = np.array([int(t) for t in truth])
-    hits_m = (s_m[:, None] >= grid_m[None, :]).astype(np.float64)  # n x Gm
-    hits_l = (s_l[:, None] >= grid_l[None, :]).astype(np.float64)  # n x Gl
+    """Macro-F1 of the fused label at every (t_m, t_l) cell of the grid, whose
+    thresholds ascend on each axis.
 
-    counts = np.zeros((3, 3, len(grid_m), len(grid_l)))  # truth x pred x grid
-    for t in range(3):
-        mask = y == t
-        if not mask.any():
-            continue
-        a = hits_m[mask]
-        b = hits_l[mask]
-        both = a.T @ b                      # predicted HIGH
-        neither = (1.0 - a).T @ (1.0 - b)   # predicted NORMAL
-        counts[t, 2] = both
-        counts[t, 0] = neither
-        counts[t, 1] = float(mask.sum()) - both - neither
-    return macro_average([precision_recall_f1(counts[c, c], counts[:, c].sum(axis=0),
-                                              counts[c].sum(axis=0))[2] for c in range(3)])
+    Class by class: its true positives from its own items, its predicted
+    count from all items, its actual count a scalar. Each count table is a
+    2-D histogram of how many thresholds the items reach, summed toward
+    each cell, so no table is (truth x predicted) and none is a matrix
+    product.
+    """
+    reached_m = np.searchsorted(grid_m, [p.s_m for p in pairs], side="right")
+    reached_l = np.searchsorted(grid_l, [p.s_l for p in pairs], side="right")
+    y = np.array([int(t) for t in truth])
+    shape = (len(grid_m), len(grid_l))
+    predicted = _by_prediction(reached_m, reached_l, shape)
+    per_class = []
+    for c in range(3):
+        mask = y == c
+        tp = _by_prediction(reached_m[mask], reached_l[mask], shape)[c]
+        per_class.append(precision_recall_f1(tp, predicted[c], float(mask.sum()))[2])
+    return macro_average(per_class)
 
 
 def tune_thresholds(validation_pairs: list[CalibratedScorePair],

@@ -229,8 +229,9 @@ class ForestModel:
         problems = []
         feature, left, right = self.feature, self.left, self.right
         split = feature != -1
-        bad = np.unique(feature[split & ((feature < 0) | (feature >= self.n_features))])
-        if len(bad):
+        outside = split & ((feature < 0) | (feature >= self.n_features))
+        if outside.any():  # np.unique imports numpy.ma: not on a good forest's load
+            bad = np.unique(feature[outside])
             problems.append(f"forest splits on feature(s) {bad[:5].tolist()} outside "
                             f"[0, {self.n_features})")
         start = np.repeat(self._tree_starts, sizes)  # each node's tree, as its first id

@@ -1,10 +1,16 @@
-"""Artifact persistence, request scoring, HTTP serving, and batch scoring."""
+"""Artifact persistence, request scoring, HTTP serving, and batch scoring.
+
+``ScoringService`` and ``serve`` live in ``http_api``, which loads the
+stdlib HTTP server; it is imported on first access to either name (PEP
+562), so a process that never serves does not load it.
+"""
 
 from ..readonly import canonical_json_bytes
 from .artifact import FORMAT_VERSION, ModelArtifact, load_artifact, save_artifact
 from .batch import score_batch, score_lines
-from .http_api import ScoringService, serve
 from .scorer import RequestError, Scorer
+
+_HTTP_NAMES = ("ScoringService", "serve")
 
 __all__ = [
     "FORMAT_VERSION",
@@ -19,3 +25,11 @@ __all__ = [
     "score_lines",
     "serve",
 ]
+
+
+def __getattr__(name: str):
+    if name in _HTTP_NAMES:
+        from . import http_api
+
+        return getattr(http_api, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -26,8 +26,8 @@ import threading
 import traceback
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
-from ..corpus.loaders import encode_json_line
 from ..errors import excerpt
+from ..readonly import encode_json_line
 from .artifact import ModelArtifact
 from .scorer import RequestError
 

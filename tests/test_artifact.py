@@ -167,9 +167,30 @@ class TestImmutableValue:
         assert again.read_bytes() == path.read_bytes()
         assert loaded.version == version == _payload_version(path)
 
+    def test_fingerprints_are_frozen_at_every_depth(self, tmp_path):
+        fingerprints = {"x": {"a": 1}, "y": [[1]]}
+        artifact = ModelArtifact(created_at=0, fingerprints=fingerprints)
+        version = artifact.version
+        first, again = tmp_path / "a.json", tmp_path / "b.json"
+        save_artifact(artifact, first)
+        loaded = load_artifact(first)
+        for held in (artifact, loaded):
+            with pytest.raises(TypeError):
+                held.fingerprints["x"]["a"] = 2
+            with pytest.raises(AttributeError):
+                held.fingerprints["y"][0].append(5)
+            assert held.fingerprints["y"] == ((1,),)
+            assert held.version == version == ModelArtifact(created_at=0,
+                                                            fingerprints=fingerprints).version
+        assert (artifact.checksum == checksum_of(artifact.to_payload())
+                == checksum_of({**artifact.to_payload(), "fingerprints": fingerprints}))
+        save_artifact(loaded, again)
+        assert again.read_bytes() == first.read_bytes()
+
     def test_version_then_scorer_hash_the_payload_once(self, demo_result, monkeypatch, encodes):
         artifact = _fresh(demo_result.artifact)  # a new value of new components, not hashed yet
         expected = demo_result.artifact.version
+        encodes.clear()  # what hashing ``expected`` encoded, when no earlier test had
         calls = []
         original = artifact_module._checksum
 

@@ -12,11 +12,12 @@ from aisoc.fusion import (
     FusionConfig,
     TriageLabel,
     fuse_scores,
+    macro_f1_grid,
     threshold_grid,
     tune_thresholds,
     tuning_macro_f1,
 )
-from aisoc.metrics import classification_report
+from aisoc.metrics import classification_report, macro_average, precision_recall_f1
 from aisoc.pipeline import validation_pairs
 from aisoc.seeding import derive_seed
 
@@ -170,6 +171,70 @@ class TestTuneThresholds:
                 report = classification_report(preds, truth, TRIAGE_CLASSES)
                 config = FusionConfig(t_m=float(t_m), t_l=float(t_l))
                 assert tuning_macro_f1(pairs, truth, config).hex() == report.macro_f1.hex()
+
+
+def _table_macro_f1_grid(pairs, truth, grid_m, grid_l):
+    """The grid's macro-F1 from a (truth, predicted, G_m, G_l) count table: the
+    oracle ``macro_f1_grid`` must match bit for bit."""
+    s_m = np.array([p.s_m for p in pairs])
+    s_l = np.array([p.s_l for p in pairs])
+    y = np.array([int(t) for t in truth])
+    hits_m = (s_m[:, None] >= grid_m[None, :]).astype(np.float64)
+    hits_l = (s_l[:, None] >= grid_l[None, :]).astype(np.float64)
+    counts = np.zeros((3, 3, len(grid_m), len(grid_l)))
+    for t in range(3):
+        mask = y == t
+        if not mask.any():
+            continue
+        a, b = hits_m[mask], hits_l[mask]
+        both = a.T @ b
+        neither = (1.0 - a).T @ (1.0 - b)
+        counts[t, 2] = both
+        counts[t, 0] = neither
+        counts[t, 1] = float(mask.sum()) - both - neither
+    return macro_average([precision_recall_f1(counts[c, c], counts[:, c].sum(axis=0),
+                                              counts[c].sum(axis=0))[2] for c in range(3)])
+
+
+# scores on a coarse lattice as well, so that many land on a threshold exactly
+_GRID_SCORES = st.one_of(scores, st.just(-0.0), st.integers(0, 20).map(lambda k: k / 20))
+
+
+class TestMacroF1Grid:
+    @settings(max_examples=150, deadline=None)
+    @given(items=st.lists(st.tuples(_GRID_SCORES, _GRID_SCORES, st.sampled_from(TRIAGE_CLASSES)),
+                          min_size=1, max_size=40),
+           step_m=st.sampled_from([0.05, 0.1, 0.25, 0.5]),
+           step_l=st.sampled_from([0.05, 0.1, 0.3, 0.5]))
+    def test_the_bits_of_the_count_table_formula(self, items, step_m, step_l):
+        pairs = [CalibratedScorePair(s_m=a, s_l=b) for a, b, _ in items]
+        truth = [t for _, _, t in items]
+        grid_m, grid_l = threshold_grid(step_m), threshold_grid(step_l)
+        f1 = macro_f1_grid(pairs, truth, grid_m, grid_l)
+        assert f1.shape == (len(grid_m), len(grid_l))
+        assert f1.tobytes() == _table_macro_f1_grid(pairs, truth, grid_m, grid_l).tobytes()
+
+    @pytest.mark.parametrize("absent", TRIAGE_CLASSES)
+    def test_a_class_without_items_scores_zero_f1(self, absent):
+        rng = np.random.default_rng(int(absent) + 10)
+        present = [c for c in TRIAGE_CLASSES if c != absent]
+        pairs = [CalibratedScorePair(s_m=float(rng.random()), s_l=float(rng.random()))
+                 for _ in range(30)]
+        truth = [present[i] for i in rng.integers(0, 2, len(pairs))]
+        grid = threshold_grid(0.1)
+        f1 = macro_f1_grid(pairs, truth, grid, grid)
+        assert f1.tobytes() == _table_macro_f1_grid(pairs, truth, grid, grid).tobytes()
+        assert f1.max() <= 2 / 3
+
+    def test_the_one_cell_grid_of_tuning_macro_f1(self):
+        rng = np.random.default_rng(3)
+        pairs = [CalibratedScorePair(s_m=float(rng.random()), s_l=float(rng.random()))
+                 for _ in range(25)]
+        truth = [TRIAGE_CLASSES[i] for i in rng.integers(0, 3, len(pairs))]
+        config = FusionConfig(t_m=0.3, t_l=0.6)
+        cell = _table_macro_f1_grid(pairs, truth, np.array([0.3]), np.array([0.6]))
+        assert cell.shape == (1, 1)
+        assert tuning_macro_f1(pairs, truth, config).hex() == float(cell[0, 0]).hex()
 
 
 def test_tuning_f1_is_the_reported_f1_at_every_grid_cell(demo_config, demo_result):

@@ -1,21 +1,24 @@
 """JSON is encoded under ``src/aisoc`` only by the modules that own a written form.
 
 Each form has one definition: ``readonly.py`` the canonical bytes of
-artifacts and reports, ``corpus/loaders.py`` the text of one JSON line
-(NDJSON files and HTTP replies), and ``cli.py`` the indented JSON printed
-for people. Any other module that needs one of these forms calls its owner,
-so this scan refuses ``json.dumps``, ``json.dump`` and ``json.JSONEncoder``
-anywhere else, by attribute (also through ``import json as ...``) or by
-``from json import ...``.
+artifacts and reports and the text of one JSON line (NDJSON files and HTTP
+replies), and ``cli.py`` the indented JSON printed for people. Any other
+module that needs one of these forms calls its owner, so this scan refuses
+``json.dumps``, ``json.dump`` and ``json.JSONEncoder`` anywhere else, by
+attribute (also through ``import json as ...``) or by ``from json import
+...``.
 """
 
 import ast
+import json
 from pathlib import Path
 
 import pytest
 
+from aisoc.readonly import canonical_json_bytes, encode_json_line, read_only
+
 SRC = Path(__file__).resolve().parents[1] / "src" / "aisoc"
-OWNERS = {"readonly.py", "corpus/loaders.py", "cli.py"}
+OWNERS = {"readonly.py", "cli.py"}
 MODULES = [p for p in sorted(SRC.rglob("*.py")) if p.relative_to(SRC).as_posix() not in OWNERS]
 ENCODERS = {"dumps", "dump", "JSONEncoder"}
 
@@ -54,3 +57,12 @@ def test_the_scan_finds_an_encoder():
                      "text = json.dumps({})\nvalue = json.loads(text)\n"
                      "j.dump({}, open('x', 'w'))\nencode = json.JSONEncoder().encode\n")
     assert json_encoders(tree) == {"json.JSONEncoder": 3, "json.dumps": 4, "json.dump": 6}
+
+
+def test_a_read_only_copy_encodes_as_its_source_at_any_depth():
+    source = {"b": [1, {"c": ["é", [2.5, None]]}], "a": {"d": {"e": []}, "f": True}}
+    frozen = read_only(source)
+    assert encode_json_line(frozen) == json.dumps(source, ensure_ascii=False)
+    assert canonical_json_bytes(frozen) == canonical_json_bytes(source)
+    with pytest.raises(TypeError, match="Object of type set is not JSON serializable"):
+        canonical_json_bytes({"a": {1}})
