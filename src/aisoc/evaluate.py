@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import hashlib
 import itertools
-import statistics
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -292,6 +291,8 @@ def multi_seed(run_fn: Callable[[int], EvalReport], seeds: Sequence[int]) -> Mul
     With an even number of seeds the lower median is used, so the attached
     report always comes from an actually executed run.
     """
+    import statistics  # loads fractions and decimal: only a seed sweep needs them
+
     if not seeds:
         raise ConfigError("multi_seed requires at least one seed")
     reports = [run_fn(seed) for seed in seeds]

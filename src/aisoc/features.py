@@ -21,9 +21,12 @@ row's sorted term counts, and the TF-IDF values are computed elementwise. A
 row's L2 norm is the ``np.sum`` of its squared values taken along axis 1 of
 a 2-D array of rows of equal length, which sums each row in the same order
 as a 1-D ``np.sum`` of that row alone (``np.add.reduceat`` does not). No
-step calls ``np.unique``, whose first call imports ``numpy.ma``, so scoring
-does not load it. One message is the block of one, returned as its
-``SparseVector``; it counts its ids with a ``Counter`` and needs no
+step calls ``np.unique``: its plain call imports ``numpy.ma``, and no code
+in ``aisoc`` calls it, so no process loads ``numpy.ma``. The other modules a
+command need not load are deferred too: the HTTP stack to ``serve`` and
+``statistics`` to the seed sweep (the table is in
+``tests/test_lazy_imports.py``). One message is the block of one, returned
+as its ``SparseVector``; it counts its ids with a ``Counter`` and needs no
 grouping. A message transforms to the same bits alone and in any block.
 """
 

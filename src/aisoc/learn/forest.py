@@ -230,9 +230,9 @@ class ForestModel:
         feature, left, right = self.feature, self.left, self.right
         split = feature != -1
         outside = split & ((feature < 0) | (feature >= self.n_features))
-        if outside.any():  # np.unique imports numpy.ma: not on a good forest's load
-            bad = np.unique(feature[outside])
-            problems.append(f"forest splits on feature(s) {bad[:5].tolist()} outside "
+        if outside.any():
+            bad = sorted(set(feature[outside].tolist()))
+            problems.append(f"forest splits on feature(s) {bad[:5]} outside "
                             f"[0, {self.n_features})")
         start = np.repeat(self._tree_starts, sizes)  # each node's tree, as its first id
         node = np.arange(len(feature)) - start        # each node's id within its tree
@@ -318,14 +318,23 @@ def _column_ranks(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     ``ranks[i, f]`` indexes ``X[i, f]`` in the sorted distinct values of
     column ``f``, which are ``values[f, :count]`` (the rest of the row is
     padding that no rank points to).
+
+    Each column is ranked as ``np.unique(..., return_inverse=True)`` ranks it
+    (a quicksort argsort, a new value wherever it ``!=`` the one before), so a
+    -0.0/0.0 tie stores the zero ``np.unique`` stores. No module calls
+    ``np.unique``, whose plain form imports ``numpy.ma``; this form also
+    makes fewer temporary arrays.
     """
     n, d = X.shape
     ranks = np.empty((n, d), dtype=np.int32)
     distinct = []
     for f in range(d):
-        uniq, inverse = np.unique(X[:, f], return_inverse=True)
-        ranks[:, f] = inverse
-        distinct.append(uniq)
+        order = X[:, f].argsort(kind="quicksort")
+        column = X[order, f]
+        first = np.ones(n, dtype=bool)
+        first[1:] = column[1:] != column[:-1]
+        ranks[order, f] = np.cumsum(first) - 1
+        distinct.append(column[first])
     values = np.zeros((d, max((len(u) for u in distinct), default=1)))
     for f, uniq in enumerate(distinct):
         values[f, :len(uniq)] = uniq

@@ -144,8 +144,20 @@ def classification_report(predictions, truth, class_set, setting: str = "",
 
 def check_labels(labels, error: type[Exception] = MetricError) -> None:
     """Raise ``error`` unless every label is 0 or 1 and both occur: the one
-    0/1 label rule of the AUCs, the calibrators and both trainers."""
-    classes = np.unique(labels).tolist()
+    0/1 label rule of the AUCs, the calibrators and both trainers.
+
+    The classes are the ones ``np.unique`` gives, found as its sorting path
+    finds them but without its import of ``numpy.ma``: the first value of each
+    run of the flattened, sorted labels, with every NaN (they sort last)
+    folded into one. So a +-0 pair prints the zero the sort puts first, as
+    ``np.unique`` prints it (numpy's SIMD float sort may even flip the sign of
+    a zero)."""
+    values = np.sort(labels, axis=None)
+    first = np.ones(len(values), dtype=bool)
+    first[1:] = values[1:] != values[:-1]
+    if values.dtype.kind == "f":
+        first[1:] &= ~np.isnan(values[:-1])
+    classes = values[first].tolist()
     if not set(classes) <= {0, 1}:
         raise error(f"labels must be binary 0/1, got {classes}")
     if len(classes) < 2:

@@ -1,12 +1,21 @@
 """A process loads only the stack its command runs.
 
-Only ``aisoc serve`` needs the stdlib HTTP server, so ``service/http_api.py``
-is the one module that imports it, and no module imports ``http_api`` at
-module level: ``aisoc.service`` resolves ``serve`` and ``ScoringService``
-on first access, and the CLI imports ``serve`` inside its ``serve`` command.
-Loading an artifact and scoring with it call no ``np.unique``, whose first
-call imports ``numpy.ma``. The static scan reads the source with ``ast``;
-the guards run the paths in fresh interpreters and read ``sys.modules``.
+``DEFERRED`` is the whole rule: each module a command loads only when it
+runs the code that needs it, and the one file under ``src/aisoc`` allowed to
+import that module at module level (``None``: no file).
+
+- Only ``aisoc serve`` needs the stdlib HTTP server, so ``service/http_api.py``
+  is the one module that imports ``http.server`` and ``socketserver``, and no
+  module imports ``http_api`` at module level: ``aisoc.service`` resolves
+  ``serve`` and ``ScoringService`` on first access, and the CLI imports
+  ``serve`` inside its ``serve`` command.
+- ``statistics`` (which loads ``fractions`` and ``decimal``) is imported
+  inside ``evaluate.multi_seed``, the seed sweep, and nowhere at module level.
+- No code under ``src/aisoc`` calls ``np.unique``, whose plain call imports
+  ``numpy.ma``, so no command loads ``numpy.ma``.
+
+The static scans read the source with ``ast``; the guards run the paths in
+fresh interpreters and read ``sys.modules``.
 """
 
 import ast
@@ -24,8 +33,9 @@ from aisoc.service import save_artifact
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "aisoc"
 MODULES = sorted(SRC.rglob("*.py"))
-HTTP_STACK = ("http.server", "socketserver")
 HTTP_MODULE = "service/http_api.py"
+DEFERRED = {"http.server": HTTP_MODULE, "socketserver": HTTP_MODULE,
+            "http_api": None, "statistics": None}
 
 
 def module_level_imports(tree: ast.Module) -> dict[str, int]:
@@ -63,25 +73,46 @@ def imports_of(found: dict[str, int], target: str) -> dict[str, int]:
     return {p: n for p, n in found.items() if target in p.split(".")}
 
 
-def http_api_imports(found: dict[str, int]) -> dict[str, int]:
-    """The paths in ``found`` that load ``http_api``: by its module name, or by
-    a name ``aisoc.service`` resolves from it."""
-    return imports_of(found, "http_api") | {
-        p: n for p, n in found.items()
-        if p.split(".")[-2:] in (["service", "serve"], ["service", "ScoringService"])}
+def deferred_imports(found: dict[str, int], module: str) -> dict[str, int]:
+    """The paths in ``found`` that load the ``DEFERRED`` ``module``; ``http_api``
+    also by a name ``aisoc.service`` resolves from it."""
+    paths = imports_of(found, module)
+    if module == "http_api":
+        paths |= {p: n for p, n in found.items()
+                  if p.split(".")[-2:] in (["service", "serve"], ["service", "ScoringService"])}
+    return paths
+
+
+def np_unique_calls(tree: ast.Module) -> list[int]:
+    """The line of each ``np.unique``/``numpy.unique`` reference and each
+    ``from numpy import unique``."""
+    lines = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr == "unique"
+                and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.ImportFrom) and node.module == "numpy"
+              and any(alias.name == "unique" for alias in node.names)):
+            lines.append(node.lineno)
+    return sorted(lines)
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
-def test_only_http_api_loads_the_http_stack(path):
+def test_deferred_modules_load_only_in_their_own_file(path):
     found = module_level_imports(ast.parse(path.read_text(encoding="utf-8")))
-    http = {} if path.relative_to(SRC).as_posix() == HTTP_MODULE else {
-        p: n for target in HTTP_STACK for p, n in imports_of(found, target).items()}
-    assert not http, f"{path.relative_to(SRC)}: HTTP stack imported at module level {http}"
-    lazy = http_api_imports(found)
-    assert not lazy, f"{path.relative_to(SRC)}: http_api imported at module level {lazy}"
+    name = path.relative_to(SRC).as_posix()
+    early = {module: paths for module, owner in DEFERRED.items()
+             if name != owner and (paths := deferred_imports(found, module))}
+    assert not early, f"{name}: imported at module level {early}"
 
 
-def test_the_scan_finds_module_level_http_imports():
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(SRC)))
+def test_no_module_calls_np_unique(path):
+    lines = np_unique_calls(ast.parse(path.read_text(encoding="utf-8")))
+    assert not lines, f"{path.relative_to(SRC)}: np.unique on line(s) {lines}"
+
+
+def test_the_scan_finds_module_level_deferred_imports():
     tree = ast.parse("import http.server\nfrom socketserver import TCPServer\n"
                      "from http import client, server\nfrom .service import http_api\n"
                      "from .http_api import serve\nimport email.http_api_like\n"
@@ -89,14 +120,27 @@ def test_the_scan_finds_module_level_http_imports():
                      "    pass\n"
                      "class C:\n    from ..service.http_api import MAX_BODY_BYTES\n"
                      "from .service import ModelArtifact, serve\n"
-                     "def f():\n    import socketserver\n    from . import http_api\n")
+                     "import statistics\nfrom statistics import fmean\nimport statistics_like\n"
+                     "def f():\n    import socketserver, statistics\n    from . import http_api\n")
     found = module_level_imports(tree)
-    assert {p: n for t in HTTP_STACK for p, n in imports_of(found, t).items()} == {
+    assert {p: n for t in ("http.server", "socketserver") for p, n in
+            deferred_imports(found, t).items()} == {
         "http.server": 1, "socketserver": 2, "socketserver.TCPServer": 2}
-    assert http_api_imports(found) == {
+    assert deferred_imports(found, "http_api") == {
         ".service.http_api": 4, ".http_api": 5, ".http_api.serve": 5,
         "aisoc.service.http_api": 8, "..service.http_api": 12,
         "..service.http_api.MAX_BODY_BYTES": 12, ".service.serve": 13}
+    assert deferred_imports(found, "statistics") == {
+        "statistics": 14, "statistics.fmean": 15}
+
+
+def test_the_scan_finds_np_unique_however_it_is_named():
+    tree = ast.parse("import numpy as np\nimport numpy\na = np.unique(x)\n"
+                     "b = numpy.unique(x, return_inverse=True)\n"
+                     "from numpy import unique\nfrom numpy import sort, unique as u\n"
+                     "def f(s):\n    return s.unique(), np.unique_values(s), np.sort(s)\n"
+                     "g = np.unique\n")
+    assert np_unique_calls(tree) == [3, 4, 5, 6, 9]
 
 
 def test_the_http_names_resolve_on_first_access():
@@ -109,7 +153,8 @@ def test_the_http_names_resolve_on_first_access():
         getattr(aisoc.service, "nope")
 
 
-WATCHED = ("http.server", "socketserver", "aisoc.service.http_api", "numpy.ma")
+WATCHED = ("http.server", "socketserver", "aisoc.service.http_api", "numpy.ma",
+           "statistics")
 
 
 def _loaded_after(code: str) -> dict:
@@ -154,7 +199,8 @@ assert len(results) == 5 and "error" in results[-1] and "error" not in results[0
 """
     loaded = _loaded_after(code)
     assert loaded == {"http.server": False, "socketserver": False,
-                      "aisoc.service.http_api": False, "numpy.ma": numpy_loads_ma}
+                      "aisoc.service.http_api": False, "numpy.ma": numpy_loads_ma,
+                      "statistics": False}
 
 
 def test_one_request_after_a_load_does_not_load_numpy_ma(artifact, numpy_loads_ma):
@@ -166,3 +212,44 @@ reply = artifact.score_request({{"log_message": "session opened for user root",
 assert reply["modality"] == "fused", reply
 """
     assert _loaded_after(code)["numpy.ma"] is numpy_loads_ma
+
+
+def test_a_small_experiment_loads_neither_numpy_ma_nor_statistics(numpy_loads_ma):
+    code = """
+import warnings
+from aisoc.pipeline import ExperimentConfig, run_experiment
+warnings.simplefilter("ignore")
+run_experiment(ExperimentConfig(seed=3, attack_sessions=4, duration_s=600, malware_benign=60,
+                                malware_malicious=60, forest_trees=3, logistic_epochs=20,
+                                val_supports=(4, 4, 4), test_supports=(4, 4, 4)))
+"""
+    loaded = _loaded_after(code)
+    assert (loaded["numpy.ma"], loaded["statistics"]) == (numpy_loads_ma, False)
+
+
+def test_the_cli_chain_loads_neither_numpy_ma_nor_statistics(tmp_path, numpy_loads_ma):
+    logs, malware = tmp_path / "logs.ndjson", tmp_path / "malware.csv"
+    splits, artifact = tmp_path / "splits", tmp_path / "artifact.json"
+    chain = [[str(a) for a in argv] + ["--seed", "3"] for argv in (
+        ["generate", "--out-logs", logs, "--out-malware", malware, "--attack-sessions", "4",
+         "--duration-s", "600", "--malware-benign", "60", "--malware-malicious", "60"],
+        ["split", "--logs", logs, "--malware", malware, "--out-dir", splits],
+        ["train-log", "--train", splits / "logs_train.ndjson", "--artifact", artifact,
+         "--epochs", "20"],
+        ["train-malware", "--train", splits / "malware_train.csv", "--artifact", artifact,
+         "--trees", "3"],
+        ["calibrate", "--artifact", artifact, "--val-logs", splits / "logs_validation.ndjson",
+         "--val-malware", splits / "malware_validation.csv"],
+        ["tune", "--artifact", artifact, "--manifest", splits / "manifest_validation.ndjson"],
+        ["evaluate", "--artifact", artifact, "--manifest", splits / "manifest_test.ndjson"],
+    )]
+    code = f"""
+import contextlib, io, warnings
+from aisoc.cli import main
+warnings.simplefilter("ignore")
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(argv) for argv in {chain!r}]
+assert codes == [0] * 7, codes
+"""
+    loaded = _loaded_after(code)
+    assert (loaded["numpy.ma"], loaded["statistics"]) == (numpy_loads_ma, False)

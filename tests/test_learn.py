@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -24,7 +25,7 @@ from aisoc.learn import (
     train_forest,
     train_logistic,
 )
-from aisoc.learn.forest import _BLOCK_NODES, _PASS_ELEMENTS, _feature_subsets
+from aisoc.learn.forest import _BLOCK_NODES, _PASS_ELEMENTS, _column_ranks, _feature_subsets
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -784,3 +785,41 @@ class TestLogisticBlock:
         assert score_logistic(model, empty).shape == (0,)
         with pytest.raises(DimensionError):
             score_logistic(model, design_matrix([sv([1.0, 2.0])]))
+
+
+# Column values with ties: a few repeated numbers, signed zeros, infinities.
+COLUMN_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, np.inf, -np.inf]),
+                          st.floats(allow_nan=False))
+
+
+class TestLikeNpUnique:
+    """The grower's ranks and the bad-forest message, against ``np.unique``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.lists(COLUMN_VALUES, min_size=d, max_size=d), min_size=1, max_size=500)))
+    def test_column_ranks_match_np_unique_bit_for_bit(self, rows):
+        X = np.array(rows)
+        ranks, values = _column_ranks(X)
+        for f in range(X.shape[1]):
+            uniq, inverse = np.unique(X[:, f], return_inverse=True)
+            assert ranks[:, f].tolist() == inverse.tolist()
+            assert values[f, :len(uniq)].view(np.uint64).tolist() == uniq.view(np.uint64).tolist()
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_bad_split_features_print_as_np_unique_lists_them(self, data):
+        X = np.array([[float(i % 3), float(i % 5)] for i in range(30)])
+        forest = train_forest(X, [i % 2 for i in range(30)], n_trees=4, min_samples_leaf=1,
+                              seed=1)
+        feature = forest.feature.copy()
+        split = np.flatnonzero(feature != -1)
+        feature[split] = data.draw(st.lists(st.integers(-4, 9), min_size=len(split),
+                                            max_size=len(split)))
+        bad = feature[(feature != -1) & ((feature < 0) | (feature >= 2))]
+        problems = dataclasses.replace(forest, feature=feature).problems()
+        if len(bad):
+            assert problems[0] == (f"forest splits on feature(s) {np.unique(bad)[:5].tolist()} "
+                                   "outside [0, 2)")
+        else:
+            assert not any(p.startswith("forest splits on") for p in problems)

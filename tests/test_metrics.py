@@ -11,6 +11,7 @@ from aisoc import calibrate
 from aisoc.errors import MetricError
 from aisoc.fusion import TRIAGE_CLASSES, TriageLabel
 from aisoc.metrics import (
+    check_labels,
     classification_report,
     log_loss,
     macro_average,
@@ -137,6 +138,35 @@ def tied_scores(draw):
     return scores, labels
 
 
+def unique_check_labels(labels, error=MetricError):
+    """``check_labels`` as it was written with ``np.unique``: the oracle of its
+    classes and of both refusal messages."""
+    classes = np.unique(labels).tolist()
+    if not set(classes) <= {0, 1}:
+        raise error(f"labels must be binary 0/1, got {classes}")
+    if len(classes) < 2:
+        raise error(f"labels must hold both classes 0 and 1, got {classes}")
+
+
+def _refusal_text(check, labels):
+    try:
+        check(labels)
+    except MetricError as exc:
+        return str(exc)
+    return None
+
+
+# Label values: the classes, signed zeros, NaN, infinities and values outside 0/1.
+FLOAT_LABELS = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, np.nan, -np.nan, np.inf, -np.inf, 0.5, 2.0, -1.0]),
+    st.floats())
+LABELS = st.one_of(
+    st.lists(st.integers(-2, 3), max_size=30).map(lambda v: np.array(v, dtype=np.int64)),
+    st.lists(st.booleans(), max_size=30).map(lambda v: np.array(v, dtype=bool)),
+    st.lists(FLOAT_LABELS, max_size=30).map(lambda v: np.array(v, dtype=float)),
+    st.lists(st.one_of(st.integers(-2, 3), st.booleans(), FLOAT_LABELS), max_size=30))
+
+
 def _hex(values):
     return [float(v).hex() for v in values]
 
@@ -188,6 +218,29 @@ class TestSharedCore:
             reference = calibrate.fit_isotonic(scores, labels)
         assert fitted.knot_scores.tobytes() == reference.knot_scores.tobytes()
         assert fitted.knot_values.tobytes() == reference.knot_values.tobytes()
+
+    @settings(max_examples=400, deadline=None)
+    @given(LABELS)
+    @example([])
+    @example(np.array([], dtype=np.int64))
+    @example([1])
+    @example(np.array([True, True]))
+    @example([0.0, -0.0, 2.0])
+    @example([-0.0, 0.0, 2.0])
+    @example(np.array([2.0, -0.0, 0.0, np.nan, 1.0, -np.nan, np.inf]))
+    @example([np.nan, np.nan])
+    @example([0, 1, 1, 0])
+    def test_check_labels_refuses_like_np_unique_with_the_same_message(self, labels):
+        assert _refusal_text(check_labels, labels) == _refusal_text(unique_check_labels, labels)
+
+    def test_check_labels_messages(self):
+        assert (_refusal_text(check_labels, [2.0, 0.0, np.nan, 1.0, -np.nan])
+                == "labels must be binary 0/1, got [0.0, 1.0, 2.0, nan]")
+        assert (_refusal_text(check_labels, np.array([True, True]))
+                == "labels must hold both classes 0 and 1, got [True]")
+        assert (_refusal_text(check_labels, [])
+                == "labels must hold both classes 0 and 1, got []")
+        assert _refusal_text(check_labels, [1, 0, 1]) is None
 
     @settings(max_examples=300, deadline=None)
     @given(k=st.integers(2, 4), data=st.data())

@@ -3,11 +3,12 @@ with its whole message."""
 
 import pytest
 
-from aisoc.corpus import (AugmentOp, Channel, Label, LogRecord, MalwareScenario, Origin,
-                          SplitKind, SplitSpec, augment, dedup_near_identical, generate_malware)
-from aisoc.errors import ConfigError, MetricError, SplitError, TrainingError
-from aisoc.features import fit_vocabulary, transform_text
-from aisoc.learn import design_matrix, train_logistic
+from aisoc.corpus import (AugmentOp, Channel, Label, LogRecord, MalwareSample, MalwareScenario,
+                          Origin, SplitKind, SplitSpec, augment, dedup_near_identical,
+                          generate_malware, load_malware_csv)
+from aisoc.errors import ConfigError, LoadError, MetricError, SplitError, TrainingError
+from aisoc.features import fit_standardizer, fit_vocabulary, transform_text
+from aisoc.learn import design_matrix, train_forest, train_logistic
 from aisoc.metrics import log_loss, pr_auc, roc_auc
 
 RECORDS = [LogRecord(timestamp=i, host="h1", channel=Channel.AUTH, message=message,
@@ -92,3 +93,37 @@ def test_aucs_refuse_scores_and_labels_of_other_shapes(auc, scores, labels, shap
 def test_log_loss_refuses_probs_and_labels_of_other_shapes():
     assert (_refusal(MetricError, log_loss, [0.2, 0.7], [0, 1, 0])
             == "probs/labels shape mismatch: (2,) vs (3,)")
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("channel", "AUTH", "channel must be a Channel, got 'AUTH'"),
+    ("label", "BENIGN", "label must be a Label or None, got 'BENIGN'"),
+    ("origin", "LOADED", "origin must be an Origin, got 'LOADED'"),
+    ("message", " \t", "labeled records must have a non-empty message"),
+])
+def test_log_record_refuses_a_field_of_the_wrong_kind(field, value, message):
+    fields = dict(timestamp=0, host="h1", channel=Channel.AUTH, message="session opened",
+                  label=Label.BENIGN, origin=Origin.GENERATED)
+    assert _refusal(ValueError, LogRecord, **{**fields, field: value}) == message
+
+
+def test_malware_sample_refuses_a_label_that_is_not_a_label():
+    assert (_refusal(ValueError, MalwareSample, "s1", (0.5, 1.0), label="MALICIOUS")
+            == "label must be a Label or None, got 'MALICIOUS'")
+
+
+def test_fit_standardizer_refuses_no_samples():
+    assert (_refusal(TrainingError, fit_standardizer, [])
+            == "cannot fit a standardizer on an empty sample set")
+
+
+def test_train_forest_refuses_rows_and_labels_of_other_lengths():
+    assert (_refusal(TrainingError, train_forest, [[0.0], [1.0]], [0, 1, 1])
+            == "bad training shapes X=(2, 1), y=(3,)")
+
+
+def test_load_malware_csv_refuses_a_path_it_cannot_read(tmp_path):
+    with pytest.raises(OSError) as unreadable:
+        tmp_path.read_bytes()
+    assert (_refusal(LoadError, load_malware_csv, tmp_path)
+            == f"cannot read {tmp_path}: {unreadable.value}")
